@@ -2,8 +2,9 @@
 
 The sweep computes every quantity twice where possible: an analytic path
 (normal modes, Lyapunov NESS, entropy rates) that is noise free and
-fast, and a Monte Carlo path (one long trajectory per grid point) that
-exercises the full simulation pipeline.  Threshold detection runs on the
+fast, and a Monte Carlo path (one long trajectory per grid point, all
+points stacked in one propagation pass) that exercises the full
+simulation pipeline.  Threshold detection runs on the
 analytic degree of synchronization; the Monte Carlo estimates validate it.
 
 Monte Carlo sweeps and quench ensembles use the exact OU discretization:
@@ -15,8 +16,6 @@ roughly 0.015), while the exact update is correct at any step.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +30,7 @@ from .model import (FRAME_REDUCED, TWO_PI, NormalModes, PhysicalParams,
                     reduced_drift_matrix)
 from .steadystate import analytic_sync_degree, entropy_rates, steady_state
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
-                         derived_seed, displacements, propagate_exact,
+                         derived_seed, displacements, propagate_blocks,
                          run_ensemble)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
@@ -72,15 +71,6 @@ class SweepRow:
 
     def as_list(self):
         return [getattr(self, k) for k in SWEEP_CSV_HEADER]
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("CLOCKSYNC_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def burn_in_time(modes: NormalModes) -> float:
@@ -147,55 +137,44 @@ def _tick_stats_batch(params_list, master_seed: int, seed_base: int,
                       dt: float = TICK_RECORD_DT) -> list:
     """Fine-sampled tick statistics for many operating points at once.
 
-    One vectorized exact-propagator pass integrates every point's
-    envelope pair side by side (point j seeded with seed_base + j);
-    ticks are extracted and reduced in time chunks so only a window of
-    samples is ever held.  Starts from the stationary distribution of
-    each point, so no burn-in is discarded.  D is therefore evaluated
-    per chunk window and averaged.
+    One stacked exact-propagator pass integrates every point's envelope
+    pair side by side (point j seeded with seed_base + j); ticks are
+    extracted and reduced in windows of TICK_CHUNK_SECONDS, so only one
+    window of samples is ever held.  Starts from the stationary
+    distribution of each point, so no burn-in is discarded.  D is
+    therefore evaluated per window and averaged; a final partial window
+    counts when it holds at least min(window, 10000) samples.
     """
-    from .trajectory import (_build_exact_map, _gaussian_initial, _psd_sqrt,
-                             _recentered, _rng_for, _iterate_blocks)
-    from .steadystate import solve_lyapunov
-
-    B = len(params_list)
-    Fs, Ss, carriers, z0 = [], [], [], []
-    rngs = []
-    for j, p in enumerate(params_list):
-        dyn = reduced_drift_matrix(p)
-        F, S, carrier = _build_exact_map(dyn, dt)
-        drift_r, _ = _recentered(dyn)
-        L = _psd_sqrt(solve_lyapunov(drift_r, dyn.diffusion))
-        rng = _rng_for(derived_seed(master_seed, seed_base + j))
-        rngs.append(rng)
-        z0.append(_gaussian_initial(L, rng))
-        Fs.append(F)
-        Ss.append(S)
-        carriers.append(carrier)
-    Fs = np.stack(Fs)
-    Ss = np.stack(Ss)
-    z0 = np.stack(z0)
-
-    n_steps = int(round(duration / dt))
+    dyns = [reduced_drift_matrix(p) for p in params_list]
+    seeds = [derived_seed(master_seed, seed_base + j)
+             for j in range(len(dyns))]
+    carriers, _, blocks = propagate_blocks(dyns, seeds, duration, dt,
+                                           quench=False)
     chunk_steps = max(int(round(TICK_CHUNK_SECONDS / dt)), 1000)
     stats = [_TickStats(TWO_PI / c) for c in carriers]
 
     def consume(piece):
         times = dt * np.arange(piece.shape[1])
-        for j in range(B):
-            stats[j].update(Trajectory(
+        for j, st in enumerate(stats):
+            st.update(Trajectory(
                 times=times, b1=piece[j, :, 0], b2=piece[j, :, 1],
                 dt=dt, frame=FRAME_REDUCED,
                 reference_frequency=carriers[j], seed=0))
 
-    buf = np.empty((B, 0, 2), dtype=complex)
-    for k0, block in _iterate_blocks(Fs, Ss, z0, n_steps, rngs):
-        buf = np.concatenate([buf, block], axis=1) if buf.size else block
-        while buf.shape[1] >= chunk_steps:
-            piece, buf = buf[:, :chunk_steps], buf[:, chunk_steps:]
-            consume(piece)
-    if buf.shape[1] >= min(chunk_steps, 10000):
-        consume(buf)
+    window = np.empty((len(dyns), chunk_steps, 2), dtype=complex)
+    filled = 0
+    for _, block in blocks:
+        pos = 0
+        while pos < block.shape[1]:
+            take = min(chunk_steps - filled, block.shape[1] - pos)
+            window[:, filled:filled + take] = block[:, pos:pos + take]
+            filled += take
+            pos += take
+            if filled == chunk_steps:
+                consume(window)
+                filled = 0
+    if filled >= min(chunk_steps, 10000):
+        consume(window[:, :filled])
     return [s.result() for s in stats]
 
 
@@ -213,9 +192,11 @@ def trajectory_sync_metrics(traj: Trajectory, discard: float) -> SyncMetrics:
 TICK_SEED_BASE = 2 ** 32
 
 
-def _sweep_point(params: PhysicalParams, g: float, protocol: str,
-                 master_seed: int, duration: float, dt: float,
-                 index: int) -> SweepRow:
+def _analytic_point(params: PhysicalParams, g: float):
+    """Analytic sweep row at |G|/kappa = g, its dynamics and normal modes.
+
+    The Monte Carlo fields of the row are nan.
+    """
     p = params.with_coupling(g)
     coupling = effective_coupling(p)
     modes = normal_modes_closed_form(p.delta_omega, p.gamma1, p.gamma2,
@@ -223,35 +204,29 @@ def _sweep_point(params: PhysicalParams, g: float, protocol: str,
     dyn = reduced_drift_matrix(p, coupling)
     cov = steady_state(dyn)
     rates = entropy_rates(cov, p)
-    c_analytic = analytic_sync_degree(cov)
     ratio = (modes.gamma_plus / modes.gamma_minus
              if modes.gamma_minus != 0 else math.nan)
-
-    C = math.nan
-    if protocol in ("monte-carlo", "both"):
-        traj = propagate_exact(dyn, duration, dt,
-                               seed=derived_seed(master_seed, index))
-        x1, x2 = displacements(_discard_burn_in(traj, burn_in_time(modes)))
-        C = pearson_sync_degree(x1, x2)
-
-    return SweepRow(g_over_kappa=g, C=C, D=math.nan, N1=math.nan,
-                    N2=math.nan, gamma_plus=modes.gamma_plus,
-                    gamma_minus=modes.gamma_minus, ratio=ratio,
-                    mu_b1=rates.mu_b1, mu_b2=rates.mu_b2, mu_a=rates.mu_a,
-                    pi_s=rates.Pi_s, analytic_C=c_analytic)
+    row = SweepRow(g_over_kappa=g, C=math.nan, D=math.nan, N1=math.nan,
+                   N2=math.nan, gamma_plus=modes.gamma_plus,
+                   gamma_minus=modes.gamma_minus, ratio=ratio,
+                   mu_b1=rates.mu_b1, mu_b2=rates.mu_b2, mu_a=rates.mu_a,
+                   pi_s=rates.Pi_s, analytic_C=analytic_sync_degree(cov))
+    return row, dyn, modes
 
 
 def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
                    master_seed: int = 0, duration: float = DEFAULT_DURATION,
-                   dt: float = DEFAULT_DT, workers: int | None = None,
+                   dt: float = DEFAULT_DT,
                    tick_duration: float = TICK_RECORD_DURATION) -> list[SweepRow]:
     """Sweep |G|/kappa and collect analytic and Monte Carlo observables.
 
-    Grid points are independent; correlation records run on a small
-    thread pool (capped by CLOCKSYNC_THREADS) and the fine tick records
-    of all points propagate together in one vectorized pass.  Per-point
-    seeds derive from (master_seed, grid index), so output is ordered by
-    grid index and reproducible regardless of scheduling.
+    The analytic columns are computed point by point.  The Monte Carlo
+    path then propagates the correlation records of all grid points in
+    one stacked pass (point i keyed with derived seed i, thermal start),
+    discards each point's burn-in and takes the Pearson C; the fine tick
+    records of all points follow in a second stacked pass.  Each point's
+    record depends only on its own dynamics and key, so the output is
+    ordered by grid index and reproducible.
     """
     if protocol not in ("analytic", "monte-carlo", "both"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -259,19 +234,20 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     if np.any(grid < 0):
         raise ValueError("grid values must be >= 0")
 
-    def point(i):
-        return _sweep_point(params, float(grid[i]), protocol, master_seed,
-                            duration, dt, i)
-
-    if protocol == "analytic":
-        return [point(i) for i in range(len(grid))]
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
-        rows = list(pool.map(point, range(len(grid))))
+    if protocol == "analytic":  # keeps no per-point dynamics
+        return [_analytic_point(params, float(g))[0] for g in grid]
+    points = [_analytic_point(params, float(g)) for g in grid]
+    records = run_ensemble([dyn for _, dyn, _ in points], len(points),
+                           duration, dt, master_seed=master_seed)
+    C = [pearson_sync_degree(*displacements(
+            _discard_burn_in(traj, burn_in_time(modes))))
+         for traj, (_, _, modes) in zip(records, points)]
+    del records  # release the correlation records before the tick pass
     ticks = _tick_stats_batch([params.with_coupling(float(g)) for g in grid],
                               master_seed, TICK_SEED_BASE,
                               duration=tick_duration)
-    return [replace(row, D=D, N1=N1, N2=N2)
-            for row, (D, N1, N2) in zip(rows, ticks)]
+    return [replace(row, C=c, D=D, N1=N1, N2=N2)
+            for (row, _, _), c, (D, N1, N2) in zip(points, C, ticks)]
 
 
 def find_threshold(rows: list[SweepRow]) -> float:

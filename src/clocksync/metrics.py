@@ -80,7 +80,13 @@ def pearson_sync_degree(x1, x2) -> float:
     v1 = float(d1 @ d1)
     v2 = float(d2 @ d2)
     if v1 == 0.0 or v2 == 0.0:
-        raise ConstantSeriesError("correlation of a constant series is undefined")
+        if np.ptp(x1) == 0.0 or np.ptp(x2) == 0.0:
+            raise ConstantSeriesError(
+                "correlation of a constant series is undefined")
+        # squares of tiny deviations underflow; C is scale free
+        d1 = d1 / np.max(np.abs(d1))
+        d2 = d2 / np.max(np.abs(d2))
+        v1, v2 = float(d1 @ d1), float(d2 @ d2)
     return float(np.clip((d1 @ d2) / math.sqrt(v1 * v2), -1.0, 1.0))
 
 
@@ -139,11 +145,15 @@ def _clean_periods(ticks: TickSeries) -> np.ndarray:
     """Periods not overlapping a flagged gap (phase-undefined stretch)."""
     if not ticks.gaps:
         return ticks.periods
-    keep = np.ones(len(ticks.periods), dtype=bool)
+    gaps = np.array(ticks.gaps, dtype=float)
+    gaps = gaps[np.argsort(gaps[:, 0])]
+    # reach[k]: latest end among the first k gaps by start (-inf for none)
+    reach = np.concatenate([[-np.inf], np.maximum.accumulate(gaps[:, 1])])
     starts, ends = ticks.tick_times[:-1], ticks.tick_times[1:]
-    for g0, g1 in ticks.gaps:
-        keep &= (ends < g0) | (starts > g1)
-    return ticks.periods[keep]
+    # a period overlaps a gap iff some gap starting at or before the
+    # period's end ends at or after its start
+    n_started = np.searchsorted(gaps[:, 0], ends, side="right")
+    return ticks.periods[reach[n_started] < starts]
 
 
 def clock_stats(ticks1: TickSeries, ticks2: TickSeries) -> SyncMetrics:

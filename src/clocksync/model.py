@@ -331,13 +331,6 @@ def full_drift_and_diffusion(params: PhysicalParams) -> LinearDynamics:
                           reference_frequency=0.0, params=params)
 
 
-def mode_eigenvalues(dyn: LinearDynamics) -> np.ndarray:
-    """Mode eigenvalues (omega - i*gamma/2) of reduced dynamics."""
-    if dyn.frame != FRAME_REDUCED:
-        raise FrameMismatchError("mode_eigenvalues expects reduced dynamics")
-    return np.linalg.eigvals(1j * dyn.drift)
-
-
 def normal_modes_numeric(dyn: LinearDynamics) -> NormalModes:
     """Numeric normal modes from either model, as a cross check.
 
@@ -348,7 +341,8 @@ def normal_modes_numeric(dyn: LinearDynamics) -> NormalModes:
     selected mechanical one.
     """
     if dyn.frame == FRAME_REDUCED:
-        l1, l2 = mode_eigenvalues(dyn)
+        # mode eigenvalues omega - i*gamma/2 of the 2x2 mode matrix
+        l1, l2 = np.linalg.eigvals(1j * dyn.drift)
         return NormalModes.from_pair(l1, l2)
     if dyn.frame != FRAME_FULL:
         raise FrameMismatchError(f"unknown frame {dyn.frame!r}")

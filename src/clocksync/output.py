@@ -16,12 +16,7 @@ _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def format_cell(value) -> str:
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
+    return repr(float(value))
 
 
 def write_csv(path, header, rows):

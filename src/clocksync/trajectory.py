@@ -5,8 +5,10 @@ there are at most a few kHz, so microsecond steps suffice, versus the
 ~10 ns the cavity-resolved model would need.  The full 6x6 model is only
 ever exercised through Lyapunov algebra, never time stepped.
 
-Two integrators share one propagation engine, differing only in the
-one-step map (F, S) with update  z <- F z + S zeta:
+One engine, ``propagate_blocks``, steps a batch of members side by side
+with z <- F z + S zeta, each member with its own dynamics and Philox key
+(one shared (2, 2) map, or a stacked (B, 2, 2) one when the dynamics
+differ).  The integrators differ only in the one-step map (F, S):
 
 * Euler-Maruyama (``simulate``): F = I + A dt, S = sqrt(dt) chol(D).
   First-order; per-step validation rejects steps that would make the
@@ -23,7 +25,8 @@ is recorded as ``Trajectory.reference_frequency``.
 Reproducibility: trajectory i of an ensemble with master seed m draws
 from a Philox counter-based generator keyed with m * 2^64 + i.  Each
 stream first yields 4 standard normals for the initial condition, then
-4 per step (real/imaginary pairs for the two modes).
+4 per step (real/imaginary pairs for the two modes).  A member's states
+depend only on its dynamics and key, not on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ from .steadystate import solve_lyapunov
 DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
 _SPECTRAL_DT_FACTOR = 0.05
-_NOISE_BUFFER_BYTES = 2e8
+# Bound on all arrays of one propagation chunk: normals, complex noise and
+# its temporary, mapped noise and states, 32 bytes each per member-step.
+_CHUNK_BYTES = 2e8
+_CHUNK_BYTES_PER_STEP = 5 * 32
 
 
 @dataclass(frozen=True)
@@ -69,18 +75,15 @@ def displacements(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def _require_reduced(dyn: LinearDynamics):
-    if dyn.frame != FRAME_REDUCED:
-        raise FrameMismatchError(
-            "time stepping is only supported for reduced-rotating dynamics")
-
-
 def _recentered(dyn: LinearDynamics) -> tuple[np.ndarray, float]:
     """Shift the common rotation into the carrier.
 
     Returns (drift', carrier) with drift' = drift + i c I and
     carrier = reference_frequency + c, c = Re(tr(i drift))/2.
     """
+    if dyn.frame != FRAME_REDUCED:
+        raise FrameMismatchError(
+            "time stepping is only supported for reduced-rotating dynamics")
     c = float(np.real(np.trace(1j * dyn.drift)) / 2.0)
     drift = dyn.drift + 1j * c * np.eye(2)
     return drift, dyn.reference_frequency + c
@@ -116,10 +119,6 @@ def _check_dt_euler(dyn: LinearDynamics, drift_r: np.ndarray, dt: float):
             f"dt = {dt:.3e} s too large for Euler-Maruyama "
             f"(limit {limit:.3e} s); suggested dt = {0.5 * limit:.3e} s",
             suggested_dt=0.5 * limit)
-
-
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def derived_seed(master_seed: int, index: int) -> int:
@@ -162,15 +161,17 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
     stacked = F.ndim == 3
     Ft = np.ascontiguousarray(np.swapaxes(F, -1, -2))
     St = np.ascontiguousarray(np.swapaxes(S, -1, -2))
-    chunk = max(1, int(_NOISE_BUFFER_BYTES / (B * 4 * 8)))
+    chunk = max(1, int(_CHUNK_BYTES / (B * _CHUNK_BYTES_PER_STEP)))
     k = 0
     while k < n_steps:
         m = min(chunk, n_steps - k)
         noise = np.empty((B, m, 4))
         for b, rng in enumerate(rngs):
-            noise[b] = rng.standard_normal((m, 4))
-        zeta = (noise[..., 0::2] + 1j * noise[..., 1::2]) / np.sqrt(2.0)
+            rng.standard_normal(out=noise[b])
+        zeta = noise[..., 0::2] + 1j * noise[..., 1::2]
+        zeta /= np.sqrt(2.0)
         xi = zeta @ St  # (B, m, 2) for shared or stacked maps alike
+        del noise, zeta
         block = np.empty((B, m, 2), dtype=complex)
         if stacked:
             zc = z[:, None, :]
@@ -183,27 +184,11 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
             for j in range(m):
                 z = z @ Ft + xi[:, j]
                 block[:, j] = z
+        del xi
         if not np.all(np.isfinite(z)):
             raise StabilityError("trajectory diverged (non-finite samples)")
         yield k, block
         k += m
-
-
-def _run_stream(F: np.ndarray, S: np.ndarray, z0: np.ndarray, n_steps: int,
-                rngs: list, store_every: int) -> np.ndarray:
-    """Propagate and store every store_every-th state (plus the initial)."""
-    B = len(rngs)
-    n_stored = n_steps // store_every + 1
-    out = np.empty((B, n_stored, 2), dtype=complex)
-    out[:, 0] = np.array(z0, dtype=complex).reshape(B, 2)
-    for k0, block in _iterate_blocks(F, S, z0, n_steps, rngs):
-        m = block.shape[1]
-        # global step indices k0+1 .. k0+m; keep multiples of store_every
-        first = (k0 // store_every + 1) * store_every
-        keep = np.arange(first, k0 + m + 1, store_every)
-        if len(keep):
-            out[:, keep // store_every] = block[:, keep - k0 - 1]
-    return out
 
 
 def _build_euler_map(dyn: LinearDynamics, dt: float):
@@ -226,13 +211,78 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
     return F, S, carrier
 
 
-def _finish(dyn, carrier, dt, store_every, seed, series) -> Trajectory:
-    n_stored = series.shape[0]
+_MAP_BUILDERS = {"euler": _build_euler_map, "exact": _build_exact_map}
+
+
+def propagate_blocks(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
+                     integrator: str = "exact", quench: bool = True,
+                     initial_state=None):
+    """Members j = 0..B-1: dynamics dyns[j], Philox key seeds[j].
+
+    One dynamics object shared by all members gets one (2, 2) map;
+    otherwise the members' maps are stacked.  Initial states come from
+    the uncoupled thermal ensemble (``quench``) or each member's NESS,
+    4 normals each, unless ``initial_state`` (B, 2) is given.
+
+    Returns (carriers, z0, blocks): per-member carriers, the (B, 2)
+    initial states and the ``_iterate_blocks`` generator over
+    round(duration / dt) steps.
+    """
+    if integrator not in _MAP_BUILDERS:
+        raise ValueError(f"unknown integrator {integrator!r}")
+    dyns = list(dyns)
+    B = len(seeds)
+    if len(dyns) != B:
+        raise ValueError("need one dynamics per member")
+    shared = all(d is dyns[0] for d in dyns)
+    distinct = dyns[:1] if shared else dyns
+    Fs, Ss, carriers = zip(*[_MAP_BUILDERS[integrator](d, dt)
+                             for d in distinct])
+    if shared:
+        F, S, carriers = Fs[0], Ss[0], carriers * B
+    else:
+        F, S = np.stack(Fs), np.stack(Ss)
+
+    rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+    if initial_state is not None:
+        z0 = np.asarray(initial_state, dtype=complex).reshape(B, 2)
+    elif quench:
+        z0 = np.stack([_thermal_initial(d, r) for d, r in zip(dyns, rngs)])
+    else:
+        Ls = [_psd_sqrt(solve_lyapunov(_recentered(d)[0], d.diffusion))
+              for d in distinct]
+        if shared:
+            Ls = Ls * B
+        z0 = np.stack([_gaussian_initial(L, r) for L, r in zip(Ls, rngs)])
+    n_steps = int(round(duration / dt))
+    return carriers, z0, _iterate_blocks(F, S, z0, n_steps, rngs)
+
+
+def _record(dyns, seeds, duration, dt, integrator, quench=True,
+            initial_state=None, store_every=1) -> list[Trajectory]:
+    """Store every store_every-th state, starting with the initial one.
+
+    Members share one times array; b1, b2 are views into one record.
+    """
+    carriers, z0, blocks = propagate_blocks(dyns, seeds, duration, dt,
+                                            integrator, quench, initial_state)
+    n_steps = int(round(duration / dt))
+    n_stored = n_steps // store_every + 1
+    out = np.empty((len(seeds), n_stored, 2), dtype=complex)
+    out[:, 0] = z0
+    for k0, block in blocks:
+        m = block.shape[1]
+        # global step indices k0+1 .. k0+m; keep multiples of store_every
+        first = (k0 // store_every + 1) * store_every
+        keep = np.arange(first, k0 + m + 1, store_every)
+        if len(keep):
+            out[:, keep // store_every] = block[:, keep - k0 - 1]
     dt_s = dt * store_every
     times = dt_s * np.arange(n_stored)
-    return Trajectory(times=times, b1=series[:, 0].copy(),
-                      b2=series[:, 1].copy(), dt=dt_s, frame=dyn.frame,
-                      reference_frequency=carrier, seed=seed)
+    return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
+                       dt=dt_s, frame=FRAME_REDUCED,
+                       reference_frequency=carriers[i], seed=seeds[i])
+            for i in range(len(seeds))]
 
 
 def simulate(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
@@ -247,16 +297,8 @@ def simulate(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
     the spectral-radius rule dt <= 0.05/max|eig| or the discrete
     stability bound of the Euler map.
     """
-    _require_reduced(dyn)
-    F, S, carrier = _build_euler_map(dyn, dt)
-    n_steps = int(round(duration / dt))
-    rng = _rng_for(seed)
-    if initial_state is None:
-        z0 = _thermal_initial(dyn, rng)
-    else:
-        z0 = np.asarray(initial_state, dtype=complex)
-    out = _run_stream(F, S, z0[None, :], n_steps, [rng], store_every)
-    return _finish(dyn, carrier, dt, store_every, seed, out[0])
+    return _record([dyn], [seed], duration, dt, "euler",
+                   initial_state=initial_state, store_every=store_every)[0]
 
 
 def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
@@ -267,26 +309,20 @@ def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT
     state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H.
     With zero diffusion this reduces to the matrix-exponential flow.
     """
-    _require_reduced(dyn)
-    F, S, carrier = _build_exact_map(dyn, dt)
-    n_steps = int(round(duration / dt))
-    rng = _rng_for(seed)
-    if initial_state is None:
-        z0 = _thermal_initial(dyn, rng)
-    else:
-        z0 = np.asarray(initial_state, dtype=complex)
-    out = _run_stream(F, S, z0[None, :], n_steps, [rng], store_every)
-    return _finish(dyn, carrier, dt, store_every, seed, out[0])
+    return _record([dyn], [seed], duration, dt, "exact",
+                   initial_state=initial_state, store_every=store_every)[0]
 
 
-def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
+def run_ensemble(dyn, n_traj: int, duration: float,
                  dt: float = DEFAULT_DT, master_seed: int = 0,
                  quench: bool = True, integrator: str = "exact",
                  store_every: int = 1) -> list[Trajectory]:
     """Seeded ensemble of independent trajectories, ordered by index.
 
-    With ``quench`` (the default protocol) initial states are drawn from
-    the uncoupled (G = 0) thermal ensemble and evolved under the coupled
+    dyn is one LinearDynamics shared by every member, or a sequence of
+    n_traj of them, one per member (stacked in a single pass).  With
+    ``quench`` (the default protocol) initial states are drawn from the
+    uncoupled (G = 0) thermal ensemble and evolved under the coupled
     drift from t = 0; with ``quench=False`` they are drawn from the NESS
     of the coupled dynamics instead.  Trajectory i uses the derived seed
     master_seed * 2^64 + i, so ``run_ensemble(..., n_traj=1)`` is
@@ -295,23 +331,7 @@ def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    _require_reduced(dyn)
-    if integrator == "euler":
-        F, S, carrier = _build_euler_map(dyn, dt)
-    elif integrator == "exact":
-        F, S, carrier = _build_exact_map(dyn, dt)
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
-
-    n_steps = int(round(duration / dt))
+    dyns = [dyn] * n_traj if isinstance(dyn, LinearDynamics) else list(dyn)
     seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
-    rngs = [_rng_for(s) for s in seeds]
-    if quench:
-        z0 = np.stack([_thermal_initial(dyn, r) for r in rngs])
-    else:
-        drift_r, _ = _recentered(dyn)
-        L = _psd_sqrt(solve_lyapunov(drift_r, dyn.diffusion))
-        z0 = np.stack([_gaussian_initial(L, r) for r in rngs])
-    out = _run_stream(F, S, z0, n_steps, rngs, store_every)
-    return [_finish(dyn, carrier, dt, store_every, seeds[i], out[i])
-            for i in range(n_traj)]
+    return _record(dyns, seeds, duration, dt, integrator, quench=quench,
+                   store_every=store_every)

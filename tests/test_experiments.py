@@ -136,17 +136,3 @@ class TestSweepMonteCarlo:
             assert np.isfinite(r.C) and np.isfinite(r.D)
         # short-record estimate still tracks the analytic curve loosely
         assert abs(rows_a[1].C - rows_a[1].analytic_C) < 0.2
-
-    def test_worker_override(self, paper):
-        rows = sweep_coupling(paper, grid=[0.0, 0.01], protocol="both",
-                              master_seed=2, duration=0.3, tick_duration=0.3,
-                              workers=2)
-        assert rows[1].g_over_kappa == pytest.approx(0.01)
-
-    def test_thread_cap_env_var(self, paper, monkeypatch):
-        from clocksync.experiments import _worker_count
-        monkeypatch.setenv("CLOCKSYNC_THREADS", "3")
-        assert _worker_count(None) == 3
-        monkeypatch.setenv("CLOCKSYNC_THREADS", "0")
-        assert _worker_count(None) == 1
-        assert _worker_count(7) == 7

@@ -12,7 +12,7 @@ from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
                        power_spectrum, reduced_drift_matrix, run_ensemble,
                        transient_correlation, transient_entropy_flux,
                        transient_time)
-from clocksync.metrics import TickSeries
+from clocksync.metrics import TickSeries, _clean_periods
 from clocksync.model import FRAME_REDUCED, TWO_PI
 from clocksync.trajectory import Trajectory
 
@@ -42,6 +42,14 @@ class TestPearson:
     def test_constant_rejected(self):
         with pytest.raises(ConstantSeriesError):
             pearson_sync_degree(np.ones(10), np.arange(10.0))
+
+    def test_tiny_nonconstant_series(self):
+        # squared deviations of order 1e-272 underflow to zero
+        x = np.ones(64)
+        x[0] = 0.0
+        y = np.zeros(64)
+        y[0] = 4.72403968e-272
+        assert pearson_sync_degree(x, y) == pytest.approx(-1.0)
 
     def test_length_check(self):
         with pytest.raises(ValueError):
@@ -147,6 +155,21 @@ class TestClockStats:
                            gaps=((tick_times[50], tick_times[51]),))
         clean = clock_stats(dirty, dirty)
         assert clean.N1 == math.inf  # the only jitter sat inside the gap
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 60), min_size=2, max_size=40, unique=True),
+           st.lists(st.tuples(st.integers(-5, 65), st.integers(0, 12)),
+                    max_size=8))
+    def test_clean_periods_matches_pairwise_loop(self, ticks, gap_specs):
+        # integer instants make shared endpoints and overlapping gaps common
+        tick_times = np.array(sorted(ticks), dtype=float)
+        gaps = tuple((float(a), float(a + w)) for a, w in gap_specs)
+        series = TickSeries(tick_times=tick_times,
+                            periods=np.diff(tick_times), gaps=gaps)
+        keep = np.ones(len(series.periods), dtype=bool)
+        for g0, g1 in gaps:  # reference: test every period against every gap
+            keep &= (tick_times[1:] < g0) | (tick_times[:-1] > g1)
+        assert np.array_equal(_clean_periods(series), series.periods[keep])
 
 
 class TestPowerSpectrum:

@@ -45,6 +45,15 @@ class TestDeterminism:
             ref = single(dyn, duration=1.0, dt=1e-3, seed=derived_seed(9, 0))
             assert np.array_equal(ens[0].b1, ref.b1)
             assert np.array_equal(ens[0].b2, ref.b2)
+        # stacked case: one dynamics per member, each member on its own key
+        dyns = [toy_dyn(nth=3.0), toy_dyn(nth=7.0, gamma=1.5)]
+        ens = run_ensemble(dyns, 2, duration=1.0, dt=1e-3, master_seed=9)
+        for i, d in enumerate(dyns):
+            ref = propagate_exact(d, duration=1.0, dt=1e-3,
+                                  seed=derived_seed(9, i))
+            assert np.array_equal(ens[i].b1, ref.b1)
+            assert np.array_equal(ens[i].b2, ref.b2)
+            assert ens[i].reference_frequency == ref.reference_frequency
 
     def test_ensemble_reproducible(self):
         dyn = toy_dyn()
