@@ -21,7 +21,7 @@ from .steadystate import (CovarianceState, EntropyRates, analytic_sync_degree,
                           steady_state)
 from .trajectory import (Trajectory, displacements, propagate_exact,
                          run_ensemble, simulate)
-from .metrics import (SyncMetrics, TickSeries, TransientResult, clock_stats,
+from .metrics import (SyncMetrics, TickSeries, TickStats, TransientResult,
                       extract_ticks, pearson_sync_degree, power_spectrum,
                       transient_correlation, transient_entropy_flux,
                       transient_time)
@@ -34,10 +34,10 @@ __all__ = [
     "EnsembleError", "EntropyRates", "FrameMismatchError", "LinearDynamics",
     "LyapunovSolveError", "NormalModes", "PhysicalParams", "PlateauError",
     "StabilityError", "SweepRow", "SyncMetrics", "ThresholdError",
-    "TickSeries", "TimestepError", "Trajectory", "TransientResult",
-    "TurningPointError", "analytic_sync_degree", "cavity_susceptibility",
-    "clock_stats", "displacements", "effective_coupling", "entropy_rates",
-    "extract_ticks", "find_threshold", "find_turning_point",
+    "TickSeries", "TickStats", "TimestepError", "Trajectory",
+    "TransientResult", "TurningPointError", "analytic_sync_degree",
+    "cavity_susceptibility", "displacements", "effective_coupling",
+    "entropy_rates", "extract_ticks", "find_threshold", "find_turning_point",
     "full_drift_and_diffusion", "normal_modes_closed_form",
     "normal_modes_numeric", "occupations", "paper_preset",
     "pearson_sync_degree", "power_spectrum", "propagate_exact",

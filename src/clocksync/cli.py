@@ -28,10 +28,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ClockSyncError, ConfigError
-from .experiments import (SWEEP_CSV_HEADER, burn_in_time, find_threshold,
-                          find_turning_point, sweep_coupling,
+from .experiments import (SWEEP_CSV_HEADER, burn_in_time, check_record_length,
+                          find_threshold, find_turning_point, sweep_coupling,
                           transient_experiment, trajectory_sync_metrics)
-from .metrics import power_spectrum
+from .metrics import D_WINDOW_SECONDS, min_tick_samples, power_spectrum
 from .model import (TWO_PI, PhysicalParams, effective_coupling,
                     normal_modes_closed_form, paper_preset,
                     reduced_drift_matrix)
@@ -44,6 +44,9 @@ _PRESETS = {"paper": paper_preset}
 _FREQ_FIELDS = ("omega1", "omega2", "gamma1", "gamma2", "kappa", "detuning",
                 "G1", "G2")
 _PLAIN_FIELDS = ("nth1", "nth2", "na_in")
+_GE_ZERO = click.FloatRange(min=0.0)
+_GT_ZERO = click.FloatRange(min=0.0, min_open=True)
+_GE_ONE = click.IntRange(min=1)
 
 
 def _params_from_config(preset: str, config_path: str | None) -> PhysicalParams:
@@ -95,6 +98,8 @@ def _echo_config(out: str, command: str, params: PhysicalParams, options: dict):
         "params_rad": dataclasses.asdict(params),
         "options": options,
     }
+    if command in ("sweep", "trajectory"):  # the commands that report D
+        payload["d_window_s"] = D_WINDOW_SECONDS
     write_json(os.path.join(out, "resolved_config.json"), payload)
 
 
@@ -130,8 +135,8 @@ def cli():
 
 @cli.command()
 @shared_options
-@click.option("--g-max", default=0.05, show_default=True, type=float)
-@click.option("--points", default=26, show_default=True, type=int)
+@click.option("--g-max", default=0.05, show_default=True, type=_GE_ZERO)
+@click.option("--points", default=26, show_default=True, type=_GE_ONE)
 def modes(preset, config_path, out, seed, svg, g_max, points):
     """Normal-mode table over a coupling grid."""
     params = _params_from_config(preset, config_path)
@@ -181,14 +186,14 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
 
 @cli.command()
 @shared_options
-@click.option("--g-max", default=0.05, show_default=True, type=float)
-@click.option("--points", default=26, show_default=True, type=int)
+@click.option("--g-max", default=0.05, show_default=True, type=_GE_ZERO)
+@click.option("--points", default=26, show_default=True, type=_GE_ONE)
 @click.option("--protocol", default="both", show_default=True,
               type=click.Choice(["analytic", "monte-carlo", "both"]))
-@click.option("--duration", default=10.0, show_default=True, type=float,
+@click.option("--duration", default=10.0, show_default=True, type=_GT_ZERO,
               help="Monte Carlo record length per point (s).")
-@click.option("--dt", default=DEFAULT_DT, show_default=True, type=float)
-@click.option("--tick-duration", default=6.0, show_default=True, type=float,
+@click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
+@click.option("--tick-duration", default=6.0, show_default=True, type=_GT_ZERO,
               help="Fine-sampled record length for tick statistics (s).")
 def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
           duration, dt, tick_duration):
@@ -223,13 +228,18 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
 @cli.command()
 @shared_options
 @click.option("--g-over-kappa", default=0.02, show_default=True, type=float)
-@click.option("--duration", default=10.0, show_default=True, type=float)
-@click.option("--dt", default=DEFAULT_DT, show_default=True, type=float)
-@click.option("--store-every", default=1, show_default=True, type=int)
+@click.option("--duration", default=10.0, show_default=True, type=_GT_ZERO)
+@click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
+@click.option("--store-every", default=1, show_default=True, type=_GE_ONE)
 def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
                dt, store_every):
     """One NESS trajectory: raw envelopes, spectra, and sync metrics."""
     params = _params_from_config(preset, config_path).with_coupling(g_over_kappa)
+    nm = normal_modes_closed_form(params.delta_omega, params.gamma1,
+                                  params.gamma2, effective_coupling(params))
+    burn_in = burn_in_time(nm)
+    check_record_length(duration, dt * store_every, burn_in,
+                        min_tick_samples(dt * store_every), "trajectory")
     ensure_dir(out)
     dyn = reduced_drift_matrix(params)
     traj = propagate_exact(dyn, duration, dt, seed=seed,
@@ -240,9 +250,7 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     path = os.path.join(out, "trajectory.csv")
     write_csv(path, header, rows.tolist())
 
-    nm = normal_modes_closed_form(params.delta_omega, params.gamma1,
-                                  params.gamma2, effective_coupling(params))
-    keep = traj.times >= burn_in_time(nm)
+    keep = traj.times >= burn_in
     f1, p1 = power_spectrum(traj.b1[keep], traj.dt)
     f2, p2 = power_spectrum(traj.b2[keep], traj.dt)
     carrier_hz = traj.reference_frequency / TWO_PI
@@ -252,7 +260,7 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     write_csv(spectrum_path, spectrum_header, spectrum_rows)
     _maybe_svg(svg, spectrum_path, spectrum_header, spectrum_rows)
 
-    m = trajectory_sync_metrics(traj, burn_in_time(nm))
+    m = trajectory_sync_metrics(traj, burn_in)
     write_json(os.path.join(out, "trajectory_summary.json"),
                {"C": m.C, "D": m.D, "N1": m.N1, "N2": m.N2,
                 "carrier_hz": carrier_hz})
@@ -266,10 +274,10 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
 @shared_options
 @click.option("--g-over-kappa", default=0.04, show_default=True, type=float)
 @click.option("--n-traj", default=600, show_default=True, type=int)
-@click.option("--duration", default=None, type=float,
+@click.option("--duration", default=None, type=_GT_ZERO,
               help="Record length (s); default adapts to the linewidths.")
-@click.option("--dt", default=DEFAULT_DT, show_default=True, type=float)
-@click.option("--store-every", default=1, show_default=True, type=int)
+@click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
+@click.option("--store-every", default=1, show_default=True, type=_GE_ONE)
 def transient(preset, config_path, out, seed, svg, g_over_kappa, n_traj,
               duration, dt, store_every):
     """Quench ensemble: transient correlation and entropy fluxes."""

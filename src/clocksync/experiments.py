@@ -2,10 +2,10 @@
 
 The sweep computes every quantity twice where possible: an analytic path
 (normal modes, Lyapunov NESS, entropy rates) that is noise free and
-fast, and a Monte Carlo path (one long trajectory per grid point, all
-points stacked in one propagation pass) that exercises the full
-simulation pipeline.  Threshold detection runs on the
-analytic degree of synchronization; the Monte Carlo estimates validate it.
+fast, and a Monte Carlo path (all grid points stacked in one propagation
+pass) that exercises the full simulation pipeline.  Threshold detection
+runs on the analytic C; the Monte Carlo estimates validate it.  D, N1 and
+N2 of a sweep and of a single trajectory both come from ``_tick_stats``.
 
 Monte Carlo sweeps and quench ensembles use the exact OU discretization:
 at the default 10 us step the Euler map is expansive once the optical
@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EnsembleError, ThresholdError, TurningPointError
-from .metrics import (SyncMetrics, TransientResult, _clean_periods,
-                      clock_stats, extract_ticks, pearson_sync_degree,
+from .errors import (ConfigError, EnsembleError, ThresholdError,
+                     TurningPointError)
+from .metrics import (SyncMetrics, TickStats, TransientResult, d_windows,
+                      extract_ticks, min_tick_samples, pearson_sync_degree,
                       transient_correlation, transient_entropy_flux,
                       transient_time)
 from .model import (FRAME_REDUCED, TWO_PI, NormalModes, PhysicalParams,
@@ -41,10 +42,9 @@ THRESHOLD_LEVEL = 0.5
 # variance mixes over the slow amplitude breathing of the long-lived mode
 # (rate gamma_plus ~ 2pi x 10 Hz), so several hundred amplitude
 # correlation times are required for a stable estimate.  All sweep points
-# propagate together in one vectorized pass, processed in time chunks.
+# propagate together in one vectorized pass, reduced one D window at a time.
 TICK_RECORD_DURATION = 6.0
 TICK_RECORD_DT = 1e-6
-TICK_CHUNK_SECONDS = 0.25
 
 SWEEP_CSV_HEADER = ["g_over_kappa", "C", "D", "N1", "N2", "gamma_plus",
                     "gamma_minus", "ratio", "mu_b1", "mu_b2", "mu_a", "pi_s",
@@ -84,107 +84,37 @@ def _discard_burn_in(traj: Trajectory, discard: float) -> Trajectory:
                    b2=traj.b2[keep])
 
 
-class _TickStats:
-    """Streaming period statistics for one sweep point.
-
-    Accumulates gap-clean period moments (centered on the nominal period
-    to avoid cancellation) for the accuracies, and per-window variances
-    of the accumulated period difference for the deviation D.
-    """
-
-    def __init__(self, nominal_period: float):
-        self.t0 = nominal_period
-        self.n = np.zeros(2)
-        self.s1 = np.zeros(2)
-        self.s2 = np.zeros(2)
-        self.d_vars = []
-        self.period_sum = 0.0
-        self.period_count = 0
-
-    def update(self, chunk: Trajectory):
-        ticks = [extract_ticks(chunk, 1), extract_ticks(chunk, 2)]
-        for i, tk in enumerate(ticks):
-            p = _clean_periods(tk) - self.t0
-            self.n[i] += len(p)
-            self.s1[i] += p.sum()
-            self.s2[i] += (p * p).sum()
-        p1, p2 = ticks[0].periods, ticks[1].periods
-        m = min(len(p1), len(p2))
-        tau = np.cumsum(p2[:m] - p1[:m])
-        self.d_vars.append(float(np.var(tau, ddof=1)))
-        self.period_sum += float(np.sum(0.5 * (p1[:m] + p2[:m])))
-        self.period_count += m
-
-    def result(self) -> tuple[float, float, float]:
-        if self.period_count == 0:
-            raise EnsembleError("tick record too short for statistics")
-        mean_period = self.period_sum / self.period_count
-        D = float(np.mean(self.d_vars)) / mean_period ** 2
-        N = []
-        for i in range(2):
-            n = self.n[i]
-            if n < 10:
-                N.append(math.nan)
-                continue
-            var = (self.s2[i] - self.s1[i] ** 2 / n) / (n - 1)
-            mean = self.t0 + self.s1[i] / n
-            N.append(math.inf if var <= 0.0 else mean ** 2 / var)
-        return D, N[0], N[1]
-
-
-def _tick_stats_batch(params_list, master_seed: int, seed_base: int,
-                      duration: float = TICK_RECORD_DURATION,
-                      dt: float = TICK_RECORD_DT) -> list:
-    """Fine-sampled tick statistics for many operating points at once.
-
-    One stacked exact-propagator pass integrates every point's envelope
-    pair side by side (point j seeded with seed_base + j); ticks are
-    extracted and reduced in windows of TICK_CHUNK_SECONDS, so only one
-    window of samples is ever held.  Starts from the stationary
-    distribution of each point, so no burn-in is discarded.  D is
-    therefore evaluated per window and averaged; a final partial window
-    counts when it holds at least min(window, 10000) samples.
-    """
-    dyns = [reduced_drift_matrix(p) for p in params_list]
-    seeds = [derived_seed(master_seed, seed_base + j)
-             for j in range(len(dyns))]
-    carriers, _, blocks = propagate_blocks(dyns, seeds, duration, dt,
-                                           quench=False)
-    chunk_steps = max(int(round(TICK_CHUNK_SECONDS / dt)), 1000)
-    stats = [_TickStats(TWO_PI / c) for c in carriers]
-
-    def consume(piece):
-        times = dt * np.arange(piece.shape[1])
+def _tick_stats(blocks, carriers, dt: float) -> list[SyncMetrics]:
+    """D, N1, N2 of each member of a stream of (B, m, 2) sample blocks;
+    ticks are extracted per D window, with times restarting at 0."""
+    stats = [TickStats(TWO_PI / c) for c in carriers]
+    for window in d_windows(blocks, dt):
+        times = dt * np.arange(window.shape[1])
         for j, st in enumerate(stats):
-            st.update(Trajectory(
-                times=times, b1=piece[j, :, 0], b2=piece[j, :, 1],
-                dt=dt, frame=FRAME_REDUCED,
-                reference_frequency=carriers[j], seed=0))
-
-    window = np.empty((len(dyns), chunk_steps, 2), dtype=complex)
-    filled = 0
-    for _, block in blocks:
-        pos = 0
-        while pos < block.shape[1]:
-            take = min(chunk_steps - filled, block.shape[1] - pos)
-            window[:, filled:filled + take] = block[:, pos:pos + take]
-            filled += take
-            pos += take
-            if filled == chunk_steps:
-                consume(window)
-                filled = 0
-    if filled >= min(chunk_steps, 10000):
-        consume(window[:, :filled])
-    return [s.result() for s in stats]
+            traj = Trajectory(times=times, b1=window[j, :, 0],
+                              b2=window[j, :, 1], dt=dt, frame=FRAME_REDUCED,
+                              reference_frequency=carriers[j], seed=0)
+            st.update(extract_ticks(traj, 1), extract_ticks(traj, 2))
+    return [st.result() for st in stats]
 
 
 def trajectory_sync_metrics(traj: Trajectory, discard: float) -> SyncMetrics:
     """C, D, N1, N2 from one NESS trajectory after discarding burn-in."""
     sub = _discard_burn_in(traj, discard)
-    x1, x2 = displacements(sub)
-    C = pearson_sync_degree(x1, x2)
-    stats = clock_stats(extract_ticks(sub, 1), extract_ticks(sub, 2))
+    C = pearson_sync_degree(*displacements(sub))
+    block = np.stack([sub.b1, sub.b2], axis=-1)[None]
+    [stats] = _tick_stats([block], [sub.reference_frequency], sub.dt)
     return replace(stats, C=C)
+
+
+def check_record_length(duration: float, dt: float, discard: float,
+                        samples: int, what: str):
+    """ConfigError unless ``samples`` samples of spacing dt follow burn-in."""
+    need = discard + samples * dt
+    if duration < need:
+        raise ConfigError(f"{what} of {duration:g} s is too short: need "
+                          f"at least {need:.6g} s ({discard:.6g} s burn-in "
+                          f"plus {samples} samples of {dt:g} s)")
 
 
 # Seed layout inside a sweep: point i draws its correlation record with
@@ -224,9 +154,10 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     path then propagates the correlation records of all grid points in
     one stacked pass (point i keyed with derived seed i, thermal start),
     discards each point's burn-in and takes the Pearson C; the fine tick
-    records of all points follow in a second stacked pass.  Each point's
-    record depends only on its own dynamics and key, so the output is
-    ordered by grid index and reproducible.
+    records of all points follow in a second stacked pass (derived seed
+    2^32 + i, stationary start, so no burn-in).  Each point's record
+    depends only on its own dynamics and key, so the output is ordered by
+    grid index and reproducible.
     """
     if protocol not in ("analytic", "monte-carlo", "both"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -237,17 +168,25 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     if protocol == "analytic":  # keeps no per-point dynamics
         return [_analytic_point(params, float(g))[0] for g in grid]
     points = [_analytic_point(params, float(g)) for g in grid]
+    check_record_length(duration, dt,
+                        max(burn_in_time(modes) for _, _, modes in points), 2,
+                        "correlation record")
+    check_record_length(tick_duration, TICK_RECORD_DT, 0.0,
+                        min_tick_samples(TICK_RECORD_DT), "tick record")
     records = run_ensemble([dyn for _, dyn, _ in points], len(points),
                            duration, dt, master_seed=master_seed)
     C = [pearson_sync_degree(*displacements(
             _discard_burn_in(traj, burn_in_time(modes))))
          for traj, (_, _, modes) in zip(records, points)]
     del records  # release the correlation records before the tick pass
-    ticks = _tick_stats_batch([params.with_coupling(float(g)) for g in grid],
-                              master_seed, TICK_SEED_BASE,
-                              duration=tick_duration)
-    return [replace(row, C=c, D=D, N1=N1, N2=N2)
-            for (row, _, _), c, (D, N1, N2) in zip(points, C, ticks)]
+    carriers, _, blocks = propagate_blocks(
+        [dyn for _, dyn, _ in points],
+        [derived_seed(master_seed, TICK_SEED_BASE + i)
+         for i in range(len(points))],
+        tick_duration, TICK_RECORD_DT, quench=False)
+    ticks = _tick_stats((b for _, b in blocks), carriers, TICK_RECORD_DT)
+    return [replace(row, C=c, D=m.D, N1=m.N1, N2=m.N2)
+            for (row, _, _), c, m in zip(points, C, ticks)]
 
 
 def find_threshold(rows: list[SweepRow]) -> float:

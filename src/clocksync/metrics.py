@@ -1,8 +1,10 @@
 """Observables: synchronization degree, tick statistics, spectra, transients.
 
-All metrics are pure functions over immutable series.  Ensemble
-reductions accumulate in trajectory order (plain sums over the member
-axis), so results are reproducible bit-for-bit for a fixed ensemble.
+All metrics are pure functions over immutable series, except the one
+tick-statistics reducer, ``TickStats``, which turns the tick trains of
+each D window (``d_windows``) into D and N.  Ensemble reductions
+accumulate in trajectory order (plain sums over the member axis), so
+results are reproducible bit-for-bit for a fixed ensemble.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .trajectory import Trajectory
 # The floor trims a fixed ~1% of periods at every operating point.
 MAGNITUDE_FLOOR_FRACTION = 0.1
 MIN_FLUX_ENSEMBLE = 50
+# D averages var(tau) over windows of this length; the offset ramp of
+# unsynchronized clocks grows with it, so it is part of D's definition.
+D_WINDOW_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -156,38 +161,85 @@ def _clean_periods(ticks: TickSeries) -> np.ndarray:
     return ticks.periods[reach[n_started] < starts]
 
 
-def clock_stats(ticks1: TickSeries, ticks2: TickSeries) -> SyncMetrics:
-    """Deviation D and accuracies N from two tick trains.
+def _window_samples(dt: float) -> int:
+    return max(int(round(D_WINDOW_SECONDS / dt)), 1000)
 
-    Periods are paired by index, each train counted from its own first
-    tick.  tau_k is the accumulated period difference (the offset of the
-    two clock readings after k ticks); per-period white jitter is common
-    to both definitions, but only the accumulated form captures the
-    frequency-mismatch ramp that dominates unsynchronized clocks and
-    collapses once both clocks follow the long-lived normal mode.
-    D = var(tau)/mean((t1+t2)/2)^2 and N_i = mean(t_i)^2/var(t_i); zero
-    period variance yields the +inf sentinel for N (noiseless clock).
-    Periods overlapping flagged gaps are excluded from the N variances
-    (the phase there is undefined); the accumulated tau keeps the full
-    train so clock offsets stay continuous.  C is not derivable from
-    tick trains and is reported as nan here; callers combine it in.
+
+def min_tick_samples(dt: float) -> int:
+    """Fewest samples of spacing dt that make a counted D window."""
+    return min(_window_samples(dt), 10000)
+
+
+def d_windows(blocks, dt: float):
+    """Cut a stream of (B, m, 2) sample blocks into (B, w, 2) D windows.
+
+    Windows span D_WINDOW_SECONDS (at least 1000 samples) and are copied
+    into one reused buffer, so block boundaries never show.  A trailing
+    partial window is yielded only if it holds min_tick_samples(dt).
     """
-    p1, p2 = ticks1.periods, ticks2.periods
-    n = min(len(p1), len(p2))
-    if n < 10:
-        raise ValueError("need at least 10 periods per clock")
-    tau = np.cumsum(p2[:n] - p1[:n])
-    mean_period = float(np.mean(0.5 * (p1[:n] + p2[:n])))
-    D = float(np.var(tau, ddof=1)) / mean_period ** 2
+    size = _window_samples(dt)
+    window, filled = None, 0
+    for block in blocks:
+        if window is None:
+            window = np.empty((block.shape[0], size, 2), dtype=complex)
+        while block.shape[1]:
+            take = min(size - filled, block.shape[1])
+            window[:, filled:filled + take] = block[:, :take]
+            block = block[:, take:]
+            filled += take
+            if filled == size:
+                yield window
+                filled = 0
+    if filled >= min_tick_samples(dt):
+        yield window[:, :filled]
 
-    def accuracy(p):
-        if len(p) < 10:
-            return math.nan
-        v = float(np.var(p, ddof=1))
-        return math.inf if v == 0.0 else float(np.mean(p)) ** 2 / v
 
-    return SyncMetrics(C=math.nan, D=D, N1=accuracy(_clean_periods(ticks1)),
-                       N2=accuracy(_clean_periods(ticks2)))
+class TickStats:
+    """Streaming deviation D and accuracies N of one clock pair.
+
+    ``update`` takes the two tick trains of one D window, paired by index.
+    tau_k, the accumulated period difference, is the offset of the clock
+    readings after k ticks; its frequency-mismatch ramp dominates
+    unsynchronized clocks.  D is the mean over windows of var(tau) over
+    the squared mean period.  N_i = mean(t_i)^2 / var(t_i) uses period
+    moments over all windows, centred on the nominal period, without the
+    periods that overlap flagged gaps; zero variance gives +inf.
+    """
+
+    def __init__(self, nominal_period: float):
+        self.t0 = nominal_period
+        self.n, self.s1, self.s2 = np.zeros((3, 2))  # per clock
+        self.d_vars = []
+        self.period_sum = 0.0
+        self.period_count = 0
+
+    def update(self, ticks1: TickSeries, ticks2: TickSeries):
+        for i, tk in enumerate((ticks1, ticks2)):
+            p = _clean_periods(tk) - self.t0
+            self.n[i] += len(p)
+            self.s1[i] += p.sum()
+            self.s2[i] += (p * p).sum()
+        p1, p2 = ticks1.periods, ticks2.periods
+        m = min(len(p1), len(p2))
+        tau = np.cumsum(p2[:m] - p1[:m])
+        self.d_vars.append(float(np.var(tau, ddof=1)))
+        self.period_sum += float(np.sum(0.5 * (p1[:m] + p2[:m])))
+        self.period_count += m
+
+    def result(self) -> SyncMetrics:
+        if self.period_count < 10:
+            raise EnsembleError("need at least 10 periods per clock")
+        mean_period = self.period_sum / self.period_count
+        D = float(np.mean(self.d_vars)) / mean_period ** 2
+        N = []
+        for n, s1, s2 in zip(self.n, self.s1, self.s2):
+            if n < 10:
+                N.append(math.nan)
+                continue
+            var = (s2 - s1 ** 2 / n) / (n - 1)
+            N.append(math.inf if var <= 0.0 else
+                     float((self.t0 + s1 / n) ** 2 / var))
+        return SyncMetrics(C=math.nan, D=D, N1=N[0], N2=N[1])
 
 
 def power_spectrum(x, dt: float, nperseg: int | None = None):

@@ -80,6 +80,37 @@ class TestConfig:
         assert resolved["params_rad"]["kappa"] == pytest.approx(2 * np.pi * 1e6)
         assert resolved["params_rad"]["detuning"] == pytest.approx(-1.6e6 * np.pi)
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--protocol", "analytic", "--g-max", "-0.01"],
+        ["sweep", "--protocol", "analytic", "--points", "0"],
+        ["sweep", "--points", "1", "--duration", "0.2",
+         "--tick-duration", "0"],
+        ["trajectory", "--dt", "0"],
+        ["trajectory", "--duration", "0"],
+        ["transient", "--dt", "0"],
+        ["trajectory", "--store-every", "0"],
+    ], ids=["sweep-g-max", "sweep-points", "sweep-tick-duration",
+            "trajectory-dt", "trajectory-duration", "transient-dt",
+            "trajectory-store-every"])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--g-over-kappa", "0.04", "--duration", "0.05"],
+        ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.05",
+         "--tick-duration", "0.05"],
+        ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.2",
+         "--tick-duration", "0.005"],
+    ], ids=["trajectory", "sweep-correlation-record", "sweep-tick-record"])
+    def test_record_shorter_than_burn_in_exits_2(self, tmp_path, capsys,
+                                                 argv):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "at least" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_physics_error_exits_3(self, tmp_path, capsys):
         # a quench ensemble of one trajectory is not a valid experiment
         assert run(["transient", "--n-traj", "1", "--g-over-kappa", "0.02",
@@ -122,6 +153,9 @@ class TestCommands:
         assert (out / "sweep.svg").exists()
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert "threshold_g_over_kappa" in summary
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["d_window_s"] == 0.25
+        assert "d_window_s" not in resolved["options"]
 
     def test_trajectory_csv(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -134,6 +168,8 @@ class TestCommands:
         assert sheader == ["f_hz", "psd_b1", "psd_b2"]
         summary = json.loads((out / "trajectory_summary.json").read_text())
         assert {"C", "D", "N1", "N2", "carrier_hz"} <= set(summary)
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["d_window_s"] == 0.25
 
     def test_transient_csv(self, tmp_path, capsys):
         out = tmp_path / "o"

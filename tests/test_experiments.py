@@ -7,8 +7,10 @@ import pytest
 from clocksync import (SweepRow, ThresholdError, TurningPointError,
                        find_threshold, find_turning_point, sweep_coupling,
                        transient_experiment)
-from clocksync.experiments import SWEEP_CSV_HEADER
-from clocksync.model import TWO_PI
+from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
+                                   TICK_SEED_BASE, trajectory_sync_metrics)
+from clocksync.model import FRAME_REDUCED, TWO_PI, reduced_drift_matrix
+from clocksync.trajectory import Trajectory, derived_seed, propagate_blocks
 
 
 def synthetic_rows(g, c, pi=None):
@@ -136,3 +138,21 @@ class TestSweepMonteCarlo:
             assert np.isfinite(r.C) and np.isfinite(r.D)
         # short-record estimate still tracks the analytic curve loosely
         assert abs(rows_a[1].C - rows_a[1].analytic_C) < 0.2
+
+    def test_trajectory_and_sweep_share_tick_statistics(self, paper):
+        # a 0.27 s tick record: one full 0.25 s window plus a counted tail
+        g, seed, duration = 0.03, 5, 0.27
+        [row] = sweep_coupling(paper, grid=[g], protocol="monte-carlo",
+                               master_seed=seed, duration=0.2,
+                               tick_duration=duration)
+        carriers, _, blocks = propagate_blocks(
+            [reduced_drift_matrix(paper.with_coupling(g))],
+            [derived_seed(seed, TICK_SEED_BASE)], duration, TICK_RECORD_DT,
+            quench=False)
+        record = np.concatenate([b for _, b in blocks], axis=1)[0]
+        traj = Trajectory(times=TICK_RECORD_DT * np.arange(len(record)),
+                          b1=record[:, 0], b2=record[:, 1],
+                          dt=TICK_RECORD_DT, frame=FRAME_REDUCED,
+                          reference_frequency=carriers[0], seed=0)
+        single = trajectory_sync_metrics(traj, 0.0)
+        assert (single.D, single.N1, single.N2) == (row.D, row.N1, row.N2)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
-                       clock_stats, extract_ticks, pearson_sync_degree,
+                       TickStats, extract_ticks, pearson_sync_degree,
                        power_spectrum, reduced_drift_matrix, run_ensemble,
                        transient_correlation, transient_entropy_flux,
                        transient_time)
+from clocksync.experiments import _tick_stats
 from clocksync.metrics import TickSeries, _clean_periods
 from clocksync.model import FRAME_REDUCED, TWO_PI
 from clocksync.trajectory import Trajectory
@@ -113,11 +114,18 @@ class TestTicks:
         assert abs(ticks.periods.mean() - TWO_PI / f_lab) < 3 * se
 
 
+def tick_stats(ticks1, ticks2, nominal_period):
+    """One-window D and N of a pair of tick trains."""
+    stats = TickStats(nominal_period)
+    stats.update(ticks1, ticks2)
+    return stats.result()
+
+
 class TestClockStats:
     def test_identical_trains(self):
         times = np.cumsum(np.full(200, 1e-3))
         ticks = TickSeries(tick_times=times, periods=np.diff(times), gaps=())
-        m = clock_stats(ticks, ticks)
+        m = tick_stats(ticks, ticks, 1e-3)
         assert m.D == 0.0
         assert math.isnan(m.C)
 
@@ -125,14 +133,14 @@ class TestClockStats:
         # exactly representable period so the variance is exactly zero
         times = np.arange(1, 101) * 2.0 ** -10
         ticks = TickSeries(tick_times=times, periods=np.diff(times), gaps=())
-        m = clock_stats(ticks, ticks)
+        m = tick_stats(ticks, ticks, 2.0 ** -10)
         assert m.N1 == math.inf and m.N2 == math.inf
 
     def test_minimum_periods(self):
         times = np.cumsum(np.full(5, 1e-3))
         ticks = TickSeries(tick_times=times, periods=np.diff(times), gaps=())
-        with pytest.raises(ValueError):
-            clock_stats(ticks, ticks)
+        with pytest.raises(EnsembleError):
+            tick_stats(ticks, ticks, 1e-3)
 
     def test_offset_ramp_dominates_unsynchronized(self):
         rng = np.random.default_rng(1)
@@ -140,10 +148,10 @@ class TestClockStats:
         t1 = np.cumsum(2.5e-6 + jitter * rng.standard_normal(2000))
         t2 = np.cumsum(2.501e-6 + jitter * rng.standard_normal(2000))
         mk = lambda t: TickSeries(tick_times=t, periods=np.diff(t), gaps=())
-        unsync = clock_stats(mk(t1), mk(t2)).D
+        unsync = tick_stats(mk(t1), mk(t2), 2.5e-6).D
         common = 2.5e-6 + jitter * rng.standard_normal(2000)
         t_sync = np.cumsum(common)
-        sync = clock_stats(mk(t_sync), mk(t_sync + 1e-7)).D
+        sync = tick_stats(mk(t_sync), mk(t_sync + 1e-7), 2.5e-6).D
         assert unsync > 100 * sync
 
     def test_gap_periods_excluded_from_accuracy(self):
@@ -153,8 +161,24 @@ class TestClockStats:
         tick_times = base + np.concatenate([[0.0], np.cumsum(periods)])
         dirty = TickSeries(tick_times=tick_times, periods=periods,
                            gaps=((tick_times[50], tick_times[51]),))
-        clean = clock_stats(dirty, dirty)
+        clean = tick_stats(dirty, dirty, base)
         assert clean.N1 == math.inf  # the only jitter sat inside the gap
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 23500), max_size=8))
+    def test_block_boundaries_do_not_reach_the_result(self, cuts):
+        # 2e-5 s spacing: one full 12500-sample window plus an 11000-sample
+        # tail, which counts (at least 10000 samples)
+        dt, carrier = 2e-5, TWO_PI * 1e3
+        rng = np.random.default_rng(4)  # two members, slow phase noise
+        phase = np.cumsum(0.02 * rng.standard_normal((2, 23500, 2)), axis=1)
+        record = (1.0 + 0.05 * rng.standard_normal((2, 23500, 2))
+                  ) * np.exp(1j * phase)
+        whole = _tick_stats([record], [carrier, carrier], dt)
+        cut = _tick_stats(np.split(record, sorted(cuts), axis=1),
+                          [carrier, carrier], dt)
+        for a, b in zip(whole, cut):
+            assert (a.D, a.N1, a.N2) == (b.D, b.N1, b.N2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 60), min_size=2, max_size=40, unique=True),
