@@ -95,6 +95,47 @@ def pearson_sync_degree(x1, x2) -> float:
     return float(np.clip((d1 @ d2) / math.sqrt(v1 * v2), -1.0, 1.0))
 
 
+def _unwrapped_angle(b: np.ndarray) -> np.ndarray:
+    """np.unwrap(np.angle(b)), bit for bit, with work only at the jumps.
+
+    np.unwrap cumsums a correction that is 0.0 wherever |step| < pi;
+    adding 0.0 is exact, so running sums over the jumps alone, held
+    constant between them, equal its cumsum.
+    """
+    p = np.angle(b)
+    dd = np.diff(p)
+    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
+    step = dd[jumps]
+    ddmod = np.mod(step + np.pi, 2 * np.pi) - np.pi
+    ddmod[(ddmod == -np.pi) & (step > 0)] = np.pi
+    sums = np.concatenate([[0.0], np.cumsum(ddmod - step)])
+    p[1:] += np.repeat(sums, np.diff(jumps, prepend=0, append=len(dd)))
+    return p
+
+
+def _crossings(phase: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """np.searchsorted(phase, targets) for a non-decreasing phase and the
+    targets 2 pi k, k from floor(phase[0] / 2 pi) + 1 to
+    floor(phase[-1] / 2 pi).
+
+    The first index where floor(phase / 2 pi) reaches k is the answer
+    except where rounding next to 2 pi k differs; an exact comparison
+    fix-up settles those.
+    """
+    n = len(phase)
+    count = np.floor(phase / (2 * np.pi))
+    hi = np.repeat(np.arange(1, n), np.diff(count).astype(np.intp))
+    while True:
+        up = np.flatnonzero(phase[np.minimum(hi, n - 1)] < targets)
+        up = up[hi[up] < n]
+        down = np.flatnonzero(phase[np.maximum(hi - 1, 0)] >= targets)
+        down = down[hi[down] > 0]
+        if not (len(up) or len(down)):
+            return hi
+        hi[up] += 1
+        hi[down] -= 1
+
+
 def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     """Tick instants of one clock from its envelope record.
 
@@ -116,13 +157,16 @@ def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
         splits = np.split(runs, np.flatnonzero(np.diff(runs) > 1) + 1)
         gaps = [(t[s[0]], t[s[-1]]) for s in splits if len(s)]
 
-    phase = traj.reference_frequency * t - np.unwrap(np.angle(b))
+    phase = traj.reference_frequency * t - _unwrapped_angle(b)
     dphi = np.diff(phase)
-    if np.median(dphi) <= 0:
+    slips = np.flatnonzero(dphi <= 0)
+    # median(dphi) <= 0 unless more than half the steps advance; np.median
+    # decides only an exact tie
+    if 2 * len(slips) > len(dphi) or (
+            2 * len(slips) == len(dphi) and np.median(dphi) <= 0):
         raise ValueError(
             "oscillator phase is not advancing; envelope evolves faster "
             "than the carrier, tick extraction is ill-defined")
-    slips = np.flatnonzero(dphi <= 0)
     if len(slips):
         # isolated phase slips (envelope swung past the origin): flag the
         # affected intervals as gaps, then clamp so crossings stay defined
@@ -135,7 +179,7 @@ def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     if m1 - m0 + 1 < 10:
         raise ValueError("trajectory too short: fewer than 10 ticks")
     targets = 2 * np.pi * np.arange(m0, m1 + 1)
-    hi = np.searchsorted(phase, targets)
+    hi = _crossings(phase, targets)
     hi = np.clip(hi, 1, len(phase) - 1)
     lo = hi - 1
     span = phase[hi] - phase[lo]

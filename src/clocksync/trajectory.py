@@ -8,7 +8,15 @@ ever exercised through Lyapunov algebra, never time stepped.
 One engine, ``propagate_blocks``, steps a batch of members side by side
 with z <- F z + S zeta, each member with its own dynamics and Philox key
 (one shared (2, 2) map, or a stacked (B, 2, 2) one when the dynamics
-differ).  The integrators differ only in the one-step map (F, S):
+differ).  No Python loop runs per time step: each map is factored once
+into complex Schur form F = Q T Q^H (Golub & Van Loan, Matrix
+Computations, 7.1), the noise is mapped straight into the Schur basis
+with Q^H S, and the upper-triangular T turns the update into two scalar
+first-order recurrences per member, run by ``scipy.signal.lfilter`` over
+a chunk of steps at a time; Q rotates each chunk back.  Chunks are sized
+so that every array live while one is built (96 bytes per member-step,
+the previous chunk's states included) stays within ``_CHUNK_BYTES``.
+The integrators differ only in the one-step map (F, S):
 
 * Euler-Maruyama (``simulate``): F = I + A dt, S = sqrt(dt) chol(D).
   First-order; per-step validation rejects steps that would make the
@@ -26,7 +34,8 @@ Reproducibility: trajectory i of an ensemble with master seed m draws
 from a Philox counter-based generator keyed with m * 2^64 + i.  Each
 stream first yields 4 standard normals for the initial condition, then
 4 per step (real/imaginary pairs for the two modes).  A member's states
-depend only on its dynamics and key, not on the rest of its batch.
+depend only on its dynamics and key, not on the rest of its batch or on
+the chunk size.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.signal import lfilter
 
 from .errors import FrameMismatchError, StabilityError, TimestepError
 from .model import FRAME_REDUCED, LinearDynamics
@@ -43,10 +53,12 @@ from .steadystate import solve_lyapunov
 DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
 _SPECTRAL_DT_FACTOR = 0.05
-# Bound on all arrays of one propagation chunk: normals, complex noise and
-# its temporary, mapped noise and states, 32 bytes each per member-step.
-_CHUNK_BYTES = 2e8
-_CHUNK_BYTES_PER_STEP = 5 * 32
+# Bound on the arrays live while one propagation chunk is built, per
+# member-step: the normals, which become the yielded states (32 bytes), two
+# Schur-basis components (16 each) and the previous chunk's states, which
+# the consumer still holds (32).
+_CHUNK_BYTES = 1.6e8
+_CHUNK_BYTES_PER_STEP = 96
 
 
 @dataclass(frozen=True)
@@ -146,46 +158,94 @@ def _gaussian_initial(L: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
                     n_steps: int, rngs: list):
-    """Propagate z <- F z + S zeta, yielding blocks of states.
+    """Propagate z <- F z + S zeta; returns a generator of state blocks.
 
     F and S are either shared (2, 2) maps or per-batch-member stacks
-    (B, 2, 2).  Noise is drawn per trajectory in step chunks; chunked
-    draws from one generator are bit-identical to a single large draw,
-    so results do not depend on the chunk size (only on each
-    trajectory's own stream).  Yields (first_step_index, states) with
-    states of shape (B, m, 2) covering steps first..first+m-1 (state
-    AFTER each step; the initial state is not yielded).
+    (B, 2, 2).  Each map is factored once, F = Q T Q^H (complex Schur
+    form), and the states are stepped in the Schur basis w = Q^H z, where
+    the triangular map is two scalar recurrences:
+    w2 <- t22 w2 + u2, then w1 <- t11 w1 + t12 w2(previous) + u1, with
+    u = Q^H S zeta.  Raises StabilityError on the call, before any noise
+    is drawn, when the spectral radius max|t_ii| is >= 1.
+
+    The generator yields (first_step_index, states) with states of shape
+    (B, m, 2) covering steps first..first+m-1 (state AFTER each step; the
+    initial state is not yielded).  Noise is drawn per member in chunks of
+    steps; chunked draws from one generator are bit-identical to a single
+    large draw, the recurrences carry their state across chunks, and all
+    other arithmetic is elementwise, so states depend neither on the chunk
+    size nor on the rest of the batch.
     """
+    forms = [sla.schur(f, output="complex") for f in F.reshape(-1, 2, 2)]
+    T = np.array([T for T, _ in forms])
+    radius = float(np.max(np.abs(np.diagonal(T, axis1=1, axis2=2))))
+    if not radius < 1.0:
+        raise StabilityError(f"one-step map is expansive: spectral radius "
+                             f"{radius:.17g} >= 1")
+    Q = np.array([Q for _, Q in forms])
+    Qh = np.conj(np.swapaxes(Q, 1, 2))
+    # noise lands in the Schur basis: u = R n, n = normals, R = Q^H S/sqrt 2
+    R = np.array([qh @ s for qh, s in zip(Qh, S.reshape(-1, 2, 2))])
+    R /= np.sqrt(2.0)
+    # entry [i, j] of each map as per-member (B', 1) columns
+    T, Q, Qh, R = (np.moveaxis(M, 0, -1)[..., None] for M in (T, Q, Qh, R))
+    z0 = np.asarray(z0, dtype=complex).reshape(len(rngs), 2)
+    z1, z2 = z0[:, :1], z0[:, 1:]
+    w1 = Qh[0, 0] * z1 + Qh[0, 1] * z2
+    w2 = Qh[1, 0] * z1 + Qh[1, 1] * z2
+    return _schur_blocks(T, Q, R, w1, w2, n_steps, rngs)
+
+
+def _recur(t, x, zi, out):
+    """out[j, n] = t_j out[j, n-1] + x[j, n] for each row j (out may be x).
+
+    t is (B', 1): one coefficient for every row, or one per row.  zi
+    (B, 1) holds the filter state before the first column and is advanced
+    in place to the state after the last one.
+    """
+    for j, tj in enumerate(np.broadcast_to(t[:, 0], len(x))):
+        out[j], zi[j] = lfilter([1.0], [1.0, -tj], x[j], zi=zi[j])
+
+
+def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
+    """The chunk loop of ``_iterate_blocks``, from Schur-basis state w."""
     B = len(rngs)
-    z = np.array(z0, dtype=complex).reshape(B, 2).copy()
-    stacked = F.ndim == 3
-    Ft = np.ascontiguousarray(np.swapaxes(F, -1, -2))
-    St = np.ascontiguousarray(np.swapaxes(S, -1, -2))
-    chunk = max(1, int(_CHUNK_BYTES / (B * _CHUNK_BYTES_PER_STEP)))
+    chunk = max(1, min(n_steps,
+                       int(_CHUNK_BYTES / (B * _CHUNK_BYTES_PER_STEP))))
+    # the two Schur-basis components, reused by every chunk
+    work = np.empty((2, B, chunk), dtype=complex)
+    zi1, zi2, last2 = T[0, 0] * w1, T[1, 1] * w2, w2
     k = 0
     while k < n_steps:
         m = min(chunk, n_steps - k)
         noise = np.empty((B, m, 4))
         for b, rng in enumerate(rngs):
             rng.standard_normal(out=noise[b])
-        zeta = noise[..., 0::2] + 1j * noise[..., 1::2]
-        zeta /= np.sqrt(2.0)
-        xi = zeta @ St  # (B, m, 2) for shared or stacked maps alike
-        del noise, zeta
-        block = np.empty((B, m, 2), dtype=complex)
-        if stacked:
-            zc = z[:, None, :]
-            for j in range(m):
-                zc = zc @ Ft
-                zc += xi[:, j:j + 1]
-                block[:, j] = zc[:, 0]
-            z = zc[:, 0]
-        else:
-            for j in range(m):
-                z = z @ Ft + xi[:, j]
-                block[:, j] = z
-        del xi
-        if not np.all(np.isfinite(z)):
+        # the complex view pairs (re, im) like n[..., 0::2] + 1j n[..., 1::2];
+        # it is worked in place and becomes the yielded block
+        block = noise.view(np.complex128)
+        z1, z2 = block[..., 0], block[..., 1]
+        w1, w2 = work[:, :, :m]
+        np.multiply(z1, R[1, 0], out=w2)
+        np.multiply(z2, R[1, 1], out=w1)
+        w2 += w1  # u2
+        z1 *= R[0, 0]
+        np.multiply(z2, R[0, 1], out=w1)
+        z1 += w1  # u1; z2 is scratch from here on
+        _recur(T[1, 1], w2, zi2, w2)
+        np.multiply(w2[:, :-1], T[0, 1], out=z2[:, 1:])
+        z2[:, :1] = T[0, 1] * last2
+        z1 += z2
+        _recur(T[0, 0], z1, zi1, w1)
+        last2 = w2[:, -1:].copy()
+        # back to z = Q w, elementwise
+        np.multiply(w1, Q[0, 0], out=z1)
+        np.multiply(w2, Q[0, 1], out=z2)
+        z1 += z2
+        np.multiply(w1, Q[1, 0], out=z2)
+        w2 *= Q[1, 1]
+        z2 += w2
+        if not np.all(np.isfinite(block[:, -1])):
             raise StabilityError("trajectory diverged (non-finite samples)")
         yield k, block
         k += m

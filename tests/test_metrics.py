@@ -13,7 +13,8 @@ from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
                        transient_correlation, transient_entropy_flux,
                        transient_time)
 from clocksync.experiments import _tick_stats
-from clocksync.metrics import TickSeries, _clean_periods
+from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, TickSeries,
+                               _clean_periods, _crossings)
 from clocksync.model import FRAME_REDUCED, TWO_PI
 from clocksync.trajectory import Trajectory
 
@@ -23,6 +24,48 @@ def make_traj(b1, b2, dt, carrier):
     return Trajectory(times=dt * np.arange(n), b1=np.asarray(b1, complex),
                       b2=np.asarray(b2, complex), dt=dt, frame=FRAME_REDUCED,
                       reference_frequency=carrier, seed=0)
+
+
+def _reference_extract_ticks(traj, clock):
+    """extract_ticks as first written: np.median guard, np.unwrap and a
+    full np.searchsorted; the reference its rewrite must match bit for bit.
+    """
+    b = {1: traj.b1, 2: traj.b2}[clock]
+    t = traj.times
+    mag = np.abs(b)
+    floor = MAGNITUDE_FLOOR_FRACTION * np.sqrt(np.mean(mag ** 2))
+    low = mag < floor
+    gaps = []
+    if np.any(low):
+        runs = np.flatnonzero(low)
+        splits = np.split(runs, np.flatnonzero(np.diff(runs) > 1) + 1)
+        gaps = [(t[s[0]], t[s[-1]]) for s in splits if len(s)]
+    phase = traj.reference_frequency * t - np.unwrap(np.angle(b))
+    dphi = np.diff(phase)
+    if np.median(dphi) <= 0:
+        raise ValueError(
+            "oscillator phase is not advancing; envelope evolves faster "
+            "than the carrier, tick extraction is ill-defined")
+    slips = np.flatnonzero(dphi <= 0)
+    if len(slips):
+        runs = np.split(slips, np.flatnonzero(np.diff(slips) > 1) + 1)
+        gaps.extend((t[r[0]], t[r[-1] + 1]) for r in runs if len(r))
+        gaps.sort()
+        phase = np.maximum.accumulate(phase)
+    m0 = math.floor(phase[0] / (2 * np.pi)) + 1
+    m1 = math.floor(phase[-1] / (2 * np.pi))
+    if m1 - m0 + 1 < 10:
+        raise ValueError("trajectory too short: fewer than 10 ticks")
+    targets = 2 * np.pi * np.arange(m0, m1 + 1)
+    hi = np.searchsorted(phase, targets)
+    hi = np.clip(hi, 1, len(phase) - 1)
+    lo = hi - 1
+    span = phase[hi] - phase[lo]
+    frac = np.divide(targets - phase[lo], span, where=span > 0,
+                     out=np.zeros_like(span))
+    ticks = t[lo] + frac * (t[hi] - t[lo])
+    return TickSeries(tick_times=ticks, periods=np.diff(ticks),
+                      gaps=tuple(gaps))
 
 
 class TestPearson:
@@ -113,6 +156,75 @@ class TestTicks:
         # naive standard error overestimates; 3 se is a safe band
         assert abs(ticks.periods.mean() - TWO_PI / f_lab) < 3 * se
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 400),
+           st.sampled_from([0.0, 0.3, 1.0, 2.5, np.pi, 6.0, TWO_PI / 5,
+                            TWO_PI, 25.0]),
+           st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+           st.lists(st.tuples(st.integers(0, 399), st.integers(1, 30)),
+                    max_size=4), st.booleans())
+    def test_matches_reference_implementation(self, seed, n, rad_per_sample,
+                                              slip_scale, low_runs, flip):
+        # envelope phase steps of up to several rad make phase slips and
+        # unwrap jumps; zero noise with 2 pi / 5 rad per sample puts
+        # samples on exact crossings, and sign flips of a real envelope
+        # make steps of exactly pi; low runs make magnitude gaps
+        rng = np.random.default_rng(seed)
+        dt = 1e-6
+        mag = 1.0 + 0.3 * rng.standard_normal(n)
+        for start, width in low_runs:
+            mag[start:start + width] = 1e-3
+        if flip:
+            mag[::3] *= -1.0
+        b = mag * np.exp(1j * np.cumsum(slip_scale * rng.standard_normal(n)))
+        traj = make_traj(b, b[::-1], dt, rad_per_sample / dt)
+        for clock in (1, 2):
+            try:
+                expect = _reference_extract_ticks(traj, clock)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)[:20]):
+                    extract_ticks(traj, clock)
+                continue
+            got = extract_ticks(traj, clock)
+            assert np.array_equal(got.tick_times, expect.tick_times)
+            assert got.gaps == expect.gaps
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 60), st.integers(-2, 2),
+                              st.integers(1, 3)), min_size=2, max_size=60))
+    def test_crossings_match_searchsorted(self, samples):
+        # phases on 2 pi k, a few ulps beside it, and repeated (clamped
+        # slips): where floor(phase / 2 pi) and the exact comparison
+        # disagree, for some k
+        phase = np.sort(np.repeat(
+            [2 * np.pi * k + u * np.spacing(2 * np.pi * k)
+             for k, u, _ in samples], [r for _, _, r in samples]))
+        first = math.floor(phase[0] / (2 * np.pi)) + 1
+        targets = 2 * np.pi * np.arange(
+            first, math.floor(phase[-1] / (2 * np.pi)) + 1)
+        assert np.array_equal(_crossings(phase, targets),
+                              np.searchsorted(phase, targets))
+
+    @pytest.mark.parametrize("advance, retreat", [(3.0, -1.0), (1.0, -3.0)])
+    def test_tied_phase_steps_use_the_median(self, advance, retreat):
+        # as many retreating as advancing steps, so np.median decides:
+        # advancing for (3, -1), not advancing for (1, -3)
+        # carrier midway, so the envelope phase steps by +-2 rad (no unwrap)
+        dt = 1e-6
+        carrier = 0.5 * (advance + retreat) / dt
+        steps = np.tile([advance, retreat], 200)
+        phase = np.concatenate([[0.0], np.cumsum(steps)])
+        b = np.exp(-1j * (phase - carrier * dt * np.arange(len(phase))))
+        traj = make_traj(b, b, dt, carrier)
+        if advance + retreat > 0:
+            expect = _reference_extract_ticks(traj, 1)
+            got = extract_ticks(traj, 1)
+            assert np.array_equal(got.tick_times, expect.tick_times)
+        else:
+            with pytest.raises(ValueError, match="not advancing"):
+                _reference_extract_ticks(traj, 1)
+            with pytest.raises(ValueError, match="not advancing"):
+                extract_ticks(traj, 1)
 
 def tick_stats(ticks1, ticks2, nominal_period):
     """One-window D and N of a pair of tick trains."""

@@ -9,7 +9,9 @@ from clocksync import (FrameMismatchError, StabilityError, TimestepError,
                        paper_preset, propagate_exact, reduced_drift_matrix,
                        run_ensemble, simulate, solve_lyapunov)
 from clocksync.model import FRAME_REDUCED, LinearDynamics, PhysicalParams
-from clocksync.trajectory import _recentered, derived_seed, displacements
+from clocksync import trajectory
+from clocksync.trajectory import (_iterate_blocks, _recentered, derived_seed,
+                                  displacements, propagate_blocks)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -61,6 +63,42 @@ class TestDeterminism:
         e2 = run_ensemble(dyn, 5, duration=0.5, dt=1e-3, master_seed=4)
         for a, b in zip(e1, e2):
             assert np.array_equal(a.b1, b.b1)
+
+
+def states(dyns, seeds, duration=0.2, dt=1e-3):
+    """All states of a propagate_blocks batch, initial state first."""
+    _, z0, blocks = propagate_blocks(dyns, seeds, duration, dt)
+    return np.concatenate([z0[:, None]] + [b for _, b in blocks], axis=1)
+
+
+class TestEngine:
+    SHARED = [toy_dyn()] * 5
+    STACKED = [toy_dyn(nth=3.0 + j, gamma=1.0 + 0.25 * j) for j in range(5)]
+    SEEDS = [derived_seed(3, j) for j in range(5)]
+
+    @pytest.mark.parametrize("steps_per_chunk", [1, 2, 7, 33])
+    def test_block_boundaries_never_show(self, monkeypatch, steps_per_chunk):
+        batches = (self.SHARED, self.STACKED)
+        refs = [states(dyns, self.SEEDS) for dyns in batches]
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", steps_per_chunk * 5
+                            * trajectory._CHUNK_BYTES_PER_STEP)
+        for dyns, ref in zip(batches, refs):
+            assert np.array_equal(states(dyns, self.SEEDS), ref)
+
+    def test_member_states_do_not_depend_on_the_batch(self):
+        for dyns in (self.SHARED, self.STACKED):
+            batch = states(dyns, self.SEEDS)
+            for j in range(5):
+                alone = states([dyns[j]], [self.SEEDS[j]])
+                assert np.array_equal(batch[j], alone[0])
+
+    def test_expansive_map_rejected_before_any_noise(self):
+        rng, fresh = (np.random.Generator(np.random.Philox(key=1))
+                      for _ in range(2))
+        F = np.array([[1.01, 0.3], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(StabilityError, match="1.01"):
+            _iterate_blocks(F, np.eye(2), np.zeros(2), 10, [rng])
+        assert np.array_equal(rng.standard_normal(4), fresh.standard_normal(4))
 
 
 class TestDeterministicLimits:
