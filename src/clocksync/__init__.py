@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .errors import (BranchSelectionError, ClockSyncError, ConfigError,
                      ConstantSeriesError, EnsembleError, FrameMismatchError,
                      LyapunovSolveError, PlateauError, StabilityError,
-                     ThresholdError, TimestepError, TurningPointError)
+                     ThresholdError, TurningPointError)
 from .model import (EffectiveCoupling, LinearDynamics, NormalModes,
                     PhysicalParams, cavity_susceptibility, effective_coupling,
                     full_drift_and_diffusion, normal_modes_closed_form,
@@ -20,7 +20,7 @@ from .steadystate import (CovarianceState, EntropyRates, analytic_sync_degree,
                           entropy_rates, occupations, solve_lyapunov,
                           steady_state)
 from .trajectory import (Trajectory, displacements, propagate_exact,
-                         run_ensemble, simulate)
+                         run_ensemble)
 from .metrics import (SyncMetrics, TickSeries, TickStats, TransientResult,
                       extract_ticks, pearson_sync_degree, power_spectrum,
                       transient_correlation, transient_entropy_flux,
@@ -34,14 +34,14 @@ __all__ = [
     "EnsembleError", "EntropyRates", "FrameMismatchError", "LinearDynamics",
     "LyapunovSolveError", "NormalModes", "PhysicalParams", "PlateauError",
     "StabilityError", "SweepRow", "SyncMetrics", "ThresholdError",
-    "TickSeries", "TickStats", "TimestepError", "Trajectory",
+    "TickSeries", "TickStats", "Trajectory",
     "TransientResult", "TurningPointError", "analytic_sync_degree",
     "cavity_susceptibility", "displacements", "effective_coupling",
     "entropy_rates", "extract_ticks", "find_threshold", "find_turning_point",
     "full_drift_and_diffusion", "normal_modes_closed_form",
     "normal_modes_numeric", "occupations", "paper_preset",
     "pearson_sync_degree", "power_spectrum", "propagate_exact",
-    "reduced_drift_matrix", "run_ensemble", "simulate", "solve_lyapunov",
+    "reduced_drift_matrix", "run_ensemble", "solve_lyapunov",
     "steady_state", "sweep_coupling", "transient_correlation",
     "transient_entropy_flux", "transient_experiment", "transient_time",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -28,15 +27,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ClockSyncError, ConfigError
-from .experiments import (SWEEP_CSV_HEADER, burn_in_time, check_record_length,
-                          find_threshold, find_turning_point, sweep_coupling,
+from .experiments import (SWEEP_CSV_HEADER, analytic_point, burn_in_time,
+                          check_record_length, find_threshold,
+                          find_turning_point, operating_point, sweep_coupling,
                           transient_experiment, trajectory_sync_metrics)
 from .metrics import D_WINDOW_SECONDS, min_tick_samples, power_spectrum
-from .model import (TWO_PI, PhysicalParams, effective_coupling,
-                    normal_modes_closed_form, paper_preset,
-                    reduced_drift_matrix)
+from .model import TWO_PI, PhysicalParams, paper_preset
 from .output import ensure_dir, write_csv, write_json, write_svg
-from .steadystate import analytic_sync_degree, entropy_rates, steady_state
 from .trajectory import DEFAULT_DT, propagate_exact
 
 _PRESETS = {"paper": paper_preset}
@@ -145,12 +142,9 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
               "gamma_minus", "ratio"]
     rows = []
     for g in np.linspace(0.0, g_max, points):
-        p = params.with_coupling(float(g))
-        nm = normal_modes_closed_form(p.delta_omega, p.gamma1, p.gamma2,
-                                      effective_coupling(p))
+        _, nm = operating_point(params, float(g))
         rows.append([g, nm.omega_plus, nm.omega_minus, nm.gamma_plus,
-                     nm.gamma_minus, nm.gamma_plus / nm.gamma_minus
-                     if nm.gamma_minus else math.nan])
+                     nm.gamma_minus, nm.ratio])
     path = os.path.join(out, "modes.csv")
     write_csv(path, header, rows)
     _maybe_svg(svg, path, header, rows)
@@ -164,23 +158,19 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
 @click.option("--g-over-kappa", default=0.02, show_default=True, type=float)
 def ness(preset, config_path, out, seed, svg, g_over_kappa):
     """Single-point NESS report: occupations and entropy rates."""
-    params = _params_from_config(preset, config_path).with_coupling(g_over_kappa)
+    params = _params_from_config(preset, config_path)
     ensure_dir(out)
-    dyn = reduced_drift_matrix(params)
-    cov = steady_state(dyn)
-    rates = entropy_rates(cov, params)
-    nm = normal_modes_closed_form(params.delta_omega, params.gamma1,
-                                  params.gamma2, effective_coupling(params))
+    pt, dyn, _, cov = analytic_point(params, g_over_kappa)
     header = ["g_over_kappa", "n_b1_eff", "n_b2_eff", "n_a_eff",
               "n_cross_eff", "mu_b1", "mu_b2", "mu_a", "pi_s", "analytic_C",
               "gamma_plus", "gamma_minus"]
     row = [g_over_kappa, cov.n_b1_eff, cov.n_b2_eff, cov.n_a_eff,
-           cov.n_cross_eff, rates.mu_b1, rates.mu_b2, rates.mu_a, rates.Pi_s,
-           analytic_sync_degree(cov), nm.gamma_plus, nm.gamma_minus]
+           cov.n_cross_eff, pt.mu_b1, pt.mu_b2, pt.mu_a, pt.pi_s,
+           pt.analytic_C, pt.gamma_plus, pt.gamma_minus]
     path = os.path.join(out, "ness.csv")
     write_csv(path, header, [row])
-    _echo_config(out, "ness", params, {"g_over_kappa": g_over_kappa,
-                                       "seed": seed})
+    _echo_config(out, "ness", dyn.params, {"g_over_kappa": g_over_kappa,
+                                           "seed": seed})
     click.echo(f"wrote {path}")
 
 
@@ -234,14 +224,12 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
 def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
                dt, store_every):
     """One NESS trajectory: raw envelopes, spectra, and sync metrics."""
-    params = _params_from_config(preset, config_path).with_coupling(g_over_kappa)
-    nm = normal_modes_closed_form(params.delta_omega, params.gamma1,
-                                  params.gamma2, effective_coupling(params))
+    dyn, nm = operating_point(_params_from_config(preset, config_path),
+                              g_over_kappa)
     burn_in = burn_in_time(nm)
     check_record_length(duration, dt * store_every, burn_in,
                         min_tick_samples(dt * store_every), "trajectory")
     ensure_dir(out)
-    dyn = reduced_drift_matrix(params)
     traj = propagate_exact(dyn, duration, dt, seed=seed,
                            store_every=store_every)
     header = ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
@@ -264,7 +252,7 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     write_json(os.path.join(out, "trajectory_summary.json"),
                {"C": m.C, "D": m.D, "N1": m.N1, "N2": m.N2,
                 "carrier_hz": carrier_hz})
-    _echo_config(out, "trajectory", params,
+    _echo_config(out, "trajectory", dyn.params,
                  {"g_over_kappa": g_over_kappa, "duration": duration,
                   "dt": dt, "store_every": store_every, "seed": seed})
     click.echo(f"wrote {path}")

@@ -13,17 +13,6 @@ class StabilityError(ClockSyncError):
     """Drift matrix has an eigenvalue with non-negative real part."""
 
 
-class TimestepError(ClockSyncError):
-    """Requested integration step is too large for the drift.
-
-    Carries ``suggested_dt``, the largest step the integrator accepts.
-    """
-
-    def __init__(self, message, suggested_dt=None):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
-
-
 class LyapunovSolveError(ClockSyncError):
     """Lyapunov solve failed or its residual exceeds tolerance."""
 

@@ -7,10 +7,9 @@ pass) that exercises the full simulation pipeline.  Threshold detection
 runs on the analytic C; the Monte Carlo estimates validate it.  D, N1 and
 N2 of a sweep and of a single trajectory both come from ``_tick_stats``.
 
-Monte Carlo sweeps and quench ensembles use the exact OU discretization:
-at the default 10 us step the Euler map is expansive once the optical
-spring splits the envelope frequencies by a few kHz (|G|/kappa above
-roughly 0.015), while the exact update is correct at any step.
+Every operating point (coupling, normal modes, reduced dynamics) is built
+by ``operating_point``; ``analytic_point`` adds its NESS covariance and
+entropy rates.  Sweeps, quenches and every CLI command start from these.
 """
 
 from __future__ import annotations
@@ -122,26 +121,30 @@ def check_record_length(duration: float, dt: float, discard: float,
 TICK_SEED_BASE = 2 ** 32
 
 
-def _analytic_point(params: PhysicalParams, g: float):
-    """Analytic sweep row at |G|/kappa = g, its dynamics and normal modes.
-
-    The Monte Carlo fields of the row are nan.
-    """
+def operating_point(params: PhysicalParams, g: float):
+    """(dynamics for params.with_coupling(g), normal modes); needs no
+    NESS, so it also serves couplings whose drift is unstable."""
     p = params.with_coupling(g)
     coupling = effective_coupling(p)
     modes = normal_modes_closed_form(p.delta_omega, p.gamma1, p.gamma2,
                                      coupling)
-    dyn = reduced_drift_matrix(p, coupling)
+    return reduced_drift_matrix(p, coupling), modes
+
+
+def analytic_point(params: PhysicalParams, g: float):
+    """(row, dynamics, normal modes, NESS covariance) at |G|/kappa = g.
+
+    row is the analytic sweep row, its Monte Carlo fields nan.
+    """
+    dyn, modes = operating_point(params, g)
     cov = steady_state(dyn)
-    rates = entropy_rates(cov, p)
-    ratio = (modes.gamma_plus / modes.gamma_minus
-             if modes.gamma_minus != 0 else math.nan)
+    rates = entropy_rates(cov, dyn.params)
     row = SweepRow(g_over_kappa=g, C=math.nan, D=math.nan, N1=math.nan,
                    N2=math.nan, gamma_plus=modes.gamma_plus,
-                   gamma_minus=modes.gamma_minus, ratio=ratio,
+                   gamma_minus=modes.gamma_minus, ratio=modes.ratio,
                    mu_b1=rates.mu_b1, mu_b2=rates.mu_b2, mu_a=rates.mu_a,
                    pi_s=rates.Pi_s, analytic_C=analytic_sync_degree(cov))
-    return row, dyn, modes
+    return row, dyn, modes, cov
 
 
 def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
@@ -166,8 +169,8 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
         raise ValueError("grid values must be >= 0")
 
     if protocol == "analytic":  # keeps no per-point dynamics
-        return [_analytic_point(params, float(g))[0] for g in grid]
-    points = [_analytic_point(params, float(g)) for g in grid]
+        return [analytic_point(params, float(g))[0] for g in grid]
+    points = [analytic_point(params, float(g))[:3] for g in grid]
     check_record_length(duration, dt,
                         max(burn_in_time(modes) for _, _, modes in points), 2,
                         "correlation record")
@@ -234,21 +237,18 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     """
     if n_traj < 2:
         raise EnsembleError("transient experiment needs n_traj >= 2")
-    p = params.with_coupling(g_over_kappa)
-    modes = normal_modes_closed_form(p.delta_omega, p.gamma1, p.gamma2,
-                                     effective_coupling(p))
+    dyn, modes = operating_point(params, g_over_kappa)
     gap = modes.gamma_minus - modes.gamma_plus
     if duration is None:
         duration = max(6.0 / modes.gamma_plus,
                        120.0 / modes.gamma_minus, 0.05)
-    dyn = reduced_drift_matrix(p)
     ensemble = run_ensemble(dyn, n_traj, duration, dt,
                             master_seed=master_seed, quench=True,
-                            integrator="exact", store_every=store_every)
+                            store_every=store_every)
     times, R = transient_correlation(ensemble)
     window = duration if gap <= 0 else min(duration, 40.0 / gap)
     sel = times <= window
     t_tr = transient_time(times[sel], R[sel])
-    mu1, mu2, mua = transient_entropy_flux(ensemble, p)
+    mu1, mu2, mua = transient_entropy_flux(ensemble, dyn.params)
     return TransientResult(times=times, R=R, mu_b1_t=mu1, mu_b2_t=mu2,
                            mu_a_t=mua, transient_time=t_tr)

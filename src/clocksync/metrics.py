@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy.ndimage import median_filter
 
 from .errors import ConstantSeriesError, EnsembleError, PlateauError
-from .model import PhysicalParams, sideband_weight
+from .model import PhysicalParams
+from .steadystate import bath_fluxes
 from .trajectory import Trajectory
 
 # Ticks are only trusted while the envelope has healthy amplitude: below
@@ -29,6 +29,13 @@ MIN_FLUX_ENSEMBLE = 50
 # D averages var(tau) over windows of this length; the offset ramp of
 # unsynchronized clocks grows with it, so it is part of D's definition.
 D_WINDOW_SECONDS = 0.25
+# transient_time: R is smoothed by a moving median over SMOOTH_FRAC of the
+# record; the last PLATEAU_FRAC must stay within PLATEAU_TOL of R's range,
+# and the transient ends where the smoothed R reaches LEVEL of its maximum.
+SMOOTH_FRAC = 0.05
+PLATEAU_FRAC = 0.2
+PLATEAU_TOL = 0.1
+LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,7 @@ def pearson_sync_degree(x1, x2) -> float:
         raise ValueError("inputs must be equal-length 1-d series of length >= 2")
     d1 = x1 - x1.mean()
     d2 = x2 - x2.mean()
-    v1 = float(d1 @ d1)
-    v2 = float(d2 @ d2)
+    v1, v2 = _dot(d1, d1), _dot(d2, d2)
     if v1 == 0.0 or v2 == 0.0:
         if np.ptp(x1) == 0.0 or np.ptp(x2) == 0.0:
             raise ConstantSeriesError(
@@ -91,8 +97,14 @@ def pearson_sync_degree(x1, x2) -> float:
         # squares of tiny deviations underflow; C is scale free
         d1 = d1 / np.max(np.abs(d1))
         d2 = d2 / np.max(np.abs(d2))
-        v1, v2 = float(d1 @ d1), float(d2 @ d2)
-    return float(np.clip((d1 @ d2) / math.sqrt(v1 * v2), -1.0, 1.0))
+        v1, v2 = _dot(d1, d1), _dot(d2, d2)
+    return float(np.clip(_dot(d1, d2) / math.sqrt(v1 * v2), -1.0, 1.0))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) in numpy's fixed pairwise order; a BLAS dot product
+    sums in an order that follows its thread count."""
+    return float(np.add.reduce(a * b))
 
 
 def _unwrapped_angle(b: np.ndarray) -> np.ndarray:
@@ -301,9 +313,10 @@ def power_spectrum(x, dt: float, nperseg: int | None = None):
     if n < 2 * nperseg:
         raise ValueError("series shorter than two Welch segments")
     onesided = not np.iscomplexobj(x)
-    freqs, psd = signal.welch(x, fs=1.0 / dt, window="hann", nperseg=nperseg,
-                              noverlap=nperseg // 2, detrend="constant",
-                              return_onesided=onesided, scaling="density")
+    from scipy.signal import welch  # slow to import; most commands skip it
+    freqs, psd = welch(x, fs=1.0 / dt, window="hann", nperseg=nperseg,
+                       noverlap=nperseg // 2, detrend="constant",
+                       return_onesided=onesided, scaling="density")
     if not onesided:
         order = np.argsort(freqs)
         freqs, psd = freqs[order], psd[order]
@@ -340,30 +353,29 @@ def transient_correlation(ensemble: list[Trajectory]):
     return t, np.clip(R, -1.0, 1.0)
 
 
-def transient_time(times, R, smooth_frac: float = 0.05, level: float = 0.95,
-                   plateau_frac: float = 0.2, plateau_tol: float = 0.1) -> float:
-    """First time the smoothed R reaches ``level`` of its maximum.
+def transient_time(times, R) -> float:
+    """First time the smoothed R reaches LEVEL of its maximum.
 
-    R is smoothed with a moving median of width smooth_frac * len(R).
-    The last plateau_frac of the window must be stationary (spread below
-    plateau_tol of the overall range), otherwise PlateauError suggests a
+    R is smoothed with a moving median of width SMOOTH_FRAC * len(R).
+    The last PLATEAU_FRAC of the window must be stationary (spread below
+    PLATEAU_TOL of the overall range), otherwise PlateauError suggests a
     longer window.  The crossing is linearly interpolated.
     """
     times = np.asarray(times, dtype=float)
     R = np.asarray(R, dtype=float)
     if len(R) != len(times) or len(R) < 10:
         raise ValueError("need matching series of length >= 10")
-    w = max(1, int(round(smooth_frac * len(R))))
+    w = max(1, int(round(SMOOTH_FRAC * len(R))))
     smoothed = median_filter(R, size=w, mode="nearest") if w > 1 else R
 
-    tail = smoothed[int((1.0 - plateau_frac) * len(R)):]
+    tail = smoothed[int((1.0 - PLATEAU_FRAC) * len(R)):]
     span = smoothed.max() - smoothed.min()
-    if span > 0 and (tail.max() - tail.min()) > plateau_tol * span:
+    if span > 0 and (tail.max() - tail.min()) > PLATEAU_TOL * span:
         raise PlateauError(
             "no plateau in the last "
-            f"{plateau_frac:.0%} of the window; use a longer record")
+            f"{PLATEAU_FRAC:.0%} of the window; use a longer record")
 
-    target = level * smoothed.max()
+    target = LEVEL * smoothed.max()
     idx = int(np.argmax(smoothed >= target))
     if idx == 0:
         return float(times[0])
@@ -388,9 +400,4 @@ def transient_entropy_flux(ensemble: list[Trajectory], params: PhysicalParams):
     n1 = np.mean(np.abs(d1) ** 2, axis=0) - 0.5
     n2 = np.mean(np.abs(d2) ** 2, axis=0) - 0.5
     ncr = np.real(np.mean(d1 * np.conj(d2), axis=0))
-    mu1 = params.gamma1 * ((n1 + 0.5) / (params.nth1 + 0.5) - 1.0)
-    mu2 = params.gamma2 * ((n2 + 0.5) / (params.nth2 + 0.5) - 1.0)
-    na = sideband_weight(params) * (params.G1 ** 2 * n1 + params.G2 ** 2 * n2
-                                    + 2.0 * params.G1 * params.G2 * ncr)
-    mua = 2.0 * params.kappa * na
-    return mu1, mu2, mua
+    return bath_fluxes(params, n1, n2, ncr)[1:]

@@ -194,6 +194,13 @@ class NormalModes:
     def gamma_minus(self) -> float:
         return -2.0 * self.lambda_minus.imag
 
+    @property
+    def ratio(self) -> float:
+        """gamma_plus / gamma_minus, nan when gamma_minus is 0."""
+        if self.gamma_minus == 0:
+            return np.nan
+        return self.gamma_plus / self.gamma_minus
+
     @classmethod
     def from_pair(cls, l1: complex, l2: complex) -> "NormalModes":
         g1, g2 = -2.0 * l1.imag, -2.0 * l2.imag
@@ -210,39 +217,32 @@ def cavity_susceptibility(omega: float, params: PhysicalParams) -> complex:
     return 1.0 / (params.kappa - 1j * (params.detuning + omega))
 
 
-def effective_coupling(params: PhysicalParams,
-                       omega_bar: float | None = None) -> EffectiveCoupling:
+def effective_coupling(params: PhysicalParams) -> EffectiveCoupling:
     """Effective phonon-phonon coupling after adiabatic cavity elimination.
 
-    chi_c(omega_bar) = -i [chi_a(omega_bar) - chi_a*(-omega_bar)] combines
-    the cavity response at the upper and lower motional sidebands;
-    Lambda = G1*G2*chi_c.  omega_bar defaults to the mid mechanical
-    frequency (the modes are nearly degenerate, so the choice matters
-    less than other tolerances).
+    chi_c(wb) = -i [chi_a(wb) - chi_a*(-wb)] combines the cavity response
+    at the upper and lower motional sidebands of the mid mechanical
+    frequency wb = omega_mid; Lambda = G1*G2*chi_c.  The modes are nearly
+    degenerate, so the choice of wb matters less than other tolerances.
     """
-    if omega_bar is None:
-        omega_bar = params.omega_mid
-    chi_p = cavity_susceptibility(omega_bar, params)
-    chi_m = cavity_susceptibility(-omega_bar, params)
+    chi_p = cavity_susceptibility(params.omega_mid, params)
+    chi_m = cavity_susceptibility(-params.omega_mid, params)
     chi_c = -1j * (chi_p - np.conj(chi_m))
     Lam = params.G1 * params.G2 * chi_c
     return EffectiveCoupling(chi_c=complex(chi_c), Lambda=complex(Lam),
                              delta=float(Lam.real), Gamma=float(Lam.imag))
 
 
-def sideband_weight(params: PhysicalParams,
-                    omega_bar: float | None = None) -> float:
-    """|chi_a(omega_bar)|^2 + |chi_a(-omega_bar)|^2.
+def sideband_weight(params: PhysicalParams) -> float:
+    """|chi_a(wb)|^2 + |chi_a(-wb)|^2 at wb = omega_mid.
 
     Transduction weight of mechanical motion into intracavity photons;
     both sidebands contribute because the cavity is not in the resolved
     regime.  Used to reconstruct the effective photon number from the
     reduced model.
     """
-    if omega_bar is None:
-        omega_bar = params.omega_mid
-    return (abs(cavity_susceptibility(omega_bar, params)) ** 2
-            + abs(cavity_susceptibility(-omega_bar, params)) ** 2)
+    return (abs(cavity_susceptibility(params.omega_mid, params)) ** 2
+            + abs(cavity_susceptibility(-params.omega_mid, params)) ** 2)
 
 
 def normal_modes_closed_form(delta_omega: float, gamma1: float, gamma2: float,

@@ -105,15 +105,8 @@ def occupations(V: np.ndarray, dyn: LinearDynamics) -> CovarianceState:
     blocks, n + 1/2 = (<x^2> + <p^2>)/2, and n_cross = <x1 x2>.
 
     Reduced model: n_bi + 1/2 = <|b_i|^2>, n_cross = Re<b1† b2>, and the
-    photon number is reconstructed through the adiabatic transduction
-
-        n_a = (|chi_a(wb)|^2 + |chi_a(-wb)|^2)
-              * (G1^2 n_b1 + G2^2 n_b2 + 2 G1 G2 n_cross),
-
-    which keeps both motional sidebands (the cavity is far from the
-    resolved regime, so dropping the lower one would undercount n_a).
+    photon number is the adiabatic transduction of ``bath_fluxes``.
     """
-    p = dyn.params
     V = np.asarray(V)
     if dyn.frame == FRAME_FULL:
         if V.shape != (6, 6):
@@ -128,21 +121,37 @@ def occupations(V: np.ndarray, dyn: LinearDynamics) -> CovarianceState:
         n1 = V[0, 0].real - 0.5
         n2 = V[1, 1].real - 0.5
         ncr = V[0, 1].real
-        na = sideband_weight(p) * (p.G1 ** 2 * n1 + p.G2 ** 2 * n2
-                                   + 2.0 * p.G1 * p.G2 * ncr)
+        na = bath_fluxes(dyn.params, n1, n2, ncr)[0]
     else:
         raise FrameMismatchError(f"unknown frame {dyn.frame!r}")
     return CovarianceState(V=V, n_b1_eff=float(n1), n_b2_eff=float(n2),
                            n_a_eff=float(na), n_cross_eff=float(ncr))
 
 
+def bath_fluxes(params: PhysicalParams, n1, n2, ncr, na=None):
+    """(n_a, mu_b1, mu_b2, mu_a) of occupations n_b1, n_b2, n_cross.
+
+    Unless given, the photon number is the adiabatic transduction
+    n_a = (|chi_a(wb)|^2 + |chi_a(-wb)|^2) (G1^2 n_b1 + G2^2 n_b2
+    + 2 G1 G2 n_cross), which keeps both motional sidebands (the cavity is
+    far from the resolved regime, so dropping the lower one would
+    undercount n_a).  Takes scalars or arrays (one entry per time).
+    """
+    if na is None:
+        na = sideband_weight(params) * (params.G1 ** 2 * n1
+                                        + params.G2 ** 2 * n2
+                                        + 2.0 * params.G1 * params.G2 * ncr)
+    mu1 = params.gamma1 * ((n1 + 0.5) / (params.nth1 + 0.5) - 1.0)
+    mu2 = params.gamma2 * ((n2 + 0.5) / (params.nth2 + 0.5) - 1.0)
+    return na, mu1, mu2, 2.0 * params.kappa * na
+
+
 def entropy_rates(cov: CovarianceState, params: PhysicalParams) -> EntropyRates:
     """Entropy flux decomposition evaluated on effective occupations."""
     if not np.isfinite([cov.n_b1_eff, cov.n_b2_eff, cov.n_a_eff]).all():
         raise ValueError("occupations must be finite")
-    mu1 = params.gamma1 * ((cov.n_b1_eff + 0.5) / (params.nth1 + 0.5) - 1.0)
-    mu2 = params.gamma2 * ((cov.n_b2_eff + 0.5) / (params.nth2 + 0.5) - 1.0)
-    mua = 2.0 * params.kappa * cov.n_a_eff
+    _, mu1, mu2, mua = bath_fluxes(params, cov.n_b1_eff, cov.n_b2_eff,
+                                   cov.n_cross_eff, cov.n_a_eff)
     return EntropyRates(mu_b1=float(mu1), mu_b2=float(mu2), mu_a=float(mua),
                         Pi_s=float(mu1 + mu2 + mua))
 

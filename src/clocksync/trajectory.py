@@ -6,24 +6,19 @@ there are at most a few kHz, so microsecond steps suffice, versus the
 ever exercised through Lyapunov algebra, never time stepped.
 
 One engine, ``propagate_blocks``, steps a batch of members side by side
-with z <- F z + S zeta, each member with its own dynamics and Philox key
-(one shared (2, 2) map, or a stacked (B, 2, 2) one when the dynamics
-differ).  No Python loop runs per time step: each map is factored once
-into complex Schur form F = Q T Q^H (Golub & Van Loan, Matrix
-Computations, 7.1), the noise is mapped straight into the Schur basis
-with Q^H S, and the upper-triangular T turns the update into two scalar
-first-order recurrences per member, run by ``scipy.signal.lfilter`` over
-a chunk of steps at a time; Q rotates each chunk back.  Chunks are sized
-so that every array live while one is built (96 bytes per member-step,
-the previous chunk's states included) stays within ``_CHUNK_BYTES``.
-The integrators differ only in the one-step map (F, S):
-
-* Euler-Maruyama (``simulate``): F = I + A dt, S = sqrt(dt) chol(D).
-  First-order; per-step validation rejects steps that would make the
-  discrete map expansive.
-* Exact OU discretization (``propagate_exact``): F = expm(A dt),
-  S S^H = V_inf - F V_inf F^H.  Statistically exact for any dt and
-  unconditionally stable; production sweeps use this path.
+with the exact OU discretization (Gillespie, Phys. Rev. E 54, 2084,
+1996): z <- F z + S zeta with F = expm(A dt) and
+S S^H = V_inf - F V_inf F^H, statistically exact for any dt.  Each member
+has its own dynamics and Philox key (one shared (2, 2) map, or a stacked
+(B, 2, 2) one when the dynamics differ).  No Python loop runs per time
+step: each map is factored once into complex Schur form F = Q T Q^H
+(Golub & Van Loan, Matrix Computations, 7.1), the noise is mapped
+straight into the Schur basis with Q^H S, and the upper-triangular T
+turns the update into two scalar first-order recurrences per member, run
+by ``scipy.signal.lfilter`` over a chunk of steps at a time; Q rotates
+each chunk back.  Chunks are sized so that every array live while one is
+built (96 bytes per member-step, the previous chunk's states included)
+stays within ``_CHUNK_BYTES``.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -44,15 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.signal import lfilter
 
-from .errors import FrameMismatchError, StabilityError, TimestepError
+from .errors import FrameMismatchError, StabilityError
 from .model import FRAME_REDUCED, LinearDynamics
 from .steadystate import solve_lyapunov
 
 DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
-_SPECTRAL_DT_FACTOR = 0.05
 # Bound on the arrays live while one propagation chunk is built, per
 # member-step: the normals, which become the yielded states (32 bytes), two
 # Schur-basis components (16 each) and the previous chunk's states, which
@@ -108,29 +101,6 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     if np.min(w) < floor:
         raise ValueError(f"matrix is not PSD (min eig {np.min(w):.3e})")
     return U * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _check_stability(drift: np.ndarray):
-    ev = np.linalg.eigvals(drift)
-    if np.max(ev.real) >= 0:
-        raise StabilityError(
-            f"drift is not stable: max Re(eig) = {np.max(ev.real):.3e}")
-    return ev
-
-
-def _check_dt_euler(dyn: LinearDynamics, drift_r: np.ndarray, dt: float):
-    """Validate dt against the spectral rule and discrete-map stability."""
-    ev_raw = np.linalg.eigvals(dyn.drift)
-    spectral = _SPECTRAL_DT_FACTOR / np.max(np.abs(ev_raw))
-    ev = np.linalg.eigvals(drift_r)
-    # |1 + lam dt| <= 1  <=>  dt <= -2 Re(lam)/|lam|^2 for each mode
-    stab = np.min(-2.0 * ev.real / np.abs(ev) ** 2)
-    limit = min(spectral, stab)
-    if dt > limit:
-        raise TimestepError(
-            f"dt = {dt:.3e} s too large for Euler-Maruyama "
-            f"(limit {limit:.3e} s); suggested dt = {0.5 * limit:.3e} s",
-            suggested_dt=0.5 * limit)
 
 
 def derived_seed(master_seed: int, index: int) -> int:
@@ -203,6 +173,7 @@ def _recur(t, x, zi, out):
     (B, 1) holds the filter state before the first column and is advanced
     in place to the state after the last one.
     """
+    from scipy.signal import lfilter  # slow to import; most commands skip it
     for j, tj in enumerate(np.broadcast_to(t[:, 0], len(x))):
         out[j], zi[j] = lfilter([1.0], [1.0, -tj], x[j], zi=zi[j])
 
@@ -251,32 +222,19 @@ def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
         k += m
 
 
-def _build_euler_map(dyn: LinearDynamics, dt: float):
-    drift_r, carrier = _recentered(dyn)
-    _check_stability(drift_r)
-    _check_dt_euler(dyn, drift_r, dt)
-    F = np.eye(2, dtype=complex) + drift_r * dt
-    S = np.sqrt(dt) * _psd_sqrt(dyn.diffusion)
-    return F, S, carrier
-
-
 def _build_exact_map(dyn: LinearDynamics, dt: float):
+    """One-step map (F, S), carrier and stationary covariance V_inf."""
     drift_r, carrier = _recentered(dyn)
-    _check_stability(drift_r)
     # V_inf is invariant under the recentering (i c I drops from A V + V A^H)
     Vinf = solve_lyapunov(drift_r, dyn.diffusion)
     F = sla.expm(drift_r * dt)
     Q = Vinf - F @ Vinf @ F.conj().T
     S = _psd_sqrt(Q)
-    return F, S, carrier
-
-
-_MAP_BUILDERS = {"euler": _build_euler_map, "exact": _build_exact_map}
+    return F, S, carrier, Vinf
 
 
 def propagate_blocks(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
-                     integrator: str = "exact", quench: bool = True,
-                     initial_state=None):
+                     quench: bool = True, initial_state=None):
     """Members j = 0..B-1: dynamics dyns[j], Philox key seeds[j].
 
     One dynamics object shared by all members gets one (2, 2) map;
@@ -288,16 +246,14 @@ def propagate_blocks(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
     initial states and the ``_iterate_blocks`` generator over
     round(duration / dt) steps.
     """
-    if integrator not in _MAP_BUILDERS:
-        raise ValueError(f"unknown integrator {integrator!r}")
     dyns = list(dyns)
     B = len(seeds)
     if len(dyns) != B:
         raise ValueError("need one dynamics per member")
     shared = all(d is dyns[0] for d in dyns)
     distinct = dyns[:1] if shared else dyns
-    Fs, Ss, carriers = zip(*[_MAP_BUILDERS[integrator](d, dt)
-                             for d in distinct])
+    Fs, Ss, carriers, Vinfs = zip(*[_build_exact_map(d, dt)
+                                    for d in distinct])
     if shared:
         F, S, carriers = Fs[0], Ss[0], carriers * B
     else:
@@ -309,8 +265,7 @@ def propagate_blocks(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
     elif quench:
         z0 = np.stack([_thermal_initial(d, r) for d, r in zip(dyns, rngs)])
     else:
-        Ls = [_psd_sqrt(solve_lyapunov(_recentered(d)[0], d.diffusion))
-              for d in distinct]
+        Ls = [_psd_sqrt(Vinf) for Vinf in Vinfs]
         if shared:
             Ls = Ls * B
         z0 = np.stack([_gaussian_initial(L, r) for L, r in zip(Ls, rngs)])
@@ -318,14 +273,14 @@ def propagate_blocks(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
     return carriers, z0, _iterate_blocks(F, S, z0, n_steps, rngs)
 
 
-def _record(dyns, seeds, duration, dt, integrator, quench=True,
-            initial_state=None, store_every=1) -> list[Trajectory]:
+def _record(dyns, seeds, duration, dt, quench=True, initial_state=None,
+            store_every=1) -> list[Trajectory]:
     """Store every store_every-th state, starting with the initial one.
 
     Members share one times array; b1, b2 are views into one record.
     """
     carriers, z0, blocks = propagate_blocks(dyns, seeds, duration, dt,
-                                            integrator, quench, initial_state)
+                                            quench, initial_state)
     n_steps = int(round(duration / dt))
     n_stored = n_steps // store_every + 1
     out = np.empty((len(seeds), n_stored, 2), dtype=complex)
@@ -345,22 +300,6 @@ def _record(dyns, seeds, duration, dt, integrator, quench=True,
             for i in range(len(seeds))]
 
 
-def simulate(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
-             seed: int = 0, initial_state=None, store_every: int = 1) -> Trajectory:
-    """Euler-Maruyama integration of the reduced Langevin dynamics.
-
-    Deterministic given (seed, dt, duration).  The initial condition is
-    sampled from the uncoupled thermal distribution unless overridden
-    (an override consumes no random numbers).
-
-    Raises TimestepError (with a suggested dt) if the step fails either
-    the spectral-radius rule dt <= 0.05/max|eig| or the discrete
-    stability bound of the Euler map.
-    """
-    return _record([dyn], [seed], duration, dt, "euler",
-                   initial_state=initial_state, store_every=store_every)[0]
-
-
 def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
                     seed: int = 0, initial_state=None,
                     store_every: int = 1) -> Trajectory:
@@ -369,13 +308,12 @@ def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT
     state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H.
     With zero diffusion this reduces to the matrix-exponential flow.
     """
-    return _record([dyn], [seed], duration, dt, "exact",
-                   initial_state=initial_state, store_every=store_every)[0]
+    return _record([dyn], [seed], duration, dt, initial_state=initial_state,
+                   store_every=store_every)[0]
 
 
-def run_ensemble(dyn, n_traj: int, duration: float,
-                 dt: float = DEFAULT_DT, master_seed: int = 0,
-                 quench: bool = True, integrator: str = "exact",
+def run_ensemble(dyn, n_traj: int, duration: float, dt: float = DEFAULT_DT,
+                 master_seed: int = 0, quench: bool = True,
                  store_every: int = 1) -> list[Trajectory]:
     """Seeded ensemble of independent trajectories, ordered by index.
 
@@ -386,12 +324,11 @@ def run_ensemble(dyn, n_traj: int, duration: float,
     drift from t = 0; with ``quench=False`` they are drawn from the NESS
     of the coupled dynamics instead.  Trajectory i uses the derived seed
     master_seed * 2^64 + i, so ``run_ensemble(..., n_traj=1)`` is
-    bit-identical to the single-trajectory integrator called with that
-    derived seed.
+    bit-identical to ``propagate_exact`` called with that derived seed.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     dyns = [dyn] * n_traj if isinstance(dyn, LinearDynamics) else list(dyn)
     seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
-    return _record(dyns, seeds, duration, dt, integrator, quench=quench,
+    return _record(dyns, seeds, duration, dt, quench=quench,
                    store_every=store_every)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,16 @@ def block_standard_error(series, n_blocks=16):
     usable = (len(series) // n_blocks) * n_blocks
     blocks = series[:usable].reshape(n_blocks, -1).mean(axis=1)
     return float(blocks.std(ddof=1) / np.sqrt(n_blocks))
+
+
+def run_python(code, **env):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    clocksync, with ``env`` added to the environment."""
+    import clocksync
+    src = os.path.dirname(os.path.dirname(clocksync.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def r_squared(x, y):

@@ -237,7 +237,7 @@ def test_criterion_10_transients(paper, transients):
     p = paper.with_coupling(0.04)
     dyn = cs.reduced_drift_matrix(p)
     ensemble = cs.run_ensemble(dyn, 600, duration=res_04.times[-1], dt=1e-5,
-                               master_seed=TRANSIENT_SEED, integrator="exact")
+                               master_seed=TRANSIENT_SEED)
     b1 = np.stack([tr.b1[-1] for tr in ensemble])
     b2 = np.stack([tr.b2[-1] for tr in ensemble])
     d1 = b1 - b1.mean()

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from conftest import run_python
+
 from clocksync.cli import run
 from clocksync.output import format_cell, read_csv, write_csv, write_svg
 
@@ -40,6 +42,14 @@ class TestOutputs:
         text = path.read_text()
         assert text.count("<polyline") == 3
         assert "</svg>" in text
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal takes most of a second to import; only trajectory
+    # stepping and spectra need it
+    code = ("import sys, clocksync.cli\n"
+            "print('scipy.signal' in sys.modules)\n")
+    assert run_python(code) == "False\n"
 
 
 class TestConfig:
@@ -131,6 +141,19 @@ class TestCommands:
                           "gamma_plus", "gamma_minus", "ratio"]
         assert len(rows) == 5
         assert (out / "resolved_config.json").exists()
+
+    def test_modes_at_unstable_coupling(self, tmp_path, capsys):
+        # blue detuning anti-damps the long-lived mode: the table still
+        # reports it, although the drift has no NESS there
+        cfg = tmp_path / "blue.json"
+        cfg.write_text(json.dumps({"params": {"detuning_rad": 5.0e6}}))
+        out = tmp_path / "o"
+        assert run(["modes", "--config", str(cfg), "--points", "3",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out / "modes.csv")
+        assert rows[-1][3] < 0
+        assert run(["ness", "--config", str(cfg), "--g-over-kappa", "0.05",
+                    "--out", str(tmp_path / "n")]) == 3
 
     def test_ness_csv(self, tmp_path, capsys):
         out = tmp_path / "o"

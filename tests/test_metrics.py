@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import run_python
+
 from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
                        TickStats, extract_ticks, pearson_sync_degree,
                        power_spectrum, reduced_drift_matrix, run_ensemble,
@@ -98,6 +100,19 @@ class TestPearson:
     def test_length_check(self):
         with pytest.raises(ValueError):
             pearson_sync_degree([1.0], [2.0])
+
+    def test_independent_of_blas_threads(self):
+        # a threaded BLAS dot product sums 1e6 terms in an order that
+        # follows its thread count
+        code = ("import numpy as np\n"
+                "from clocksync import pearson_sync_degree\n"
+                "rng = np.random.default_rng(1)\n"
+                "x1 = rng.standard_normal(10 ** 6)\n"
+                "x2 = 0.5 * x1 + rng.standard_normal(10 ** 6)\n"
+                "print(pearson_sync_degree(x1, x2).hex())\n")
+        one, two = (run_python(code, OPENBLAS_NUM_THREADS=n)
+                    for n in ("1", "2"))
+        assert one == two
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(float, 64, elements=st.floats(-1e6, 1e6)),

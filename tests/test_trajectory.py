@@ -5,9 +5,8 @@ import pytest
 
 from conftest import block_standard_error
 
-from clocksync import (FrameMismatchError, StabilityError, TimestepError,
-                       paper_preset, propagate_exact, reduced_drift_matrix,
-                       run_ensemble, simulate, solve_lyapunov)
+from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
+                       reduced_drift_matrix, run_ensemble, solve_lyapunov)
 from clocksync.model import FRAME_REDUCED, LinearDynamics, PhysicalParams
 from clocksync import trajectory
 from clocksync.trajectory import (_iterate_blocks, _recentered, derived_seed,
@@ -28,25 +27,23 @@ def toy_dyn(**kw):
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         dyn = toy_dyn()
-        a = simulate(dyn, duration=2.0, dt=1e-3, seed=123)
-        b = simulate(dyn, duration=2.0, dt=1e-3, seed=123)
+        a = propagate_exact(dyn, duration=2.0, dt=1e-3, seed=123)
+        b = propagate_exact(dyn, duration=2.0, dt=1e-3, seed=123)
         assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
 
     def test_different_seeds_differ(self):
         dyn = toy_dyn()
-        a = simulate(dyn, duration=1.0, dt=1e-3, seed=1)
-        b = simulate(dyn, duration=1.0, dt=1e-3, seed=2)
+        a = propagate_exact(dyn, duration=1.0, dt=1e-3, seed=1)
+        b = propagate_exact(dyn, duration=1.0, dt=1e-3, seed=2)
         assert not np.array_equal(a.b1, b.b1)
 
     def test_ensemble_of_one_matches_single(self):
         dyn = toy_dyn()
-        for integrator, single in [("euler", simulate),
-                                   ("exact", propagate_exact)]:
-            ens = run_ensemble(dyn, 1, duration=1.0, dt=1e-3, master_seed=9,
-                               integrator=integrator)
-            ref = single(dyn, duration=1.0, dt=1e-3, seed=derived_seed(9, 0))
-            assert np.array_equal(ens[0].b1, ref.b1)
-            assert np.array_equal(ens[0].b2, ref.b2)
+        ens = run_ensemble(dyn, 1, duration=1.0, dt=1e-3, master_seed=9)
+        ref = propagate_exact(dyn, duration=1.0, dt=1e-3,
+                              seed=derived_seed(9, 0))
+        assert np.array_equal(ens[0].b1, ref.b1)
+        assert np.array_equal(ens[0].b2, ref.b2)
         # stacked case: one dynamics per member, each member on its own key
         dyns = [toy_dyn(nth=3.0), toy_dyn(nth=7.0, gamma=1.5)]
         ens = run_ensemble(dyns, 2, duration=1.0, dt=1e-3, master_seed=9)
@@ -102,16 +99,6 @@ class TestEngine:
 
 
 class TestDeterministicLimits:
-    def test_euler_free_decay(self):
-        p = toy_params(nth=0.0)
-        dyn = reduced_drift_matrix(dataclasses.replace(p, G1=0.0, G2=0.0))
-        dyn = dataclasses.replace(dyn, diffusion=np.zeros((2, 2), complex))
-        traj = simulate(dyn, duration=1.0, dt=1e-4, seed=0,
-                        initial_state=[1.0, 0.0])
-        expect = np.exp(-0.5 * p.gamma1 * traj.times)
-        assert np.allclose(np.abs(traj.b1), expect, rtol=2e-3)
-        assert np.allclose(np.abs(traj.b2), 0.0)
-
     def test_exact_zero_diffusion_is_matrix_exponential(self):
         import scipy.linalg as sla
         dyn = toy_dyn(nth=0.0)
@@ -129,7 +116,7 @@ class TestStatistics:
     def test_uncoupled_thermal_variance(self):
         p = dataclasses.replace(toy_params(nth=8.0), G1=0.0, G2=0.0)
         dyn = reduced_drift_matrix(p)
-        traj = simulate(dyn, duration=400.0, dt=2e-3, seed=21)
+        traj = propagate_exact(dyn, duration=400.0, dt=2e-3, seed=21)
         var = np.abs(traj.b1) ** 2
         se = block_standard_error(var)
         assert abs(var.mean() - (p.nth1 + 0.5)) < 3 * se
@@ -139,32 +126,17 @@ class TestStatistics:
         drift_r, _ = _recentered(dyn)
         Vinf = solve_lyapunov(drift_r, dyn.diffusion)
         # one enormous step from a quenched start: distribution must be NESS
-        ens = run_ensemble(dyn, 4000, duration=1e4, dt=1e4, master_seed=2,
-                           integrator="exact")
+        ens = run_ensemble(dyn, 4000, duration=1e4, dt=1e4, master_seed=2)
         b = np.array([[tr.b1[-1], tr.b2[-1]] for tr in ens])
         V = (b.conj().T @ b) / len(b)
         se = np.abs(Vinf[0, 0]) / np.sqrt(len(b))
         assert abs(V[0, 0] - Vinf[0, 0]) < 3.5 * se
         assert abs(V[0, 1] - Vinf[0, 1]) < 3.5 * se
 
-    def test_euler_matches_exact_moments(self):
-        dyn = toy_dyn(nth=4.0)
-        rate = np.max(np.abs(np.linalg.eigvals(dyn.drift)))
-        dt = 0.01 / rate
-        kw = dict(duration=300.0, dt=dt, master_seed=3)
-        v_e, v_x = [], []
-        for integrator, out in [("euler", v_e), ("exact", v_x)]:
-            ens = run_ensemble(dyn, 8, integrator=integrator, **kw)
-            keep = ens[0].times > 5.0
-            out.append(np.mean([np.abs(tr.b1[keep]) ** 2 for tr in ens]))
-            out.append(block_standard_error(
-                np.concatenate([np.abs(tr.b1[keep]) ** 2 for tr in ens])))
-        assert abs(v_e[0] - v_x[0]) < 3 * np.hypot(v_e[1], v_x[1])
-
     def test_stationarity_of_windows(self):
         dyn = toy_dyn(nth=6.0)
         ens = run_ensemble(dyn, 400, duration=30.0, dt=5e-3, master_seed=8,
-                           integrator="exact", quench=False)
+                           quench=False)
         b1 = np.stack([tr.b1 for tr in ens])
         n = b1.shape[1]
         w1 = np.mean(np.abs(b1[:, : n // 2]) ** 2)
@@ -177,44 +149,20 @@ class TestStatistics:
         scale = 4.0
         dyn_scaled = dataclasses.replace(dyn, diffusion=scale * dyn.diffusion)
         z0 = np.array([1.0 + 1.0j, -2.0j])
-        a = simulate(dyn, 5.0, dt=1e-3, seed=5, initial_state=z0)
-        b = simulate(dyn_scaled, 5.0, dt=1e-3, seed=5,
-                     initial_state=np.sqrt(scale) * z0)
+        a = propagate_exact(dyn, 5.0, dt=1e-3, seed=5, initial_state=z0)
+        b = propagate_exact(dyn_scaled, 5.0, dt=1e-3, seed=5,
+                            initial_state=np.sqrt(scale) * z0)
         assert np.allclose(b.b1, np.sqrt(scale) * a.b1, rtol=1e-12)
         ratio = np.mean(np.abs(b.b1) ** 2) / np.mean(np.abs(a.b1) ** 2)
         assert ratio == pytest.approx(scale, rel=1e-12)
-
-    def test_euler_first_order_variance_convergence(self):
-        # deterministic check: stationary variance of the discrete Euler
-        # map converges to the continuous one linearly in dt
-        dyn = toy_dyn(nth=2.0)
-        drift_r, _ = _recentered(dyn)
-        Vinf = solve_lyapunov(drift_r, dyn.diffusion)
-
-        def euler_variance(dt):
-            F = np.eye(2) + drift_r * dt
-            K = np.kron(F, F.conj())
-            v = np.linalg.solve(np.eye(4) - K, (dyn.diffusion * dt).reshape(-1))
-            return v.reshape(2, 2)
-
-        errs = [np.linalg.norm(euler_variance(dt) - Vinf)
-                for dt in (4e-4, 2e-4, 1e-4)]
-        assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
-        assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.15)
 
 
 class TestValidation:
     def test_rejects_full_frame(self, paper):
         from clocksync import full_drift_and_diffusion
         with pytest.raises(FrameMismatchError):
-            simulate(full_drift_and_diffusion(paper), 1.0, dt=1e-8, seed=0)
-
-    def test_dt_too_large_suggests_smaller(self, paper):
-        dyn = reduced_drift_matrix(paper.with_coupling(0.04))
-        with pytest.raises(TimestepError) as err:
-            simulate(dyn, duration=0.1, dt=1e-5, seed=0)
-        assert err.value.suggested_dt is not None
-        assert err.value.suggested_dt < 1e-5
+            propagate_exact(full_drift_and_diffusion(paper), 1.0, dt=1e-8,
+                            seed=0)
 
     def test_exact_has_no_dt_limit(self, paper):
         dyn = reduced_drift_matrix(paper.with_coupling(0.04))
@@ -224,8 +172,6 @@ class TestValidation:
     def test_unstable_drift_rejected(self):
         dyn = toy_dyn()
         bad = dataclasses.replace(dyn, drift=-dyn.drift.conj())
-        with pytest.raises(StabilityError):
-            simulate(bad, 1.0, dt=1e-4, seed=0)
         with pytest.raises(StabilityError):
             propagate_exact(bad, 1.0, dt=1e-4, seed=0)
 
@@ -241,19 +187,19 @@ class TestValidation:
 class TestSampling:
     def test_store_every_thins_grid(self):
         dyn = toy_dyn()
-        full = simulate(dyn, 1.0, dt=1e-3, seed=7)
-        thin = simulate(dyn, 1.0, dt=1e-3, seed=7, store_every=10)
+        full = propagate_exact(dyn, 1.0, dt=1e-3, seed=7)
+        thin = propagate_exact(dyn, 1.0, dt=1e-3, seed=7, store_every=10)
         assert thin.dt == pytest.approx(1e-2)
         assert len(thin.times) == len(full.times[::10])
         assert np.array_equal(thin.b1, full.b1[::10])
 
     def test_uniform_grid_and_finite(self):
-        traj = simulate(toy_dyn(), 1.0, dt=1e-3, seed=0)
+        traj = propagate_exact(toy_dyn(), 1.0, dt=1e-3, seed=0)
         assert np.allclose(np.diff(traj.times), traj.dt)
         assert np.all(np.isfinite(traj.b1)) and np.all(np.isfinite(traj.b2))
 
     def test_displacement_reconstruction(self):
-        traj = simulate(toy_dyn(), 0.2, dt=1e-3, seed=0)
+        traj = propagate_exact(toy_dyn(), 0.2, dt=1e-3, seed=0)
         x1, x2 = displacements(traj)
         manual = np.sqrt(2) * np.real(
             traj.b1 * np.exp(-1j * traj.reference_frequency * traj.times))
