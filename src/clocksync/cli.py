@@ -31,7 +31,8 @@ from .experiments import (SWEEP_CSV_HEADER, analytic_point, burn_in_time,
                           check_record_length, find_threshold,
                           find_turning_point, operating_point, sweep_coupling,
                           transient_experiment, trajectory_sync_metrics)
-from .metrics import D_WINDOW_SECONDS, min_tick_samples, power_spectrum
+from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, min_tick_samples,
+                      power_spectrum)
 from .model import TWO_PI, PhysicalParams, paper_preset
 from .output import ensure_dir, write_csv, write_json, write_svg
 from .trajectory import DEFAULT_DT, propagate_exact
@@ -155,7 +156,7 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
 
 @cli.command()
 @shared_options
-@click.option("--g-over-kappa", default=0.02, show_default=True, type=float)
+@click.option("--g-over-kappa", default=0.02, show_default=True, type=_GE_ZERO)
 def ness(preset, config_path, out, seed, svg, g_over_kappa):
     """Single-point NESS report: occupations and entropy rates."""
     params = _params_from_config(preset, config_path)
@@ -217,7 +218,7 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
 
 @cli.command()
 @shared_options
-@click.option("--g-over-kappa", default=0.02, show_default=True, type=float)
+@click.option("--g-over-kappa", default=0.02, show_default=True, type=_GE_ZERO)
 @click.option("--duration", default=10.0, show_default=True, type=_GT_ZERO)
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
 @click.option("--store-every", default=1, show_default=True, type=_GE_ONE)
@@ -260,8 +261,9 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
 
 @cli.command()
 @shared_options
-@click.option("--g-over-kappa", default=0.04, show_default=True, type=float)
-@click.option("--n-traj", default=600, show_default=True, type=int)
+@click.option("--g-over-kappa", default=0.04, show_default=True, type=_GE_ZERO)
+@click.option("--n-traj", default=600, show_default=True,
+              type=click.IntRange(min=MIN_FLUX_ENSEMBLE))
 @click.option("--duration", default=None, type=_GT_ZERO,
               help="Record length (s); default adapts to the linewidths.")
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)

@@ -7,6 +7,12 @@ pass) that exercises the full simulation pipeline.  Threshold detection
 runs on the analytic C; the Monte Carlo estimates validate it.  D, N1 and
 N2 of a sweep and of a single trajectory both come from ``_tick_stats``.
 
+Sweeps and quenches reduce the engine's block stream as it comes: the
+sweep's C per C window, its D and N per D window, and a quench's R(t)
+and fluxes per block of every member's states.  No record of a whole
+run is kept, so memory stays bounded by the engine's chunk budget and a
+few windows, whatever the record length or the number of trajectories.
+
 Every operating point (coupling, normal modes, reduced dynamics) is built
 by ``operating_point``; ``analytic_point`` adds its NESS covariance and
 entropy rates.  Sweeps, quenches and every CLI command start from these.
@@ -21,17 +27,17 @@ import numpy as np
 
 from .errors import (ConfigError, EnsembleError, ThresholdError,
                      TurningPointError)
-from .metrics import (SyncMetrics, TickStats, TransientResult, d_windows,
+from .metrics import (MIN_FLUX_ENSEMBLE, EnsembleMoments, PearsonStats,
+                      SyncMetrics, TickStats, TransientResult, d_windows,
                       extract_ticks, min_tick_samples, pearson_sync_degree,
-                      transient_correlation, transient_entropy_flux,
-                      transient_time)
+                      transient_time, windows)
 from .model import (FRAME_REDUCED, TWO_PI, NormalModes, PhysicalParams,
                     effective_coupling, normal_modes_closed_form,
                     reduced_drift_matrix)
 from .steadystate import analytic_sync_degree, entropy_rates, steady_state
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
-                         derived_seed, displacements, propagate_blocks,
-                         run_ensemble)
+                         derived_seed, displacements, ensemble_states,
+                         propagate_blocks)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -44,6 +50,9 @@ THRESHOLD_LEVEL = 0.5
 # propagate together in one vectorized pass, reduced one D window at a time.
 TICK_RECORD_DURATION = 6.0
 TICK_RECORD_DT = 1e-6
+# The Monte Carlo C merges Pearson sums over windows of this many samples
+# of global step index, so it does not depend on how the engine chunks.
+C_WINDOW_SAMPLES = 2 ** 12
 
 SWEEP_CSV_HEADER = ["g_over_kappa", "C", "D", "N1", "N2", "gamma_plus",
                     "gamma_minus", "ratio", "mu_b1", "mu_b2", "mu_a", "pi_s",
@@ -92,8 +101,29 @@ def _tick_stats(blocks, carriers, dt: float) -> list[SyncMetrics]:
         for j, st in enumerate(stats):
             traj = Trajectory(times=times, b1=window[j, :, 0],
                               b2=window[j, :, 1], dt=dt, frame=FRAME_REDUCED,
-                              reference_frequency=carriers[j], seed=0)
+                              reference_frequency=carriers[j])
             st.update(extract_ticks(traj, 1), extract_ticks(traj, 2))
+    return [st.result() for st in stats]
+
+
+def _sync_degrees(parts, carriers, dt: float, starts) -> list[float]:
+    """Pearson C of each member of a stream of (B, m, 2) sample blocks,
+    from global sample index starts[j] on.  The sums of member j are
+    taken per C window (C_WINDOW_SAMPLES of global sample index) and
+    merged by ``PearsonStats``."""
+    stats = [PearsonStats() for _ in carriers]
+    k = 0
+    for window in windows(parts, C_WINDOW_SAMPLES):
+        w = window.shape[1]
+        for j, st in enumerate(stats):
+            s = max(starts[j] - k, 0)
+            if s < w:
+                traj = Trajectory(times=dt * np.arange(k + s, k + w),
+                                  b1=window[j, s:, 0], b2=window[j, s:, 1],
+                                  dt=dt, frame=FRAME_REDUCED,
+                                  reference_frequency=carriers[j])
+                st.update(*displacements(traj))
+        k += w
     return [st.result() for st in stats]
 
 
@@ -155,8 +185,9 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
 
     The analytic columns are computed point by point.  The Monte Carlo
     path then propagates the correlation records of all grid points in
-    one stacked pass (point i keyed with derived seed i, thermal start),
-    discards each point's burn-in and takes the Pearson C; the fine tick
+    one stacked pass (point i keyed with derived seed i, thermal start)
+    and streams each point's Pearson C from the end of its burn-in on,
+    without storing the records; the fine tick
     records of all points follow in a second stacked pass (derived seed
     2^32 + i, stationary start, so no burn-in).  Each point's record
     depends only on its own dynamics and key, so the output is ordered by
@@ -176,12 +207,13 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
                         "correlation record")
     check_record_length(tick_duration, TICK_RECORD_DT, 0.0,
                         min_tick_samples(TICK_RECORD_DT), "tick record")
-    records = run_ensemble([dyn for _, dyn, _ in points], len(points),
-                           duration, dt, master_seed=master_seed)
-    C = [pearson_sync_degree(*displacements(
-            _discard_burn_in(traj, burn_in_time(modes))))
-         for traj, (_, _, modes) in zip(records, points)]
-    del records  # release the correlation records before the tick pass
+    carriers, n_stored, parts = ensemble_states(
+        [dyn for _, dyn, _ in points], len(points), duration, dt,
+        master_seed=master_seed)
+    # each point's first sample at or after its burn-in
+    starts = np.searchsorted(dt * np.arange(n_stored),
+                             [burn_in_time(modes) for _, _, modes in points])
+    C = _sync_degrees(parts, carriers, dt, starts)
     carriers, _, blocks = propagate_blocks(
         [dyn for _, dyn, _ in points],
         [derived_seed(master_seed, TICK_SEED_BASE + i)
@@ -233,22 +265,30 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     gamma_plus).  The transient time is evaluated on the front segment
     of R(t) that contains the transient and its plateau, so the moving
     median window tracks the physical timescale rather than the record
-    length.
+    length.  The ensemble is reduced block by block as the engine steps
+    it (``EnsembleMoments``); only the per-time moments of the stored
+    samples, t = 0 and every store_every-th step, are kept.  Ensembles
+    below MIN_FLUX_ENSEMBLE members raise EnsembleError before any work.
     """
-    if n_traj < 2:
-        raise EnsembleError("transient experiment needs n_traj >= 2")
+    if n_traj < MIN_FLUX_ENSEMBLE:
+        raise EnsembleError(f"transient experiment needs n_traj >= "
+                            f"{MIN_FLUX_ENSEMBLE}, got {n_traj}")
     dyn, modes = operating_point(params, g_over_kappa)
     gap = modes.gamma_minus - modes.gamma_plus
     if duration is None:
         duration = max(6.0 / modes.gamma_plus,
                        120.0 / modes.gamma_minus, 0.05)
-    ensemble = run_ensemble(dyn, n_traj, duration, dt,
-                            master_seed=master_seed, quench=True,
-                            store_every=store_every)
-    times, R = transient_correlation(ensemble)
+    _, n_stored, parts = ensemble_states(dyn, n_traj, duration, dt,
+                                         master_seed=master_seed, quench=True,
+                                         store_every=store_every)
+    moments = EnsembleMoments(n_stored)
+    for part in parts:
+        moments.update(part)
+    times = dt * store_every * np.arange(n_stored)
+    R = moments.correlation()
     window = duration if gap <= 0 else min(duration, 40.0 / gap)
     sel = times <= window
     t_tr = transient_time(times[sel], R[sel])
-    mu1, mu2, mua = transient_entropy_flux(ensemble, dyn.params)
+    mu1, mu2, mua = moments.fluxes(dyn.params)
     return TransientResult(times=times, R=R, mu_b1_t=mu1, mu_b2_t=mu2,
                            mu_a_t=mua, transient_time=t_tr)

@@ -1,10 +1,15 @@
 """Observables: synchronization degree, tick statistics, spectra, transients.
 
-All metrics are pure functions over immutable series, except the one
-tick-statistics reducer, ``TickStats``, which turns the tick trains of
-each D window (``d_windows``) into D and N.  Ensemble reductions
-accumulate in trajectory order (plain sums over the member axis), so
-results are reproducible bit-for-bit for a fixed ensemble.
+All metrics are pure functions over immutable series, except three
+streaming reducers that consume a stream of sample blocks piece by piece:
+``TickStats`` turns the tick trains of each D window (``d_windows``) into
+D and N, ``PearsonStats`` merges the Pearson sums of consecutive pieces
+into C, and ``EnsembleMoments`` reduces (members, times, 2) blocks of a
+quench ensemble into the per-time moments behind R(t) and the fluxes.
+Their memory is bounded by one piece, not by the record.  Ensemble sums
+run in member order and every sum has a fixed order, so results are
+reproducible bit for bit and do not depend on how a record is split into
+blocks.
 """
 
 from __future__ import annotations
@@ -78,6 +83,52 @@ class TransientResult:
     transient_time: float
 
 
+class PearsonStats:
+    """Streaming Pearson correlation of two series fed in consecutive pieces.
+
+    ``update`` takes a piece's means and centred sums of squares and
+    products, summed in numpy's fixed pairwise order (a BLAS dot product
+    sums in an order that follows its thread count), and merges them into
+    the running totals (Chan, Golub & LeVeque, Am. Stat. 37, 242, 1983).
+    One update over a whole series is the plain two-pass formula.  The
+    deviations of each series are scaled by a power of two fixed by the
+    first piece: exact in floating point, and it keeps the squares of
+    tiny deviations from underflowing (C is scale free).
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.mean = np.zeros(2)
+        self.m = np.zeros(3)  # centred sums of d1 d1, d2 d2, d1 d2
+
+    def update(self, x1, x2):
+        x = np.array([x1, x2], dtype=float)
+        nb = x.shape[1]
+        mean = np.array([x[0].mean(), x[1].mean()])
+        d = x - mean[:, None]
+        if not self.n:
+            self.scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(d), axis=1))[1])
+        d *= self.scale[:, None]
+        n = self.n + nb
+        # the between-piece term vanishes on the first piece
+        delta = mean - self.mean
+        ds = delta * self.scale * math.sqrt(self.n * nb / n)
+        self.m += [_dot(d[0], d[0]) + ds[0] * ds[0],
+                   _dot(d[1], d[1]) + ds[1] * ds[1],
+                   _dot(d[0], d[1]) + ds[0] * ds[1]]
+        self.mean += delta * (nb / n)
+        self.n = n
+        return self
+
+    def result(self) -> float:
+        """C; ConstantSeriesError if either series has zero variance."""
+        m11, m22, m12 = self.m
+        if m11 == 0.0 or m22 == 0.0:
+            raise ConstantSeriesError(
+                "correlation of a constant series is undefined")
+        return float(np.clip(m12 / math.sqrt(m11 * m22), -1.0, 1.0))
+
+
 def pearson_sync_degree(x1, x2) -> float:
     """Pearson correlation of two displacement records, means removed.
 
@@ -87,18 +138,7 @@ def pearson_sync_degree(x1, x2) -> float:
     x2 = np.asarray(x2, dtype=float)
     if x1.shape != x2.shape or x1.ndim != 1 or len(x1) < 2:
         raise ValueError("inputs must be equal-length 1-d series of length >= 2")
-    d1 = x1 - x1.mean()
-    d2 = x2 - x2.mean()
-    v1, v2 = _dot(d1, d1), _dot(d2, d2)
-    if v1 == 0.0 or v2 == 0.0:
-        if np.ptp(x1) == 0.0 or np.ptp(x2) == 0.0:
-            raise ConstantSeriesError(
-                "correlation of a constant series is undefined")
-        # squares of tiny deviations underflow; C is scale free
-        d1 = d1 / np.max(np.abs(d1))
-        d2 = d2 / np.max(np.abs(d2))
-        v1, v2 = _dot(d1, d1), _dot(d2, d2)
-    return float(np.clip(_dot(d1, d2) / math.sqrt(v1 * v2), -1.0, 1.0))
+    return PearsonStats().update(x1, x2).result()
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -226,14 +266,14 @@ def min_tick_samples(dt: float) -> int:
     return min(_window_samples(dt), 10000)
 
 
-def d_windows(blocks, dt: float):
-    """Cut a stream of (B, m, 2) sample blocks into (B, w, 2) D windows.
+def windows(blocks, size: int, min_tail: int = 1):
+    """Cut a stream of (B, m, 2) sample blocks into (B, size, 2) windows.
 
-    Windows span D_WINDOW_SECONDS (at least 1000 samples) and are copied
-    into one reused buffer, so block boundaries never show.  A trailing
-    partial window is yielded only if it holds min_tick_samples(dt).
+    Windows are copied into one reused buffer, so block boundaries never
+    show: window j always holds samples j size .. (j + 1) size - 1 of the
+    stream.  A trailing partial window is yielded only if it holds
+    min_tail samples.
     """
-    size = _window_samples(dt)
     window, filled = None, 0
     for block in blocks:
         if window is None:
@@ -246,8 +286,15 @@ def d_windows(blocks, dt: float):
             if filled == size:
                 yield window
                 filled = 0
-    if filled >= min_tick_samples(dt):
+    if filled >= min_tail:
         yield window[:, :filled]
+
+
+def d_windows(blocks, dt: float):
+    """The D windows of a stream of (B, m, 2) sample blocks of spacing dt:
+    D_WINDOW_SECONDS each (at least 1000 samples), and a trailing partial
+    window only if it holds min_tick_samples(dt)."""
+    return windows(blocks, _window_samples(dt), min_tick_samples(dt))
 
 
 class TickStats:
@@ -323,16 +370,81 @@ def power_spectrum(x, dt: float, nperseg: int | None = None):
     return freqs, psd
 
 
-def _ensemble_blocks(ensemble: list[Trajectory]):
-    if len(ensemble) < 2:
-        raise EnsembleError("need at least 2 trajectories")
+# time steps reduced per pass of EnsembleMoments.update; bounds its
+# temporaries to a few arrays of members x _MOMENT_STEPS, whatever the block
+_MOMENT_STEPS = 256
+
+
+class EnsembleMoments:
+    """Per-time ensemble second moments of a stream of member blocks.
+
+    ``update`` takes (B, m, 2) blocks that hold every member's (b1, b2)
+    at m consecutive times, removes the across-member mean at each time
+    and writes sum_j db1 db2*, sum_j |db1|^2 and sum_j |db2|^2 into
+    length-T arrays.  Every sum runs over a (B, k, 2) array along the
+    member axis, which numpy adds row by row, in member order, whatever
+    k: without the trailing pair axis a one-time block would switch it to
+    pairwise summation.  So the moments do not depend on how the times
+    are split into blocks, and memory is O(T + B x block) rather than
+    O(B x T).
+    """
+
+    def __init__(self, n_times: int):
+        self.members = 0
+        self.filled = 0
+        self.cross = np.empty(n_times, dtype=complex)
+        self.var = np.empty((n_times, 2))
+
+    def update(self, block):
+        n = block.shape[0]
+        if self.members not in (0, n):
+            raise EnsembleError("every block must hold the same members")
+        self.members = n
+        for k in range(0, block.shape[1], _MOMENT_STEPS):
+            part = block[:, k:k + _MOMENT_STEPS]
+            d = part - np.add.reduce(part, axis=0) / n
+            t = slice(self.filled, self.filled + part.shape[1])
+            cross = (d[..., 0] * np.conj(d[..., 1])).view(float)
+            self.cross[t] = np.add.reduce(
+                cross.reshape(part.shape), axis=0).view(complex)[:, 0]
+            self.var[t] = np.add.reduce(np.abs(d) ** 2, axis=0)
+            self.filled = t.stop
+
+    def correlation(self) -> np.ndarray:
+        """R(t) = Re sum db1 db2* / sqrt(sum|db1|^2 sum|db2|^2); nan where
+        either variance vanishes."""
+        if self.members < 2:
+            raise EnsembleError("need at least 2 trajectories")
+        num = np.real(self.cross)
+        v1, v2 = self.var.T
+        denom = np.sqrt(v1 * v2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            R = np.where(denom > 0, num / denom, np.nan)
+        return np.clip(R, -1.0, 1.0)
+
+    def fluxes(self, params: PhysicalParams):
+        """(mu_b1, mu_b2, mu_a) per time from the effective occupations
+        n_bi + 1/2 = <|db_i|^2> and n_cross = Re<db1 db2*>."""
+        if self.members < MIN_FLUX_ENSEMBLE:
+            raise EnsembleError(
+                f"need at least {MIN_FLUX_ENSEMBLE} trajectories, "
+                f"got {self.members}")
+        n = self.members
+        v1, v2 = self.var.T
+        ncr = np.real(self.cross / n)
+        return bath_fluxes(params, v1 / n - 0.5, v2 / n - 0.5, ncr)[1:]
+
+
+def _ensemble_moments(ensemble: list[Trajectory]):
+    """(times, EnsembleMoments) of a stored ensemble, reduced as one block."""
     t0 = ensemble[0].times
     for tr in ensemble[1:]:
         if tr.times.shape != t0.shape or not np.allclose(tr.times, t0):
             raise EnsembleError("trajectories must share a common time grid")
-    b1 = np.stack([tr.b1 for tr in ensemble])
-    b2 = np.stack([tr.b2 for tr in ensemble])
-    return t0, b1 - b1.mean(axis=0), b2 - b2.mean(axis=0)
+    moments = EnsembleMoments(len(t0))
+    moments.update(np.stack([np.stack([tr.b1, tr.b2], axis=-1)
+                             for tr in ensemble]))
+    return t0, moments
 
 
 def transient_correlation(ensemble: list[Trajectory]):
@@ -343,14 +455,10 @@ def transient_correlation(ensemble: list[Trajectory]):
     with across-ensemble means removed at each t.  Points where either
     variance vanishes are flagged as nan.
     """
-    t, d1, d2 = _ensemble_blocks(ensemble)
-    num = np.real(np.sum(d1 * np.conj(d2), axis=0))
-    v1 = np.sum(np.abs(d1) ** 2, axis=0)
-    v2 = np.sum(np.abs(d2) ** 2, axis=0)
-    denom = np.sqrt(v1 * v2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        R = np.where(denom > 0, num / denom, np.nan)
-    return t, np.clip(R, -1.0, 1.0)
+    if len(ensemble) < 2:
+        raise EnsembleError("need at least 2 trajectories")
+    t, moments = _ensemble_moments(ensemble)
+    return t, moments.correlation()
 
 
 def transient_time(times, R) -> float:
@@ -396,8 +504,4 @@ def transient_entropy_flux(ensemble: list[Trajectory], params: PhysicalParams):
         raise EnsembleError(
             f"need at least {MIN_FLUX_ENSEMBLE} trajectories, "
             f"got {len(ensemble)}")
-    _, d1, d2 = _ensemble_blocks(ensemble)
-    n1 = np.mean(np.abs(d1) ** 2, axis=0) - 0.5
-    n2 = np.mean(np.abs(d2) ** 2, axis=0) - 0.5
-    ncr = np.real(np.mean(d1 * np.conj(d2), axis=0))
-    return bath_fluxes(params, n1, n2, ncr)[1:]
+    return _ensemble_moments(ensemble)[1].fluxes(params)

@@ -33,27 +33,19 @@ def write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path):
-    """Read back a CSV written by write_csv: (header, list of rows)."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
-    return header, rows
-
-
 def write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_svg(path, header, rows, width=800, height=500, margin=60):
+def write_svg(path, header, rows):
     """One polyline per y-column against the first column.
 
     Quick-look plot only: linear axes, per-column colors, min/max tick
     labels, no interactivity.
     """
+    width, height, margin = 800, 500, 60
     rows = list(rows)
     if not rows:
         raise ValueError("refusing to write an empty SVG")

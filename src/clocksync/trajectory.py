@@ -20,6 +20,12 @@ each chunk back.  Chunks are sized so that every array live while one is
 built (96 bytes per member-step, the previous chunk's states included)
 stays within ``_CHUNK_BYTES``.
 
+``ensemble_states`` hands the stream of stored states to a consumer block
+by block; ``propagate_exact`` and ``run_ensemble`` collect the same
+stream into whole records.  A consumer that reduces
+each block as it comes (the sweep's C, D and N, a quench's R(t) and
+fluxes) needs memory for about one chunk, not for the record.
+
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
 integrated envelopes are as slow as possible; the carrier actually used
@@ -69,7 +75,6 @@ class Trajectory:
     dt: float
     frame: str
     reference_frequency: float
-    seed: int
 
 
 def displacements(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -273,31 +278,62 @@ def propagate_blocks(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
     return carriers, z0, _iterate_blocks(F, S, z0, n_steps, rngs)
 
 
-def _record(dyns, seeds, duration, dt, quench=True, initial_state=None,
-            store_every=1) -> list[Trajectory]:
-    """Store every store_every-th state, starting with the initial one.
+def _stored_states(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
+                   quench: bool = True, initial_state=None,
+                   store_every: int = 1):
+    """``propagate_blocks``, keeping every store_every-th state.
 
-    Members share one times array; b1, b2 are views into one record.
+    Returns (carriers, n_stored, parts): parts yields (B, m, 2) blocks of
+    the stored states in time order, the initial state first, then the
+    states after steps store_every, 2 store_every, ...  Blocks from
+    step chunks are views, so a consumer that reduces them as they come
+    holds one chunk at a time.
     """
     carriers, z0, blocks = propagate_blocks(dyns, seeds, duration, dt,
                                             quench, initial_state)
-    n_steps = int(round(duration / dt))
-    n_stored = n_steps // store_every + 1
-    out = np.empty((len(seeds), n_stored, 2), dtype=complex)
-    out[:, 0] = z0
-    for k0, block in blocks:
-        m = block.shape[1]
-        # global step indices k0+1 .. k0+m; keep multiples of store_every
-        first = (k0 // store_every + 1) * store_every
-        keep = np.arange(first, k0 + m + 1, store_every)
-        if len(keep):
-            out[:, keep // store_every] = block[:, keep - k0 - 1]
-    dt_s = dt * store_every
+    n_stored = int(round(duration / dt)) // store_every + 1
+
+    def parts():
+        yield z0[:, None]
+        for k0, block in blocks:
+            # global steps k0+1 .. k0+m; keep multiples of store_every
+            first = (k0 // store_every + 1) * store_every
+            if first <= k0 + block.shape[1]:
+                yield block[:, first - k0 - 1::store_every]
+
+    return carriers, n_stored, parts()
+
+
+def ensemble_states(dyn, n_traj: int, duration: float,
+                    dt: float = DEFAULT_DT, master_seed: int = 0,
+                    quench: bool = True, store_every: int = 1):
+    """``_stored_states`` of a seeded ensemble: member i has derived seed
+    master_seed * 2^64 + i and dynamics dyn, or dyn[i] when dyn is a
+    sequence of n_traj LinearDynamics (stacked in a single pass)."""
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
+    dyns = [dyn] * n_traj if isinstance(dyn, LinearDynamics) else list(dyn)
+    seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
+    return _stored_states(dyns, seeds, duration, dt, quench=quench,
+                          store_every=store_every)
+
+
+def _record(states, dt_s: float) -> list[Trajectory]:
+    """Store a ``_stored_states`` stream of sample spacing dt_s.
+
+    Members share one times array; b1, b2 are views into one record.
+    """
+    carriers, n_stored, parts = states
+    out = np.empty((len(carriers), n_stored, 2), dtype=complex)
+    filled = 0
+    for part in parts:
+        out[:, filled:filled + part.shape[1]] = part
+        filled += part.shape[1]
     times = dt_s * np.arange(n_stored)
     return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
                        dt=dt_s, frame=FRAME_REDUCED,
-                       reference_frequency=carriers[i], seed=seeds[i])
-            for i in range(len(seeds))]
+                       reference_frequency=carriers[i])
+            for i in range(len(carriers))]
 
 
 def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
@@ -308,8 +344,10 @@ def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT
     state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H.
     With zero diffusion this reduces to the matrix-exponential flow.
     """
-    return _record([dyn], [seed], duration, dt, initial_state=initial_state,
-                   store_every=store_every)[0]
+    states = _stored_states([dyn], [seed], duration, dt,
+                            initial_state=initial_state,
+                            store_every=store_every)
+    return _record(states, dt * store_every)[0]
 
 
 def run_ensemble(dyn, n_traj: int, duration: float, dt: float = DEFAULT_DT,
@@ -325,10 +363,7 @@ def run_ensemble(dyn, n_traj: int, duration: float, dt: float = DEFAULT_DT,
     of the coupled dynamics instead.  Trajectory i uses the derived seed
     master_seed * 2^64 + i, so ``run_ensemble(..., n_traj=1)`` is
     bit-identical to ``propagate_exact`` called with that derived seed.
+    The whole record is kept; ``ensemble_states`` streams it instead.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    dyns = [dyn] * n_traj if isinstance(dyn, LinearDynamics) else list(dyn)
-    seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
-    return _record(dyns, seeds, duration, dt, quench=quench,
-                   store_every=store_every)
+    return _record(ensemble_states(dyn, n_traj, duration, dt, master_seed,
+                                   quench, store_every), dt * store_every)

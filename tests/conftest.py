@@ -14,6 +14,16 @@ def block_standard_error(series, n_blocks=16):
     return float(blocks.std(ddof=1) / np.sqrt(n_blocks))
 
 
+def read_csv(path):
+    """Read back a CSV written by clocksync.output.write_csv:
+    (header, list of rows)."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+    return header, rows
+
+
 def run_python(code, **env):
     """stdout of ``code`` run in a fresh interpreter that imports this
     clocksync, with ``env`` added to the environment."""

@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from conftest import run_python
+from conftest import read_csv, run_python
 
 from clocksync.cli import run
-from clocksync.output import format_cell, read_csv, write_csv, write_svg
+from clocksync.output import format_cell, write_csv, write_svg
 
 
 class TestOutputs:
@@ -99,9 +99,15 @@ class TestConfig:
         ["trajectory", "--duration", "0"],
         ["transient", "--dt", "0"],
         ["trajectory", "--store-every", "0"],
+        ["transient", "--n-traj", "1"],
+        ["ness", "--g-over-kappa=-0.02"],
+        ["trajectory", "--g-over-kappa=-0.04"],
+        ["transient", "--g-over-kappa=-0.04"],
     ], ids=["sweep-g-max", "sweep-points", "sweep-tick-duration",
             "trajectory-dt", "trajectory-duration", "transient-dt",
-            "trajectory-store-every"])
+            "trajectory-store-every", "transient-n-traj",
+            "ness-g-over-kappa", "trajectory-g-over-kappa",
+            "transient-g-over-kappa"])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 2
@@ -122,9 +128,12 @@ class TestConfig:
         assert not list(out.glob("*.csv"))
 
     def test_physics_error_exits_3(self, tmp_path, capsys):
-        # a quench ensemble of one trajectory is not a valid experiment
-        assert run(["transient", "--n-traj", "1", "--g-over-kappa", "0.02",
-                    "--duration", "0.001", "--out", str(tmp_path / "o")]) == 3
+        # blue detuning anti-damps the long-lived mode: no NESS exists
+        cfg = tmp_path / "blue.json"
+        cfg.write_text(json.dumps({"params": {"detuning_rad": 5.0e6}}))
+        assert run(["ness", "--config", str(cfg), "--g-over-kappa", "0.05",
+                    "--out", str(tmp_path / "o")]) == 3
+        assert "StabilityError" in capsys.readouterr().err
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         target = tmp_path / "blocked"

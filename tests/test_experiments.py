@@ -1,16 +1,27 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from clocksync import (SweepRow, ThresholdError, TurningPointError,
-                       find_threshold, find_turning_point, sweep_coupling,
-                       transient_experiment)
+from clocksync import (EnsembleError, SweepRow, ThresholdError,
+                       TurningPointError, find_threshold, find_turning_point,
+                       run_ensemble, sweep_coupling, transient_correlation,
+                       transient_entropy_flux, transient_experiment)
+from clocksync import experiments, trajectory
 from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
-                                   TICK_SEED_BASE, trajectory_sync_metrics)
+                                   TICK_SEED_BASE, operating_point,
+                                   trajectory_sync_metrics)
+from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.model import FRAME_REDUCED, TWO_PI, reduced_drift_matrix
 from clocksync.trajectory import Trajectory, derived_seed, propagate_blocks
+
+
+def chunk_steps(monkeypatch, steps, members):
+    """Make the engine step ``members`` trajectories ``steps`` at a time."""
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES",
+                        steps * members * trajectory._CHUNK_BYTES_PER_STEP)
 
 
 def synthetic_rows(g, c, pi=None):
@@ -92,9 +103,51 @@ class TestTurningPoint:
 
 
 class TestTransientExperiment:
-    def test_small_ensemble_rejected(self, paper):
-        with pytest.raises(Exception):
-            transient_experiment(paper, 0.02, n_traj=1, master_seed=0)
+    def test_small_ensemble_rejected(self, paper, monkeypatch):
+        # before any noise is drawn
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagated a rejected ensemble")
+        monkeypatch.setattr(experiments, "ensemble_states", no_propagation)
+        for n in (1, MIN_FLUX_ENSEMBLE - 1):
+            with pytest.raises(EnsembleError):
+                transient_experiment(paper, 0.02, n_traj=n, master_seed=0)
+
+    @pytest.mark.parametrize("store_every", [1, 3])
+    @pytest.mark.parametrize("steps_per_chunk", [1, 2, 7, 33])
+    def test_streamed_equals_stored_adapters(self, paper, monkeypatch,
+                                             steps_per_chunk, store_every):
+        # the block stream, cut anywhere, reduces to the same bits as the
+        # stored record passed to the adapters as one block
+        g, n, duration, dt, seed = 0.02, MIN_FLUX_ENSEMBLE, 0.02, 1e-4, 4
+        dyn, _ = operating_point(paper, g)
+        chunk_steps(monkeypatch, steps_per_chunk, n)
+        res = transient_experiment(paper, g, n_traj=n, master_seed=seed,
+                                   duration=duration, dt=dt,
+                                   store_every=store_every)
+        ens = run_ensemble(dyn, n, duration, dt, master_seed=seed,
+                           store_every=store_every)
+        t, R = transient_correlation(ens)
+        assert np.array_equal(res.times, t)
+        assert np.array_equal(res.R, R, equal_nan=True)
+        fluxes = transient_entropy_flux(ens, dyn.params)
+        for got, want in zip((res.mu_b1_t, res.mu_b2_t, res.mu_a_t), fluxes):
+            assert np.array_equal(got, want)
+
+    def test_memory_flat_in_ensemble_size(self, paper, monkeypatch):
+        # the stored record of 4x the members would be 4x the memory; the
+        # streamed moments need one chunk, sized in member-steps
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1e6)
+        kw = dict(master_seed=1, dt=5e-5)
+        transient_experiment(paper, 0.05, n_traj=MIN_FLUX_ENSEMBLE, **kw)
+        peaks = []
+        for n in (MIN_FLUX_ENSEMBLE, 4 * MIN_FLUX_ENSEMBLE):
+            tracemalloc.start()
+            try:
+                transient_experiment(paper, 0.05, n_traj=n, **kw)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_reproducible(self, paper):
         a = transient_experiment(paper, 0.03, n_traj=60, master_seed=6)
@@ -127,6 +180,26 @@ class TestTransientExperiment:
 
 
 class TestSweepMonteCarlo:
+    @pytest.mark.parametrize("steps_per_block", [1, 2, 7, 33])
+    def test_c_does_not_depend_on_blocks(self, paper, monkeypatch,
+                                         steps_per_block):
+        # the same states, cut into other blocks, give the same bits;
+        # short C windows, so the record spans many of them
+        monkeypatch.setattr(experiments, "C_WINDOW_SAMPLES", 50)
+        kw = dict(grid=[0.0, 0.03], protocol="monte-carlo", master_seed=2,
+                  duration=0.2, dt=1e-4, tick_duration=0.01)
+        ref = [r.C for r in sweep_coupling(paper, **kw)]
+        states = experiments.ensemble_states
+
+        def reblocked(*args, **kwargs):
+            carriers, n_stored, parts = states(*args, **kwargs)
+            pieces = (part[:, i:i + steps_per_block] for part in parts
+                      for i in range(0, part.shape[1], steps_per_block))
+            return carriers, n_stored, pieces
+
+        monkeypatch.setattr(experiments, "ensemble_states", reblocked)
+        assert [r.C for r in sweep_coupling(paper, **kw)] == ref
+
     def test_reproducible_and_consistent(self, paper):
         grid = [0.0, 0.02]
         kw = dict(grid=grid, protocol="both", master_seed=17, duration=0.4,
@@ -153,6 +226,6 @@ class TestSweepMonteCarlo:
         traj = Trajectory(times=TICK_RECORD_DT * np.arange(len(record)),
                           b1=record[:, 0], b2=record[:, 1],
                           dt=TICK_RECORD_DT, frame=FRAME_REDUCED,
-                          reference_frequency=carriers[0], seed=0)
+                          reference_frequency=carriers[0])
         single = trajectory_sync_metrics(traj, 0.0)
         assert (single.D, single.N1, single.N2) == (row.D, row.N1, row.N2)

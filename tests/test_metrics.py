@@ -15,8 +15,9 @@ from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
                        transient_correlation, transient_entropy_flux,
                        transient_time)
 from clocksync.experiments import _tick_stats
-from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, TickSeries,
-                               _clean_periods, _crossings)
+from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, EnsembleMoments,
+                               PearsonStats, TickSeries, _clean_periods,
+                               _crossings)
 from clocksync.model import FRAME_REDUCED, TWO_PI
 from clocksync.trajectory import Trajectory
 
@@ -25,7 +26,7 @@ def make_traj(b1, b2, dt, carrier):
     n = len(b1)
     return Trajectory(times=dt * np.arange(n), b1=np.asarray(b1, complex),
                       b2=np.asarray(b2, complex), dt=dt, frame=FRAME_REDUCED,
-                      reference_frequency=carrier, seed=0)
+                      reference_frequency=carrier)
 
 
 def _reference_extract_ticks(traj, clock):
@@ -96,6 +97,28 @@ class TestPearson:
         y = np.zeros(64)
         y[0] = 4.72403968e-272
         assert pearson_sync_degree(x, y) == pytest.approx(-1.0)
+
+    def test_one_piece_is_the_two_pass_formula(self):
+        rng = np.random.default_rng(4)
+        x1 = 2.0 + rng.standard_normal(3001)
+        x2 = 0.3 * x1 + rng.standard_normal(3001)
+        d1, d2 = x1 - x1.mean(), x2 - x2.mean()
+
+        def dot(a, b):
+            return float(np.add.reduce(a * b))
+
+        ref = dot(d1, d2) / math.sqrt(dot(d1, d1) * dot(d2, d2))
+        assert pearson_sync_degree(x1, x2) == ref
+
+    def test_pieces_merge_to_the_whole_series(self):
+        rng = np.random.default_rng(5)
+        x1 = 3.0 + rng.standard_normal(5000)
+        x2 = 0.4 * x1 + rng.standard_normal(5000)
+        stats = PearsonStats()
+        for i in range(0, 5000, 777):
+            stats.update(x1[i:i + 777], x2[i:i + 777])
+        assert stats.result() == pytest.approx(pearson_sync_degree(x1, x2),
+                                               rel=1e-12)
 
     def test_length_check(self):
         with pytest.raises(ValueError):
@@ -406,6 +429,39 @@ class TestTransientCorrelation:
         _, R = transient_correlation(trajs)
         ok = np.isfinite(R)
         assert np.all(np.abs(R[ok]) <= 1.0)
+
+
+class TestEnsembleMoments:
+    def test_blocks_never_show(self):
+        # one-time blocks too: numpy sums a lone member column pairwise
+        rng = np.random.default_rng(8)
+        states = rng.standard_normal((300, 40, 4)).view(complex)
+        whole = EnsembleMoments(40)
+        whole.update(states)
+        for cuts in ([1] * 40, [1, 2, 7, 30], [33, 7]):
+            parts = EnsembleMoments(40)
+            for a, b in zip(np.cumsum([0] + cuts[:-1]), np.cumsum(cuts)):
+                parts.update(states[:, a:b])
+            assert np.array_equal(parts.cross, whole.cross)
+            assert np.array_equal(parts.var, whole.var)
+
+    def test_stored_record_reference(self):
+        # the reduction over a (members, times) stack, bit for bit
+        rng = np.random.default_rng(9)
+        b1, b2 = rng.standard_normal((2, 120, 30, 2)).view(complex)[..., 0]
+        d1, d2 = b1 - b1.mean(axis=0), b2 - b2.mean(axis=0)
+        num = np.real(np.sum(d1 * np.conj(d2), axis=0))
+        ref = num / np.sqrt(np.sum(np.abs(d1) ** 2, axis=0)
+                            * np.sum(np.abs(d2) ** 2, axis=0))
+        _, R = transient_correlation([make_traj(a, b, 1e-3, 1.0)
+                                      for a, b in zip(b1, b2)])
+        assert np.array_equal(R, ref)
+
+    def test_members_must_not_change(self):
+        moments = EnsembleMoments(4)
+        moments.update(np.zeros((3, 2, 2), dtype=complex))
+        with pytest.raises(EnsembleError):
+            moments.update(np.zeros((4, 2, 2), dtype=complex))
 
 
 class TestTransientTime:
