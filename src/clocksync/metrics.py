@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from .errors import ConstantSeriesError, EnsembleError, PlateauError
 from .model import PhysicalParams
@@ -345,8 +344,9 @@ class TickStats:
         return SyncMetrics(C=math.nan, D=D, N1=N[0], N2=N[1])
 
 
-def power_spectrum(x, dt: float, nperseg: int | None = None):
-    """Welch PSD (Hann window, 50% overlap, density normalization).
+def power_spectrum(x, dt: float):
+    """Welch PSD (Hann window, 50% overlap, density normalization) over
+    segments of 2^floor(log2(n/8)) samples, at least 2.
 
     Real input gives a one-sided spectrum; complex input (envelopes) a
     two-sided one with frequencies relative to the carrier, sorted
@@ -355,8 +355,7 @@ def power_spectrum(x, dt: float, nperseg: int | None = None):
     """
     x = np.asarray(x)
     n = len(x)
-    if nperseg is None:
-        nperseg = 2 ** int(np.log2(max(n // 8, 2)))
+    nperseg = 2 ** int(np.log2(max(n // 8, 2)))
     if n < 2 * nperseg:
         raise ValueError("series shorter than two Welch segments")
     onesided = not np.iscomplexobj(x)
@@ -474,6 +473,7 @@ def transient_time(times, R) -> float:
     if len(R) != len(times) or len(R) < 10:
         raise ValueError("need matching series of length >= 10")
     w = max(1, int(round(SMOOTH_FRAC * len(R))))
+    from scipy.ndimage import median_filter  # slow to import; deferred
     smoothed = median_filter(R, size=w, mode="nearest") if w > 1 else R
 
     tail = smoothed[int((1.0 - PLATEAU_FRAC) * len(R)):]

@@ -14,11 +14,16 @@ has its own dynamics and Philox key (one shared (2, 2) map, or a stacked
 step: each map is factored once into complex Schur form F = Q T Q^H
 (Golub & Van Loan, Matrix Computations, 7.1), the noise is mapped
 straight into the Schur basis with Q^H S, and the upper-triangular T
-turns the update into two scalar first-order recurrences per member, run
-by ``scipy.signal.lfilter`` over a chunk of steps at a time; Q rotates
-each chunk back.  Chunks are sized so that every array live while one is
-built (96 bytes per member-step, the previous chunk's states included)
-stays within ``_CHUNK_BYTES``.
+turns the update into two scalar first-order recurrences per member.
+Over a chunk of steps each recurrence is a unit lower-bidiagonal system,
+solved by one LAPACK banded triangular solve (``ztbtrs``; a shared map
+takes all members as right-hand sides of one call).  Each Schur-basis
+buffer leads with a carry column holding the previous chunk's last
+state, so chunk boundaries go through the same arithmetic as every other
+step; Q rotates each chunk back.  Chunks are sized so that every array
+live while one is built (96 bytes per member-step, the previous chunk's
+states included, plus 32 bytes per step for the band array) stays within
+``_CHUNK_BYTES``.
 
 ``ensemble_states`` hands the stream of stored states to a consumer block
 by block; ``propagate_exact`` and ``run_ensemble`` collect the same
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztbtrs
 
 from .errors import FrameMismatchError, StabilityError
 from .model import FRAME_REDUCED, LinearDynamics
@@ -52,12 +58,14 @@ from .steadystate import solve_lyapunov
 
 DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
-# Bound on the arrays live while one propagation chunk is built, per
+# Bound on the arrays live while one propagation chunk is built.  Per
 # member-step: the normals, which become the yielded states (32 bytes), two
 # Schur-basis components (16 each) and the previous chunk's states, which
-# the consumer still holds (32).
+# the consumer still holds (32).  Per step, whatever the batch: the band
+# array of the triangular solves (32).
 _CHUNK_BYTES = 1.6e8
 _CHUNK_BYTES_PER_STEP = 96
+_BAND_BYTES_PER_STEP = 32
 
 
 @dataclass(frozen=True)
@@ -140,16 +148,21 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
     form), and the states are stepped in the Schur basis w = Q^H z, where
     the triangular map is two scalar recurrences:
     w2 <- t22 w2 + u2, then w1 <- t11 w1 + t12 w2(previous) + u1, with
-    u = Q^H S zeta.  Raises StabilityError on the call, before any noise
-    is drawn, when the spectral radius max|t_ii| is >= 1.
+    u = Q^H S zeta.  Over a chunk of m steps each component is a (B, m+1)
+    buffer: column 0 carries the previous chunk's last state, columns
+    1..m receive u (plus the t12 term), and one banded triangular solve
+    (``_recur``) runs the recurrence through them in place.  Raises
+    StabilityError on the call, before any noise is drawn, when the
+    spectral radius max|t_ii| is >= 1.
 
     The generator yields (first_step_index, states) with states of shape
     (B, m, 2) covering steps first..first+m-1 (state AFTER each step; the
     initial state is not yielded).  Noise is drawn per member in chunks of
     steps; chunked draws from one generator are bit-identical to a single
-    large draw, the recurrences carry their state across chunks, and all
-    other arithmetic is elementwise, so states depend neither on the chunk
-    size nor on the rest of the batch.
+    large draw, every step (the first of a chunk included) takes the same
+    solve and elementwise arithmetic, and each member's row is solved on
+    its own, so states depend neither on the chunk size nor on the rest
+    of the batch.
     """
     forms = [sla.schur(f, output="complex") for f in F.reshape(-1, 2, 2)]
     T = np.array([T for T, _ in forms])
@@ -171,26 +184,29 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
     return _schur_blocks(T, Q, R, w1, w2, n_steps, rngs)
 
 
-def _recur(t, x, zi, out):
-    """out[j, n] = t_j out[j, n-1] + x[j, n] for each row j (out may be x).
-
-    t is (B', 1): one coefficient for every row, or one per row.  zi
-    (B, 1) holds the filter state before the first column and is advanced
-    in place to the state after the last one.
+def _recur(t, v, band):
+    """v[j, n] += t_j v[j, n-1] for n = 1, 2, ... in place (column 0 is
+    the carry).  Each row is a unit lower-bidiagonal system with
+    subdiagonal -t_j, solved by ztbtrs in the Fortran-ordered (2, >= n)
+    ``band``.  t is (B', 1): one coefficient for all rows (B right-hand
+    sides of one call) or one per row (one call each).  v must be
+    C-contiguous, so that v.T reaches LAPACK without a copy.
     """
-    from scipy.signal import lfilter  # slow to import; most commands skip it
-    for j, tj in enumerate(np.broadcast_to(t[:, 0], len(x))):
-        out[j], zi[j] = lfilter([1.0], [1.0, -tj], x[j], zi=zi[j])
+    band = band[:, :v.shape[1]]
+    for tj, rows in zip(t[:, 0], np.split(v, len(t))):
+        band[1] = -tj
+        ztbtrs(band, rows.T, uplo="L", diag="U", overwrite_b=1)
 
 
 def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
     """The chunk loop of ``_iterate_blocks``, from Schur-basis state w."""
     B = len(rngs)
-    chunk = max(1, min(n_steps,
-                       int(_CHUNK_BYTES / (B * _CHUNK_BYTES_PER_STEP))))
-    # the two Schur-basis components, reused by every chunk
-    work = np.empty((2, B, chunk), dtype=complex)
-    zi1, zi2, last2 = T[0, 0] * w1, T[1, 1] * w2, w2
+    chunk = max(1, min(n_steps, int(_CHUNK_BYTES / (
+        B * _CHUNK_BYTES_PER_STEP + _BAND_BYTES_PER_STEP))))
+    # the two Schur-basis components of every chunk, carry column first,
+    # are carved from one buffer so that each is C-contiguous
+    work = np.empty(2 * B * (chunk + 1), dtype=complex)
+    band = np.ones((2, chunk + 1), dtype=complex, order="F")
     k = 0
     while k < n_steps:
         m = min(chunk, n_steps - k)
@@ -201,26 +217,27 @@ def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
         # it is worked in place and becomes the yielded block
         block = noise.view(np.complex128)
         z1, z2 = block[..., 0], block[..., 1]
-        w1, w2 = work[:, :, :m]
-        np.multiply(z1, R[1, 0], out=w2)
-        np.multiply(z2, R[1, 1], out=w1)
-        w2 += w1  # u2
+        v1, v2 = work[:2 * B * (m + 1)].reshape(2, B, m + 1)
+        v1[:, :1], v2[:, :1] = w1, w2
+        u1, u2 = v1[:, 1:], v2[:, 1:]  # steps 1..m: inputs, then states
+        np.multiply(z1, R[1, 0], out=u2)
+        np.multiply(z2, R[1, 1], out=u1)
+        u2 += u1
         z1 *= R[0, 0]
-        np.multiply(z2, R[0, 1], out=w1)
-        z1 += w1  # u1; z2 is scratch from here on
-        _recur(T[1, 1], w2, zi2, w2)
-        np.multiply(w2[:, :-1], T[0, 1], out=z2[:, 1:])
-        z2[:, :1] = T[0, 1] * last2
-        z1 += z2
-        _recur(T[0, 0], z1, zi1, w1)
-        last2 = w2[:, -1:].copy()
+        np.multiply(z2, R[0, 1], out=u1)
+        u1 += z1  # z1 and z2 are scratch from here on
+        _recur(T[1, 1], v2, band)
+        np.multiply(v2[:, :-1], T[0, 1], out=z2)
+        u1 += z2
+        _recur(T[0, 0], v1, band)
+        w1, w2 = v1[:, -1:].copy(), v2[:, -1:].copy()
         # back to z = Q w, elementwise
-        np.multiply(w1, Q[0, 0], out=z1)
-        np.multiply(w2, Q[0, 1], out=z2)
+        np.multiply(u1, Q[0, 0], out=z1)
+        np.multiply(u2, Q[0, 1], out=z2)
         z1 += z2
-        np.multiply(w1, Q[1, 0], out=z2)
-        w2 *= Q[1, 1]
-        z2 += w2
+        np.multiply(u1, Q[1, 0], out=z2)
+        u2 *= Q[1, 1]
+        z2 += u2
         if not np.all(np.isfinite(block[:, -1])):
             raise StabilityError("trajectory diverged (non-finite samples)")
         yield k, block

@@ -34,6 +34,14 @@ def run_python(code, **env):
                           capture_output=True, text=True).stdout
 
 
+def chunk_steps(monkeypatch, steps, members):
+    """Make the engine step ``members`` trajectories ``steps`` at a time."""
+    from clocksync import trajectory
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", steps * (
+        members * trajectory._CHUNK_BYTES_PER_STEP
+        + trajectory._BAND_BYTES_PER_STEP))
+
+
 def r_squared(x, y):
     keep = np.isfinite(x) & np.isfinite(y)
     x, y = np.asarray(x)[keep], np.asarray(y)[keep]

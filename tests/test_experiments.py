@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import chunk_steps
+
 from clocksync import (EnsembleError, SweepRow, ThresholdError,
                        TurningPointError, find_threshold, find_turning_point,
                        run_ensemble, sweep_coupling, transient_correlation,
@@ -16,12 +18,6 @@ from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.model import FRAME_REDUCED, TWO_PI, reduced_drift_matrix
 from clocksync.trajectory import Trajectory, derived_seed, propagate_blocks
-
-
-def chunk_steps(monkeypatch, steps, members):
-    """Make the engine step ``members`` trajectories ``steps`` at a time."""
-    monkeypatch.setattr(trajectory, "_CHUNK_BYTES",
-                        steps * members * trajectory._CHUNK_BYTES_PER_STEP)
 
 
 def synthetic_rows(g, c, pi=None):
@@ -183,21 +179,12 @@ class TestSweepMonteCarlo:
     @pytest.mark.parametrize("steps_per_block", [1, 2, 7, 33])
     def test_c_does_not_depend_on_blocks(self, paper, monkeypatch,
                                          steps_per_block):
-        # the same states, cut into other blocks, give the same bits;
         # short C windows, so the record spans many of them
         monkeypatch.setattr(experiments, "C_WINDOW_SAMPLES", 50)
         kw = dict(grid=[0.0, 0.03], protocol="monte-carlo", master_seed=2,
                   duration=0.2, dt=1e-4, tick_duration=0.01)
         ref = [r.C for r in sweep_coupling(paper, **kw)]
-        states = experiments.ensemble_states
-
-        def reblocked(*args, **kwargs):
-            carriers, n_stored, parts = states(*args, **kwargs)
-            pieces = (part[:, i:i + steps_per_block] for part in parts
-                      for i in range(0, part.shape[1], steps_per_block))
-            return carriers, n_stored, pieces
-
-        monkeypatch.setattr(experiments, "ensemble_states", reblocked)
+        chunk_steps(monkeypatch, steps_per_block, len(kw["grid"]))
         assert [r.C for r in sweep_coupling(paper, **kw)] == ref
 
     def test_reproducible_and_consistent(self, paper):

@@ -371,7 +371,7 @@ class TestPowerSpectrum:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            power_spectrum(np.ones(16), 1.0, nperseg=16)
+            power_spectrum(np.ones(3), 1.0)
 
     def test_peak_linewidth_matches_long_lived_mode(self, paper):
         from clocksync import normal_modes_closed_form, effective_coupling

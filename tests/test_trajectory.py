@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import block_standard_error
+from conftest import block_standard_error, chunk_steps
 
 from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
                        reduced_drift_matrix, run_ensemble, solve_lyapunov)
 from clocksync.model import FRAME_REDUCED, LinearDynamics, PhysicalParams
-from clocksync import trajectory
+from clocksync.experiments import operating_point
 from clocksync.trajectory import (_iterate_blocks, _recentered, derived_seed,
                                   displacements, propagate_blocks)
 
@@ -77,10 +77,28 @@ class TestEngine:
     def test_block_boundaries_never_show(self, monkeypatch, steps_per_chunk):
         batches = (self.SHARED, self.STACKED)
         refs = [states(dyns, self.SEEDS) for dyns in batches]
-        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", steps_per_chunk * 5
-                            * trajectory._CHUNK_BYTES_PER_STEP)
+        chunk_steps(monkeypatch, steps_per_chunk, 5)
         for dyns, ref in zip(batches, refs):
             assert np.array_equal(states(dyns, self.SEEDS), ref)
+
+    @pytest.mark.parametrize("steps_per_chunk", [1, 2, 7, 33])
+    def test_paper_map_chunks_never_show(self, paper, monkeypatch,
+                                         steps_per_chunk):
+        # the paper map's |t12| (about 0.01 at dt = 1e-4) is large enough
+        # that a last-bit difference in the coupling term reaches the states
+        shared = [operating_point(paper, 0.05)[0]] * 50
+        stacked = [operating_point(paper, g)[0]
+                   for g in (0.005, 0.01, 0.02, 0.03, 0.04, 0.05)]
+
+        def records(dyns):
+            ens = run_ensemble(dyns, len(dyns), duration=0.02, dt=1e-4,
+                               master_seed=4)
+            return np.stack([(tr.b1, tr.b2) for tr in ens])
+
+        refs = [records(dyns) for dyns in (shared, stacked)]
+        for dyns, ref in zip((shared, stacked), refs):
+            chunk_steps(monkeypatch, steps_per_chunk, len(dyns))
+            assert np.array_equal(records(dyns), ref)
 
     def test_member_states_do_not_depend_on_the_batch(self):
         for dyns in (self.SHARED, self.STACKED):
