@@ -2,16 +2,17 @@
 
 The sweep computes every quantity twice where possible: an analytic path
 (normal modes, Lyapunov NESS, entropy rates) that is noise free and
-fast, and a Monte Carlo path (all grid points stacked in one propagation
-pass) that exercises the full simulation pipeline.  Threshold detection
-runs on the analytic C; the Monte Carlo estimates validate it.  D, N1 and
-N2 of a sweep and of a single trajectory both come from ``_tick_stats``.
+fast, and a Monte Carlo path (each grid point propagated on its own)
+that exercises the full simulation pipeline.  Threshold detection runs
+on the analytic C; the Monte Carlo estimates validate it.  D, N1 and N2
+of a sweep and of a single trajectory both come from ``_tick_stats``.
 
-Sweeps and quenches reduce the engine's block stream as it comes: the
-sweep's C per C window, its D and N per D window, and a quench's R(t)
-and fluxes per block of every member's states.  No record of a whole
-run is kept, so memory stays bounded by the engine's chunk budget and a
-few windows, whatever the record length or the number of trajectories.
+Sweeps and quenches reduce the engine's block stream as it comes: a
+sweep point's C per C window, its D and N per D window, and a quench's
+R(t) and fluxes per block of every member's states.  No record of a
+whole run is kept, so memory stays bounded by the engine's chunk budget
+and a window, whatever the record length, the number of sweep points or
+the number of trajectories.
 
 Every operating point (coupling, normal modes, reduced dynamics) is built
 by ``operating_point``; ``analytic_point`` adds its NESS covariance and
@@ -37,7 +38,7 @@ from .model import (FRAME_REDUCED, TWO_PI, NormalModes, PhysicalParams,
 from .steadystate import analytic_sync_degree, entropy_rates, steady_state
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
                          derived_seed, displacements, ensemble_states,
-                         propagate_blocks)
+                         propagate_blocks, stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -46,8 +47,8 @@ THRESHOLD_LEVEL = 0.5
 # 2.5 us period), unlike covariances, and long records: the period-jitter
 # variance mixes over the slow amplitude breathing of the long-lived mode
 # (rate gamma_plus ~ 2pi x 10 Hz), so several hundred amplitude
-# correlation times are required for a stable estimate.  All sweep points
-# propagate together in one vectorized pass, reduced one D window at a time.
+# correlation times are required for a stable estimate.  Each sweep point's
+# record is reduced one D window at a time as the engine steps it.
 TICK_RECORD_DURATION = 6.0
 TICK_RECORD_DT = 1e-6
 # The Monte Carlo C merges Pearson sums over windows of this many samples
@@ -92,47 +93,42 @@ def _discard_burn_in(traj: Trajectory, discard: float) -> Trajectory:
                    b2=traj.b2[keep])
 
 
-def _tick_stats(blocks, carriers, dt: float) -> list[SyncMetrics]:
-    """D, N1, N2 of each member of a stream of (B, m, 2) sample blocks;
-    ticks are extracted per D window, with times restarting at 0."""
-    stats = [TickStats(TWO_PI / c) for c in carriers]
+def _tick_stats(blocks, carrier: float, dt: float) -> SyncMetrics:
+    """D, N1, N2 of one member's stream of (m, 2) sample blocks; ticks
+    are extracted per D window, with times restarting at 0."""
+    stats = TickStats(TWO_PI / carrier)
     for window in d_windows(blocks, dt):
-        times = dt * np.arange(window.shape[1])
-        for j, st in enumerate(stats):
-            traj = Trajectory(times=times, b1=window[j, :, 0],
-                              b2=window[j, :, 1], dt=dt, frame=FRAME_REDUCED,
-                              reference_frequency=carriers[j])
-            st.update(extract_ticks(traj, 1), extract_ticks(traj, 2))
-    return [st.result() for st in stats]
+        traj = Trajectory(times=dt * np.arange(len(window)),
+                          b1=window[:, 0], b2=window[:, 1], dt=dt,
+                          frame=FRAME_REDUCED, reference_frequency=carrier)
+        stats.update(extract_ticks(traj, 1), extract_ticks(traj, 2))
+    return stats.result()
 
 
-def _sync_degrees(parts, carriers, dt: float, starts) -> list[float]:
-    """Pearson C of each member of a stream of (B, m, 2) sample blocks,
-    from global sample index starts[j] on.  The sums of member j are
-    taken per C window (C_WINDOW_SAMPLES of global sample index) and
-    merged by ``PearsonStats``."""
-    stats = [PearsonStats() for _ in carriers]
+def _sync_degree(parts, carrier: float, dt: float, start: int) -> float:
+    """Pearson C of one member's stream of (m, 2) sample blocks, from
+    global sample index start on.  The sums are taken per C window
+    (C_WINDOW_SAMPLES of global sample index) and merged by
+    ``PearsonStats``."""
+    stats = PearsonStats()
     k = 0
     for window in windows(parts, C_WINDOW_SAMPLES):
-        w = window.shape[1]
-        for j, st in enumerate(stats):
-            s = max(starts[j] - k, 0)
-            if s < w:
-                traj = Trajectory(times=dt * np.arange(k + s, k + w),
-                                  b1=window[j, s:, 0], b2=window[j, s:, 1],
-                                  dt=dt, frame=FRAME_REDUCED,
-                                  reference_frequency=carriers[j])
-                st.update(*displacements(traj))
+        w, s = len(window), max(start - k, 0)
+        if s < w:
+            traj = Trajectory(times=dt * np.arange(k + s, k + w),
+                              b1=window[s:, 0], b2=window[s:, 1], dt=dt,
+                              frame=FRAME_REDUCED, reference_frequency=carrier)
+            stats.update(*displacements(traj))
         k += w
-    return [st.result() for st in stats]
+    return stats.result()
 
 
 def trajectory_sync_metrics(traj: Trajectory, discard: float) -> SyncMetrics:
     """C, D, N1, N2 from one NESS trajectory after discarding burn-in."""
     sub = _discard_burn_in(traj, discard)
     C = pearson_sync_degree(*displacements(sub))
-    block = np.stack([sub.b1, sub.b2], axis=-1)[None]
-    [stats] = _tick_stats([block], [sub.reference_frequency], sub.dt)
+    block = np.stack([sub.b1, sub.b2], axis=-1)
+    stats = _tick_stats([block], sub.reference_frequency, sub.dt)
     return replace(stats, C=C)
 
 
@@ -183,15 +179,14 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
                    tick_duration: float = TICK_RECORD_DURATION) -> list[SweepRow]:
     """Sweep |G|/kappa and collect analytic and Monte Carlo observables.
 
-    The analytic columns are computed point by point.  The Monte Carlo
-    path then propagates the correlation records of all grid points in
-    one stacked pass (point i keyed with derived seed i, thermal start)
-    and streams each point's Pearson C from the end of its burn-in on,
-    without storing the records; the fine tick
-    records of all points follow in a second stacked pass (derived seed
-    2^32 + i, stationary start, so no burn-in).  Each point's record
-    depends only on its own dynamics and key, so the output is ordered by
-    grid index and reproducible.
+    The analytic columns are computed point by point.  On the Monte Carlo
+    path each grid point is then propagated on its own, twice: a
+    correlation record (point i keyed with derived seed i, thermal
+    start), whose Pearson C is streamed from the end of the point's
+    burn-in on, and a fine tick record (derived seed 2^32 + i, stationary
+    start, so no burn-in) for D and N.  Neither record is stored, and a
+    point's row depends only on its own coupling and index, so memory
+    does not grow with the grid and the output is reproducible.
     """
     if protocol not in ("analytic", "monte-carlo", "both"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -207,21 +202,21 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
                         "correlation record")
     check_record_length(tick_duration, TICK_RECORD_DT, 0.0,
                         min_tick_samples(TICK_RECORD_DT), "tick record")
-    carriers, n_stored, parts = ensemble_states(
-        [dyn for _, dyn, _ in points], len(points), duration, dt,
-        master_seed=master_seed)
-    # each point's first sample at or after its burn-in
-    starts = np.searchsorted(dt * np.arange(n_stored),
-                             [burn_in_time(modes) for _, _, modes in points])
-    C = _sync_degrees(parts, carriers, dt, starts)
-    carriers, _, blocks = propagate_blocks(
-        [dyn for _, dyn, _ in points],
-        [derived_seed(master_seed, TICK_SEED_BASE + i)
-         for i in range(len(points))],
-        tick_duration, TICK_RECORD_DT, quench=False)
-    ticks = _tick_stats((b for _, b in blocks), carriers, TICK_RECORD_DT)
-    return [replace(row, C=c, D=m.D, N1=m.N1, N2=m.N2)
-            for (row, _, _), c, m in zip(points, C, ticks)]
+    rows = []
+    for i, (row, dyn, modes) in enumerate(points):
+        carrier, n_stored, parts = stored_states(
+            dyn, [derived_seed(master_seed, i)], duration, dt)
+        # the first sample at or after the burn-in
+        start = int(np.searchsorted(dt * np.arange(n_stored),
+                                    burn_in_time(modes)))
+        C = _sync_degree((p[0] for p in parts), carrier, dt, start)
+        carrier, _, blocks = propagate_blocks(
+            dyn, [derived_seed(master_seed, TICK_SEED_BASE + i)],
+            tick_duration, TICK_RECORD_DT, quench=False)
+        ticks = _tick_stats((b[0] for _, b in blocks), carrier,
+                            TICK_RECORD_DT)
+        rows.append(replace(row, C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2))
+    return rows
 
 
 def find_threshold(rows: list[SweepRow]) -> float:

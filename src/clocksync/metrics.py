@@ -266,31 +266,29 @@ def min_tick_samples(dt: float) -> int:
 
 
 def windows(blocks, size: int, min_tail: int = 1):
-    """Cut a stream of (B, m, 2) sample blocks into (B, size, 2) windows.
+    """Cut a stream of (m, 2) sample blocks into (size, 2) windows.
 
     Windows are copied into one reused buffer, so block boundaries never
     show: window j always holds samples j size .. (j + 1) size - 1 of the
     stream.  A trailing partial window is yielded only if it holds
     min_tail samples.
     """
-    window, filled = None, 0
+    window, filled = np.empty((size, 2), dtype=complex), 0
     for block in blocks:
-        if window is None:
-            window = np.empty((block.shape[0], size, 2), dtype=complex)
-        while block.shape[1]:
-            take = min(size - filled, block.shape[1])
-            window[:, filled:filled + take] = block[:, :take]
-            block = block[:, take:]
+        while len(block):
+            take = min(size - filled, len(block))
+            window[filled:filled + take] = block[:take]
+            block = block[take:]
             filled += take
             if filled == size:
                 yield window
                 filled = 0
     if filled >= min_tail:
-        yield window[:, :filled]
+        yield window[:filled]
 
 
 def d_windows(blocks, dt: float):
-    """The D windows of a stream of (B, m, 2) sample blocks of spacing dt:
+    """The D windows of a stream of (m, 2) sample blocks of spacing dt:
     D_WINDOW_SECONDS each (at least 1000 samples), and a trailing partial
     window only if it holds min_tick_samples(dt)."""
     return windows(blocks, _window_samples(dt), min_tick_samples(dt))
@@ -348,10 +346,14 @@ def power_spectrum(x, dt: float):
     """Welch PSD (Hann window, 50% overlap, density normalization) over
     segments of 2^floor(log2(n/8)) samples, at least 2.
 
-    Real input gives a one-sided spectrum; complex input (envelopes) a
-    two-sided one with frequencies relative to the carrier, sorted
-    ascending.  For broadband signals sum(psd)*df reproduces the series
-    variance; line features narrower than a bin are resolution limited.
+    Each segment has its mean removed, is windowed and transformed; the
+    periodograms are averaged and scaled by dt / sum(window^2) (Welch,
+    IEEE Trans. Audio Electroacoust. 15, 70, 1967).  Trailing samples
+    that fill no segment are dropped.  Real input gives a one-sided
+    spectrum; complex input (envelopes) a two-sided one with frequencies
+    relative to the carrier, sorted ascending.  For broadband signals
+    sum(psd)*df reproduces the series variance; line features narrower
+    than a bin are resolution limited.
     """
     x = np.asarray(x)
     n = len(x)
@@ -359,14 +361,17 @@ def power_spectrum(x, dt: float):
     if n < 2 * nperseg:
         raise ValueError("series shorter than two Welch segments")
     onesided = not np.iscomplexobj(x)
-    from scipy.signal import welch  # slow to import; most commands skip it
-    freqs, psd = welch(x, fs=1.0 / dt, window="hann", nperseg=nperseg,
-                       noverlap=nperseg // 2, detrend="constant",
-                       return_onesided=onesided, scaling="density")
-    if not onesided:
-        order = np.argsort(freqs)
-        freqs, psd = freqs[order], psd[order]
-    return freqs, psd
+    # periodic Hann window
+    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(nperseg) / nperseg)
+    segments = np.lib.stride_tricks.sliding_window_view(
+        x, nperseg)[::nperseg // 2]
+    segments = (segments - segments.mean(axis=1, keepdims=True)) * window
+    spectra = np.fft.rfft(segments) if onesided else np.fft.fft(segments)
+    psd = np.mean(np.abs(spectra) ** 2, axis=0) * (dt / np.sum(window ** 2))
+    if onesided:
+        psd[1:-1] *= 2  # all but DC and Nyquist (nperseg is even)
+        return np.fft.rfftfreq(nperseg, dt), psd
+    return np.fft.fftshift(np.fft.fftfreq(nperseg, dt)), np.fft.fftshift(psd)
 
 
 # time steps reduced per pass of EnsembleMoments.update; bounds its

@@ -8,28 +8,28 @@ ever exercised through Lyapunov algebra, never time stepped.
 One engine, ``propagate_blocks``, steps a batch of members side by side
 with the exact OU discretization (Gillespie, Phys. Rev. E 54, 2084,
 1996): z <- F z + S zeta with F = expm(A dt) and
-S S^H = V_inf - F V_inf F^H, statistically exact for any dt.  Each member
-has its own dynamics and Philox key (one shared (2, 2) map, or a stacked
-(B, 2, 2) one when the dynamics differ).  No Python loop runs per time
-step: each map is factored once into complex Schur form F = Q T Q^H
+S S^H = V_inf - F V_inf F^H, statistically exact for any dt.  The
+members share one dynamics, each with its own Philox key.  No Python
+loop runs per time step: the map is factored once into complex Schur form F = Q T Q^H
 (Golub & Van Loan, Matrix Computations, 7.1), the noise is mapped
 straight into the Schur basis with Q^H S, and the upper-triangular T
 turns the update into two scalar first-order recurrences per member.
 Over a chunk of steps each recurrence is a unit lower-bidiagonal system,
-solved by one LAPACK banded triangular solve (``ztbtrs``; a shared map
-takes all members as right-hand sides of one call).  Each Schur-basis
+solved by one LAPACK banded triangular solve (``ztbtrs``) with every
+member a right-hand side of the same call.  Each Schur-basis
 buffer leads with a carry column holding the previous chunk's last
 state, so chunk boundaries go through the same arithmetic as every other
 step; Q rotates each chunk back.  Chunks are sized so that every array
-live while one is built (96 bytes per member-step, the previous chunk's
+live while one is built (112 bytes per member-step, the previous chunk's
 states included, plus 32 bytes per step for the band array) stays within
 ``_CHUNK_BYTES``.
 
-``ensemble_states`` hands the stream of stored states to a consumer block
-by block; ``propagate_exact`` and ``run_ensemble`` collect the same
-stream into whole records.  A consumer that reduces
-each block as it comes (the sweep's C, D and N, a quench's R(t) and
-fluxes) needs memory for about one chunk, not for the record.
+``stored_states`` (any keys) and ``ensemble_states`` (derived keys) hand
+the stream of stored states to a consumer block by block;
+``propagate_exact`` and ``run_ensemble`` collect the same stream into
+whole records.  A consumer that reduces each block as it comes (a sweep
+point's C, D and N, a quench's R(t) and fluxes) needs memory for about
+one chunk, not for the record.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -60,11 +60,11 @@ DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
 # Bound on the arrays live while one propagation chunk is built.  Per
 # member-step: the normals, which become the yielded states (32 bytes), two
-# Schur-basis components (16 each) and the previous chunk's states, which
-# the consumer still holds (32).  Per step, whatever the batch: the band
-# array of the triangular solves (32).
+# Schur-basis components and a scratch row (16 each) and the previous
+# chunk's states, which the consumer still holds (32).  Per step, whatever
+# the batch: the band array of the triangular solves (32).
 _CHUNK_BYTES = 1.6e8
-_CHUNK_BYTES_PER_STEP = 96
+_CHUNK_BYTES_PER_STEP = 112
 _BAND_BYTES_PER_STEP = 32
 
 
@@ -143,40 +143,35 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
                     n_steps: int, rngs: list):
     """Propagate z <- F z + S zeta; returns a generator of state blocks.
 
-    F and S are either shared (2, 2) maps or per-batch-member stacks
-    (B, 2, 2).  Each map is factored once, F = Q T Q^H (complex Schur
-    form), and the states are stepped in the Schur basis w = Q^H z, where
-    the triangular map is two scalar recurrences:
-    w2 <- t22 w2 + u2, then w1 <- t11 w1 + t12 w2(previous) + u1, with
-    u = Q^H S zeta.  Over a chunk of m steps each component is a (B, m+1)
-    buffer: column 0 carries the previous chunk's last state, columns
-    1..m receive u (plus the t12 term), and one banded triangular solve
-    (``_recur``) runs the recurrence through them in place.  Raises
-    StabilityError on the call, before any noise is drawn, when the
-    spectral radius max|t_ii| is >= 1.
+    Every member steps under the same (2, 2) map.  It is factored once,
+    F = Q T Q^H (complex Schur form), and the states are stepped in the
+    Schur basis w = Q^H z, where the triangular map is two scalar
+    recurrences: w2 <- t22 w2 + u2, then
+    w1 <- t11 w1 + t12 w2(previous) + u1, with u = Q^H S zeta.  Over a
+    chunk of m steps each component is a (B, m+1) buffer: column 0
+    carries the previous chunk's last state, columns 1..m receive u
+    (plus the t12 term), and one banded triangular solve (``_recur``)
+    runs the recurrence through them in place.  Raises StabilityError on
+    the call, before any noise is drawn, when the spectral radius
+    max|t_ii| is >= 1.
 
     The generator yields (first_step_index, states) with states of shape
     (B, m, 2) covering steps first..first+m-1 (state AFTER each step; the
     initial state is not yielded).  Noise is drawn per member in chunks of
     steps; chunked draws from one generator are bit-identical to a single
     large draw, every step (the first of a chunk included) takes the same
-    solve and elementwise arithmetic, and each member's row is solved on
-    its own, so states depend neither on the chunk size nor on the rest
-    of the batch.
+    solve and elementwise arithmetic, and the members are independent
+    right-hand sides of each solve, so states depend neither on the chunk
+    size nor on the rest of the batch.
     """
-    forms = [sla.schur(f, output="complex") for f in F.reshape(-1, 2, 2)]
-    T = np.array([T for T, _ in forms])
-    radius = float(np.max(np.abs(np.diagonal(T, axis1=1, axis2=2))))
+    T, Q = sla.schur(F, output="complex")
+    radius = float(np.max(np.abs(np.diag(T))))
     if not radius < 1.0:
         raise StabilityError(f"one-step map is expansive: spectral radius "
                              f"{radius:.17g} >= 1")
-    Q = np.array([Q for _, Q in forms])
-    Qh = np.conj(np.swapaxes(Q, 1, 2))
+    Qh = Q.conj().T
     # noise lands in the Schur basis: u = R n, n = normals, R = Q^H S/sqrt 2
-    R = np.array([qh @ s for qh, s in zip(Qh, S.reshape(-1, 2, 2))])
-    R /= np.sqrt(2.0)
-    # entry [i, j] of each map as per-member (B', 1) columns
-    T, Q, Qh, R = (np.moveaxis(M, 0, -1)[..., None] for M in (T, Q, Qh, R))
+    R = Qh @ S / np.sqrt(2.0)
     z0 = np.asarray(z0, dtype=complex).reshape(len(rngs), 2)
     z1, z2 = z0[:, :1], z0[:, 1:]
     w1 = Qh[0, 0] * z1 + Qh[0, 1] * z2
@@ -185,27 +180,34 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
 
 
 def _recur(t, v, band):
-    """v[j, n] += t_j v[j, n-1] for n = 1, 2, ... in place (column 0 is
+    """v[j, n] += t v[j, n-1] for n = 1, 2, ... in place (column 0 is
     the carry).  Each row is a unit lower-bidiagonal system with
-    subdiagonal -t_j, solved by ztbtrs in the Fortran-ordered (2, >= n)
-    ``band``.  t is (B', 1): one coefficient for all rows (B right-hand
-    sides of one call) or one per row (one call each).  v must be
-    C-contiguous, so that v.T reaches LAPACK without a copy.
+    subdiagonal -t; all rows are right-hand sides of one ztbtrs call in
+    the Fortran-ordered (2, >= n) ``band``.  v must be C-contiguous, so
+    that v.T reaches LAPACK without a copy.
     """
     band = band[:, :v.shape[1]]
-    for tj, rows in zip(t[:, 0], np.split(v, len(t))):
-        band[1] = -tj
-        ztbtrs(band, rows.T, uplo="L", diag="U", overwrite_b=1)
+    band[1] = -t
+    ztbtrs(band, v.T, uplo="L", diag="U", overwrite_b=1)
 
 
 def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
-    """The chunk loop of ``_iterate_blocks``, from Schur-basis state w."""
+    """The chunk loop of ``_iterate_blocks``, from Schur-basis state w.
+
+    No complex product writes into memory that one of its operands
+    occupies.  numpy computes such a product in a scalar loop that rounds
+    differently from its vector loop, and whether it counts as
+    overlapping depends on the chunk's shape: in place it does for one
+    member and one step only, between the interleaved z1 and z2 for any
+    longer chunk.  Products that would overlap go through the scratch
+    rows x instead.
+    """
     B = len(rngs)
     chunk = max(1, min(n_steps, int(_CHUNK_BYTES / (
         B * _CHUNK_BYTES_PER_STEP + _BAND_BYTES_PER_STEP))))
     # the two Schur-basis components of every chunk, carry column first,
-    # are carved from one buffer so that each is C-contiguous
-    work = np.empty(2 * B * (chunk + 1), dtype=complex)
+    # and the scratch rows are carved from one buffer, each C-contiguous
+    work = np.empty(3 * B * (chunk + 1), dtype=complex)
     band = np.ones((2, chunk + 1), dtype=complex, order="F")
     k = 0
     while k < n_steps:
@@ -217,15 +219,16 @@ def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
         # it is worked in place and becomes the yielded block
         block = noise.view(np.complex128)
         z1, z2 = block[..., 0], block[..., 1]
-        v1, v2 = work[:2 * B * (m + 1)].reshape(2, B, m + 1)
+        v1, v2, x = work[:3 * B * (m + 1)].reshape(3, B, m + 1)
         v1[:, :1], v2[:, :1] = w1, w2
         u1, u2 = v1[:, 1:], v2[:, 1:]  # steps 1..m: inputs, then states
+        x = x[:, 1:]
         np.multiply(z1, R[1, 0], out=u2)
         np.multiply(z2, R[1, 1], out=u1)
         u2 += u1
-        z1 *= R[0, 0]
+        np.multiply(z1, R[0, 0], out=x)
         np.multiply(z2, R[0, 1], out=u1)
-        u1 += z1  # z1 and z2 are scratch from here on
+        u1 += x  # z1 and z2 are scratch from here on
         _recur(T[1, 1], v2, band)
         np.multiply(v2[:, :-1], T[0, 1], out=z2)
         u1 += z2
@@ -236,8 +239,8 @@ def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
         np.multiply(u2, Q[0, 1], out=z2)
         z1 += z2
         np.multiply(u1, Q[1, 0], out=z2)
-        u2 *= Q[1, 1]
-        z2 += u2
+        np.multiply(u2, Q[1, 1], out=x)
+        z2 += x
         if not np.all(np.isfinite(block[:, -1])):
             raise StabilityError("trajectory diverged (non-finite samples)")
         yield k, block
@@ -255,59 +258,46 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
     return F, S, carrier, Vinf
 
 
-def propagate_blocks(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
-                     quench: bool = True, initial_state=None):
-    """Members j = 0..B-1: dynamics dyns[j], Philox key seeds[j].
+def propagate_blocks(dyn: LinearDynamics, seeds, duration: float,
+                     dt: float = DEFAULT_DT, quench: bool = True,
+                     initial_state=None):
+    """Members j = 0..B-1 of one dynamics, member j keyed seeds[j].
 
-    One dynamics object shared by all members gets one (2, 2) map;
-    otherwise the members' maps are stacked.  Initial states come from
-    the uncoupled thermal ensemble (``quench``) or each member's NESS,
-    4 normals each, unless ``initial_state`` (B, 2) is given.
+    Initial states come from the uncoupled thermal ensemble (``quench``)
+    or the NESS, 4 normals per member, unless ``initial_state`` (B, 2) is
+    given.
 
-    Returns (carriers, z0, blocks): per-member carriers, the (B, 2)
-    initial states and the ``_iterate_blocks`` generator over
-    round(duration / dt) steps.
+    Returns (carrier, z0, blocks): the carrier, the (B, 2) initial states
+    and the ``_iterate_blocks`` generator over round(duration / dt)
+    steps.
     """
-    dyns = list(dyns)
+    F, S, carrier, Vinf = _build_exact_map(dyn, dt)
     B = len(seeds)
-    if len(dyns) != B:
-        raise ValueError("need one dynamics per member")
-    shared = all(d is dyns[0] for d in dyns)
-    distinct = dyns[:1] if shared else dyns
-    Fs, Ss, carriers, Vinfs = zip(*[_build_exact_map(d, dt)
-                                    for d in distinct])
-    if shared:
-        F, S, carriers = Fs[0], Ss[0], carriers * B
-    else:
-        F, S = np.stack(Fs), np.stack(Ss)
-
     rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
     if initial_state is not None:
         z0 = np.asarray(initial_state, dtype=complex).reshape(B, 2)
     elif quench:
-        z0 = np.stack([_thermal_initial(d, r) for d, r in zip(dyns, rngs)])
+        z0 = np.stack([_thermal_initial(dyn, r) for r in rngs])
     else:
-        Ls = [_psd_sqrt(Vinf) for Vinf in Vinfs]
-        if shared:
-            Ls = Ls * B
-        z0 = np.stack([_gaussian_initial(L, r) for L, r in zip(Ls, rngs)])
+        L = _psd_sqrt(Vinf)
+        z0 = np.stack([_gaussian_initial(L, r) for r in rngs])
     n_steps = int(round(duration / dt))
-    return carriers, z0, _iterate_blocks(F, S, z0, n_steps, rngs)
+    return carrier, z0, _iterate_blocks(F, S, z0, n_steps, rngs)
 
 
-def _stored_states(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
-                   quench: bool = True, initial_state=None,
-                   store_every: int = 1):
+def stored_states(dyn: LinearDynamics, seeds, duration: float,
+                  dt: float = DEFAULT_DT, quench: bool = True,
+                  initial_state=None, store_every: int = 1):
     """``propagate_blocks``, keeping every store_every-th state.
 
-    Returns (carriers, n_stored, parts): parts yields (B, m, 2) blocks of
+    Returns (carrier, n_stored, parts): parts yields (B, m, 2) blocks of
     the stored states in time order, the initial state first, then the
     states after steps store_every, 2 store_every, ...  Blocks from
     step chunks are views, so a consumer that reduces them as they come
     holds one chunk at a time.
     """
-    carriers, z0, blocks = propagate_blocks(dyns, seeds, duration, dt,
-                                            quench, initial_state)
+    carrier, z0, blocks = propagate_blocks(dyn, seeds, duration, dt,
+                                           quench, initial_state)
     n_stored = int(round(duration / dt)) // store_every + 1
 
     def parts():
@@ -318,30 +308,29 @@ def _stored_states(dyns, seeds, duration: float, dt: float = DEFAULT_DT,
             if first <= k0 + block.shape[1]:
                 yield block[:, first - k0 - 1::store_every]
 
-    return carriers, n_stored, parts()
+    return carrier, n_stored, parts()
 
 
-def ensemble_states(dyn, n_traj: int, duration: float,
+def ensemble_states(dyn: LinearDynamics, n_traj: int, duration: float,
                     dt: float = DEFAULT_DT, master_seed: int = 0,
                     quench: bool = True, store_every: int = 1):
-    """``_stored_states`` of a seeded ensemble: member i has derived seed
-    master_seed * 2^64 + i and dynamics dyn, or dyn[i] when dyn is a
-    sequence of n_traj LinearDynamics (stacked in a single pass)."""
+    """``stored_states`` of a seeded ensemble: member i has derived seed
+    master_seed * 2^64 + i."""
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    dyns = [dyn] * n_traj if isinstance(dyn, LinearDynamics) else list(dyn)
     seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
-    return _stored_states(dyns, seeds, duration, dt, quench=quench,
-                          store_every=store_every)
+    return stored_states(dyn, seeds, duration, dt, quench=quench,
+                         store_every=store_every)
 
 
-def _record(states, dt_s: float) -> list[Trajectory]:
-    """Store a ``_stored_states`` stream of sample spacing dt_s.
+def _record(states, n_traj: int, dt_s: float) -> list[Trajectory]:
+    """Store a ``stored_states`` stream of n_traj members and sample
+    spacing dt_s.
 
     Members share one times array; b1, b2 are views into one record.
     """
-    carriers, n_stored, parts = states
-    out = np.empty((len(carriers), n_stored, 2), dtype=complex)
+    carrier, n_stored, parts = states
+    out = np.empty((n_traj, n_stored, 2), dtype=complex)
     filled = 0
     for part in parts:
         out[:, filled:filled + part.shape[1]] = part
@@ -349,8 +338,8 @@ def _record(states, dt_s: float) -> list[Trajectory]:
     times = dt_s * np.arange(n_stored)
     return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
                        dt=dt_s, frame=FRAME_REDUCED,
-                       reference_frequency=carriers[i])
-            for i in range(len(carriers))]
+                       reference_frequency=carrier)
+            for i in range(n_traj)]
 
 
 def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
@@ -361,21 +350,20 @@ def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT
     state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H.
     With zero diffusion this reduces to the matrix-exponential flow.
     """
-    states = _stored_states([dyn], [seed], duration, dt,
-                            initial_state=initial_state,
-                            store_every=store_every)
-    return _record(states, dt * store_every)[0]
+    states = stored_states(dyn, [seed], duration, dt,
+                           initial_state=initial_state,
+                           store_every=store_every)
+    return _record(states, 1, dt * store_every)[0]
 
 
-def run_ensemble(dyn, n_traj: int, duration: float, dt: float = DEFAULT_DT,
-                 master_seed: int = 0, quench: bool = True,
+def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
+                 dt: float = DEFAULT_DT, master_seed: int = 0,
+                 quench: bool = True,
                  store_every: int = 1) -> list[Trajectory]:
     """Seeded ensemble of independent trajectories, ordered by index.
 
-    dyn is one LinearDynamics shared by every member, or a sequence of
-    n_traj of them, one per member (stacked in a single pass).  With
-    ``quench`` (the default protocol) initial states are drawn from the
-    uncoupled (G = 0) thermal ensemble and evolved under the coupled
+    With ``quench`` (the default protocol) initial states are drawn from
+    the uncoupled (G = 0) thermal ensemble and evolved under the coupled
     drift from t = 0; with ``quench=False`` they are drawn from the NESS
     of the coupled dynamics instead.  Trajectory i uses the derived seed
     master_seed * 2^64 + i, so ``run_ensemble(..., n_traj=1)`` is
@@ -383,4 +371,5 @@ def run_ensemble(dyn, n_traj: int, duration: float, dt: float = DEFAULT_DT,
     The whole record is kept; ``ensemble_states`` streams it instead.
     """
     return _record(ensemble_states(dyn, n_traj, duration, dt, master_seed,
-                                   quench, store_every), dt * store_every)
+                                   quench, store_every),
+                   n_traj, dt * store_every)

@@ -46,18 +46,21 @@ class TestOutputs:
 
 def test_cli_import_leaves_scipy_signal_out():
     # scipy.signal, which loads scipy.stats, takes most of a second to
-    # import and scipy.ndimage about 0.1 s; only a trajectory's Welch
-    # spectrum needs the first, only a transient time the second
+    # import and scipy.ndimage about 0.1 s; no command needs the first,
+    # only a transient time the second
     code = (
         "import sys, clocksync.cli\n"
+        "import numpy as np\n"
         "slow = ('scipy.signal', 'scipy.stats', 'scipy.ndimage')\n"
         "print([m for m in slow if m in sys.modules])\n"
-        "from clocksync import paper_preset, sweep_coupling, "
-        "transient_experiment\n"
+        "from clocksync import paper_preset, power_spectrum, "
+        "sweep_coupling, transient_experiment\n"
         "p = paper_preset()\n"
         "transient_experiment(p, 0.05, n_traj=50, master_seed=1, dt=5e-5)\n"
         "sweep_coupling(p, grid=[0.0, 0.03], protocol='monte-carlo', "
         "duration=0.2, dt=1e-4, tick_duration=0.01)\n"
+        "power_spectrum(np.arange(64.0), 1.0)\n"
+        "power_spectrum(np.arange(64.0) * 1j, 1.0)\n"
         "print([m for m in slow[:2] if m in sys.modules])\n")
     assert run_python(code) == "[]\n[]\n"
 

@@ -184,8 +184,29 @@ class TestSweepMonteCarlo:
         kw = dict(grid=[0.0, 0.03], protocol="monte-carlo", master_seed=2,
                   duration=0.2, dt=1e-4, tick_duration=0.01)
         ref = [r.C for r in sweep_coupling(paper, **kw)]
-        chunk_steps(monkeypatch, steps_per_block, len(kw["grid"]))
+        chunk_steps(monkeypatch, steps_per_block, 1)  # one point at a time
         assert [r.C for r in sweep_coupling(paper, **kw)] == ref
+
+    def test_row_depends_only_on_its_coupling_and_index(self, paper):
+        kw = dict(protocol="both", master_seed=3, duration=0.2, dt=1e-4,
+                  tick_duration=0.01)
+        [alone] = sweep_coupling(paper, grid=[0.03], **kw)
+        assert sweep_coupling(paper, grid=[0.03, 0.01], **kw)[0] == alone
+
+    def test_memory_flat_in_grid_size(self, paper):
+        # every point is propagated and reduced on its own, so the peak is
+        # one point's: its tick record of one full D window dominates it
+        kw = dict(protocol="monte-carlo", master_seed=1, duration=0.2,
+                  dt=1e-4, tick_duration=0.25)
+        peaks = []
+        for n in (2, 6):
+            tracemalloc.start()
+            try:
+                sweep_coupling(paper, grid=np.linspace(0.01, 0.05, n), **kw)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0]
 
     def test_reproducible_and_consistent(self, paper):
         grid = [0.0, 0.02]
@@ -205,14 +226,14 @@ class TestSweepMonteCarlo:
         [row] = sweep_coupling(paper, grid=[g], protocol="monte-carlo",
                                master_seed=seed, duration=0.2,
                                tick_duration=duration)
-        carriers, _, blocks = propagate_blocks(
-            [reduced_drift_matrix(paper.with_coupling(g))],
+        carrier, _, blocks = propagate_blocks(
+            reduced_drift_matrix(paper.with_coupling(g)),
             [derived_seed(seed, TICK_SEED_BASE)], duration, TICK_RECORD_DT,
             quench=False)
         record = np.concatenate([b for _, b in blocks], axis=1)[0]
         traj = Trajectory(times=TICK_RECORD_DT * np.arange(len(record)),
                           b1=record[:, 0], b2=record[:, 1],
                           dt=TICK_RECORD_DT, frame=FRAME_REDUCED,
-                          reference_frequency=carriers[0])
+                          reference_frequency=carrier)
         single = trajectory_sync_metrics(traj, 0.0)
         assert (single.D, single.N1, single.N2) == (row.D, row.N1, row.N2)

@@ -324,11 +324,10 @@ class TestClockStats:
         phase = np.cumsum(0.02 * rng.standard_normal((2, 23500, 2)), axis=1)
         record = (1.0 + 0.05 * rng.standard_normal((2, 23500, 2))
                   ) * np.exp(1j * phase)
-        whole = _tick_stats([record], [carrier, carrier], dt)
-        cut = _tick_stats(np.split(record, sorted(cuts), axis=1),
-                          [carrier, carrier], dt)
-        for a, b in zip(whole, cut):
-            assert (a.D, a.N1, a.N2) == (b.D, b.N1, b.N2)
+        for member in record:
+            whole = _tick_stats([member], carrier, dt)
+            cut = _tick_stats(np.split(member, sorted(cuts)), carrier, dt)
+            assert (whole.D, whole.N1, whole.N2) == (cut.D, cut.N1, cut.N2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 60), min_size=2, max_size=40, unique=True),
@@ -372,6 +371,24 @@ class TestPowerSpectrum:
     def test_too_short(self):
         with pytest.raises(ValueError):
             power_spectrum(np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("n", [4, 1000, 4097])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_matches_scipy_welch(self, n, complex_valued):
+        from scipy.signal import welch
+        rng = np.random.default_rng(n)
+        x = 2.0 + rng.standard_normal(n)
+        if complex_valued:
+            x = x + 1j * rng.standard_normal(n)
+        nperseg = 2 ** int(np.log2(max(n // 8, 2)))
+        want_f, want = welch(x, fs=1e3, window="hann", nperseg=nperseg,
+                             noverlap=nperseg // 2, detrend="constant",
+                             return_onesided=not complex_valued,
+                             scaling="density")
+        order = np.argsort(want_f)
+        f, psd = power_spectrum(x, 1e-3)
+        assert np.array_equal(f, want_f[order])
+        np.testing.assert_allclose(psd, want[order], rtol=1e-12, atol=0)
 
     def test_peak_linewidth_matches_long_lived_mode(self, paper):
         from clocksync import normal_modes_closed_form, effective_coupling
