@@ -30,7 +30,7 @@ from .errors import ClockSyncError, ConfigError
 from .experiments import (SWEEP_CSV_HEADER, analytic_point, burn_in_time,
                           check_record_length, find_threshold,
                           find_turning_point, operating_point, sweep_coupling,
-                          transient_experiment, trajectory_sync_metrics)
+                          sync_degree, tick_stats, transient_experiment)
 from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, min_tick_samples,
                       power_spectrum)
 from .model import TWO_PI, PhysicalParams, paper_preset
@@ -180,7 +180,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
 @click.option("--g-max", default=0.05, show_default=True, type=_GE_ZERO)
 @click.option("--points", default=26, show_default=True, type=_GE_ONE)
 @click.option("--protocol", default="both", show_default=True,
-              type=click.Choice(["analytic", "monte-carlo", "both"]))
+              type=click.Choice(["analytic", "both"]))
 @click.option("--duration", default=10.0, show_default=True, type=_GT_ZERO,
               help="Monte Carlo record length per point (s).")
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
@@ -239,20 +239,22 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     path = os.path.join(out, "trajectory.csv")
     write_csv(path, header, rows.tolist())
 
-    keep = traj.times >= burn_in
-    f1, p1 = power_spectrum(traj.b1[keep], traj.dt)
-    f2, p2 = power_spectrum(traj.b2[keep], traj.dt)
-    carrier_hz = traj.reference_frequency / TWO_PI
+    start = int(np.searchsorted(traj.times, burn_in))
+    f1, p1 = power_spectrum(traj.b1[start:], traj.dt)
+    f2, p2 = power_spectrum(traj.b2[start:], traj.dt)
+    carrier = traj.reference_frequency
+    carrier_hz = carrier / TWO_PI
     spectrum_rows = np.column_stack([carrier_hz + f1, p1, p2]).tolist()
     spectrum_header = ["f_hz", "psd_b1", "psd_b2"]
     spectrum_path = os.path.join(out, "spectrum.csv")
     write_csv(spectrum_path, spectrum_header, spectrum_rows)
     _maybe_svg(svg, spectrum_path, spectrum_header, spectrum_rows)
 
-    m = trajectory_sync_metrics(traj, burn_in)
+    record = np.stack([traj.b1, traj.b2], axis=-1)
+    m = tick_stats([record[start:]], carrier, traj.dt)
     write_json(os.path.join(out, "trajectory_summary.json"),
-               {"C": m.C, "D": m.D, "N1": m.N1, "N2": m.N2,
-                "carrier_hz": carrier_hz})
+               {"C": sync_degree([record], carrier, traj.dt, start),
+                "D": m.D, "N1": m.N1, "N2": m.N2, "carrier_hz": carrier_hz})
     _echo_config(out, "trajectory", dyn.params,
                  {"g_over_kappa": g_over_kappa, "duration": duration,
                   "dt": dt, "store_every": store_every, "seed": seed})

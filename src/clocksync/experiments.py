@@ -4,8 +4,9 @@ The sweep computes every quantity twice where possible: an analytic path
 (normal modes, Lyapunov NESS, entropy rates) that is noise free and
 fast, and a Monte Carlo path (each grid point propagated on its own)
 that exercises the full simulation pipeline.  Threshold detection runs
-on the analytic C; the Monte Carlo estimates validate it.  D, N1 and N2
-of a sweep and of a single trajectory both come from ``_tick_stats``.
+on the analytic C; the Monte Carlo estimates validate it.  C of a sweep
+point and of a single trajectory comes from ``sync_degree``, and D, N1
+and N2 from ``tick_stats``.
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
 sweep point's C per C window, its D and N per D window, and a quench's
@@ -30,15 +31,14 @@ from .errors import (ConfigError, EnsembleError, ThresholdError,
                      TurningPointError)
 from .metrics import (MIN_FLUX_ENSEMBLE, EnsembleMoments, PearsonStats,
                       SyncMetrics, TickStats, TransientResult, d_windows,
-                      extract_ticks, min_tick_samples, pearson_sync_degree,
-                      transient_time, windows)
-from .model import (FRAME_REDUCED, TWO_PI, NormalModes, PhysicalParams,
-                    effective_coupling, normal_modes_closed_form,
-                    reduced_drift_matrix)
+                      extract_ticks, min_tick_samples, transient_time,
+                      windows)
+from .model import (TWO_PI, NormalModes, PhysicalParams, effective_coupling,
+                    normal_modes_closed_form, reduced_drift_matrix)
 from .steadystate import analytic_sync_degree, entropy_rates, steady_state
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
                          derived_seed, displacements, ensemble_states,
-                         propagate_blocks, stored_states)
+                         stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -87,25 +87,19 @@ def burn_in_time(modes: NormalModes) -> float:
     return BURN_IN_DECAY_TIMES / modes.gamma_plus if modes.gamma_plus > 0 else 0.0
 
 
-def _discard_burn_in(traj: Trajectory, discard: float) -> Trajectory:
-    keep = traj.times >= discard
-    return replace(traj, times=traj.times[keep], b1=traj.b1[keep],
-                   b2=traj.b2[keep])
-
-
-def _tick_stats(blocks, carrier: float, dt: float) -> SyncMetrics:
+def tick_stats(blocks, carrier: float, dt: float) -> SyncMetrics:
     """D, N1, N2 of one member's stream of (m, 2) sample blocks; ticks
     are extracted per D window, with times restarting at 0."""
     stats = TickStats(TWO_PI / carrier)
     for window in d_windows(blocks, dt):
         traj = Trajectory(times=dt * np.arange(len(window)),
                           b1=window[:, 0], b2=window[:, 1], dt=dt,
-                          frame=FRAME_REDUCED, reference_frequency=carrier)
+                          reference_frequency=carrier)
         stats.update(extract_ticks(traj, 1), extract_ticks(traj, 2))
     return stats.result()
 
 
-def _sync_degree(parts, carrier: float, dt: float, start: int) -> float:
+def sync_degree(parts, carrier: float, dt: float, start: int) -> float:
     """Pearson C of one member's stream of (m, 2) sample blocks, from
     global sample index start on.  The sums are taken per C window
     (C_WINDOW_SAMPLES of global sample index) and merged by
@@ -117,19 +111,10 @@ def _sync_degree(parts, carrier: float, dt: float, start: int) -> float:
         if s < w:
             traj = Trajectory(times=dt * np.arange(k + s, k + w),
                               b1=window[s:, 0], b2=window[s:, 1], dt=dt,
-                              frame=FRAME_REDUCED, reference_frequency=carrier)
+                              reference_frequency=carrier)
             stats.update(*displacements(traj))
         k += w
     return stats.result()
-
-
-def trajectory_sync_metrics(traj: Trajectory, discard: float) -> SyncMetrics:
-    """C, D, N1, N2 from one NESS trajectory after discarding burn-in."""
-    sub = _discard_burn_in(traj, discard)
-    C = pearson_sync_degree(*displacements(sub))
-    block = np.stack([sub.b1, sub.b2], axis=-1)
-    stats = _tick_stats([block], sub.reference_frequency, sub.dt)
-    return replace(stats, C=C)
 
 
 def check_record_length(duration: float, dt: float, discard: float,
@@ -188,7 +173,7 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     point's row depends only on its own coupling and index, so memory
     does not grow with the grid and the output is reproducible.
     """
-    if protocol not in ("analytic", "monte-carlo", "both"):
+    if protocol not in ("analytic", "both"):
         raise ValueError(f"unknown protocol {protocol!r}")
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     if np.any(grid < 0):
@@ -209,12 +194,12 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
         # the first sample at or after the burn-in
         start = int(np.searchsorted(dt * np.arange(n_stored),
                                     burn_in_time(modes)))
-        C = _sync_degree((p[0] for p in parts), carrier, dt, start)
-        carrier, _, blocks = propagate_blocks(
+        C = sync_degree((p[0] for p in parts), carrier, dt, start)
+        carrier, _, parts = stored_states(
             dyn, [derived_seed(master_seed, TICK_SEED_BASE + i)],
             tick_duration, TICK_RECORD_DT, quench=False)
-        ticks = _tick_stats((b[0] for _, b in blocks), carrier,
-                            TICK_RECORD_DT)
+        next(parts)  # the stationary start is not part of the tick record
+        ticks = tick_stats((p[0] for p in parts), carrier, TICK_RECORD_DT)
         rows.append(replace(row, C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2))
     return rows
 

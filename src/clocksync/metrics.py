@@ -62,9 +62,8 @@ class TickSeries:
 
 @dataclass(frozen=True)
 class SyncMetrics:
-    """Degree of synchronization C, deviation D, single-clock accuracies."""
+    """Deviation D and single-clock accuracies N1, N2 of a clock pair."""
 
-    C: float
     D: float
     N1: float
     N2: float
@@ -106,7 +105,9 @@ class PearsonStats:
         mean = np.array([x[0].mean(), x[1].mean()])
         d = x - mean[:, None]
         if not self.n:
-            self.scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(d), axis=1))[1])
+            # capped so that subnormal deviations get a finite scale
+            e = np.frexp(np.max(np.abs(d), axis=1))[1]
+            self.scale = np.ldexp(1.0, np.minimum(-e, 1023))
         d *= self.scale[:, None]
         n = self.n + nb
         # the between-piece term vanishes on the first piece
@@ -339,7 +340,7 @@ class TickStats:
             var = (s2 - s1 ** 2 / n) / (n - 1)
             N.append(math.inf if var <= 0.0 else
                      float((self.t0 + s1 / n) ** 2 / var))
-        return SyncMetrics(C=math.nan, D=D, N1=N[0], N2=N[1])
+        return SyncMetrics(D=D, N1=N[0], N2=N[1])
 
 
 def power_spectrum(x, dt: float):
@@ -415,8 +416,9 @@ class EnsembleMoments:
             self.filled = t.stop
 
     def correlation(self) -> np.ndarray:
-        """R(t) = Re sum db1 db2* / sqrt(sum|db1|^2 sum|db2|^2); nan where
-        either variance vanishes."""
+        """R(t) = Re sum db1 db2* / sqrt(sum|db1|^2 sum|db2|^2), the
+        carrier-cycle average of sum dx1 dx2 / sqrt(sum dx1^2 sum dx2^2);
+        nan where either variance vanishes."""
         if self.members < 2:
             raise EnsembleError("need at least 2 trajectories")
         num = np.real(self.cross)
@@ -439,8 +441,12 @@ class EnsembleMoments:
         return bath_fluxes(params, v1 / n - 0.5, v2 / n - 0.5, ncr)[1:]
 
 
-def _ensemble_moments(ensemble: list[Trajectory]):
-    """(times, EnsembleMoments) of a stored ensemble, reduced as one block."""
+def ensemble_moments(ensemble: list[Trajectory]) -> EnsembleMoments:
+    """``EnsembleMoments`` of a stored ensemble on a common time grid,
+    reduced as one block: R(t) is its ``correlation()``, the per-bath
+    fluxes its ``fluxes(params)``."""
+    if not ensemble:
+        raise EnsembleError("need at least 1 trajectory")
     t0 = ensemble[0].times
     for tr in ensemble[1:]:
         if tr.times.shape != t0.shape or not np.allclose(tr.times, t0):
@@ -448,21 +454,7 @@ def _ensemble_moments(ensemble: list[Trajectory]):
     moments = EnsembleMoments(len(t0))
     moments.update(np.stack([np.stack([tr.b1, tr.b2], axis=-1)
                              for tr in ensemble]))
-    return t0, moments
-
-
-def transient_correlation(ensemble: list[Trajectory]):
-    """Across-ensemble correlation R(t) of the two clocks.
-
-    Carrier-cycle-averaged form of sum_j dx1_j dx2_j / sqrt(sum dx1^2
-    sum dx2^2): R(t) = Re sum_j db1 db2* / sqrt(sum|db1|^2 sum|db2|^2),
-    with across-ensemble means removed at each t.  Points where either
-    variance vanishes are flagged as nan.
-    """
-    if len(ensemble) < 2:
-        raise EnsembleError("need at least 2 trajectories")
-    t, moments = _ensemble_moments(ensemble)
-    return t, moments.correlation()
+    return moments
 
 
 def transient_time(times, R) -> float:
@@ -495,18 +487,3 @@ def transient_time(times, R) -> float:
     lo, hi = smoothed[idx - 1], smoothed[idx]
     frac = 0.0 if hi == lo else (target - lo) / (hi - lo)
     return float(times[idx - 1] + frac * (times[idx] - times[idx - 1]))
-
-
-def transient_entropy_flux(ensemble: list[Trajectory], params: PhysicalParams):
-    """Instantaneous per-bath flux estimates from ensemble second moments.
-
-    At each time the effective occupations n_bi(t) + 1/2 = <|db_i|^2>,
-    n_cross(t) = Re<db1 db2*> feed the NESS flux expressions (thermal
-    ratio terms for the clocks, adiabatic transduction for the photons).
-    Requires >= 50 members for usable error bars.
-    """
-    if len(ensemble) < MIN_FLUX_ENSEMBLE:
-        raise EnsembleError(
-            f"need at least {MIN_FLUX_ENSEMBLE} trajectories, "
-            f"got {len(ensemble)}")
-    return _ensemble_moments(ensemble)[1].fluxes(params)

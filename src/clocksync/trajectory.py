@@ -5,7 +5,7 @@ there are at most a few kHz, so microsecond steps suffice, versus the
 ~10 ns the cavity-resolved model would need.  The full 6x6 model is only
 ever exercised through Lyapunov algebra, never time stepped.
 
-One engine, ``propagate_blocks``, steps a batch of members side by side
+One engine, ``stored_states``, steps a batch of members side by side
 with the exact OU discretization (Gillespie, Phys. Rev. E 54, 2084,
 1996): z <- F z + S zeta with F = expm(A dt) and
 S S^H = V_inf - F V_inf F^H, statistically exact for any dt.  The
@@ -81,7 +81,6 @@ class Trajectory:
     b1: np.ndarray
     b2: np.ndarray
     dt: float
-    frame: str
     reference_frequency: float
 
 
@@ -258,18 +257,21 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
     return F, S, carrier, Vinf
 
 
-def propagate_blocks(dyn: LinearDynamics, seeds, duration: float,
-                     dt: float = DEFAULT_DT, quench: bool = True,
-                     initial_state=None):
-    """Members j = 0..B-1 of one dynamics, member j keyed seeds[j].
+def stored_states(dyn: LinearDynamics, seeds, duration: float,
+                  dt: float = DEFAULT_DT, quench: bool = True,
+                  initial_state=None, store_every: int = 1):
+    """Members j = 0..B-1 of one dynamics, member j keyed seeds[j], over
+    round(duration / dt) steps, keeping every store_every-th state.
 
     Initial states come from the uncoupled thermal ensemble (``quench``)
     or the NESS, 4 normals per member, unless ``initial_state`` (B, 2) is
     given.
 
-    Returns (carrier, z0, blocks): the carrier, the (B, 2) initial states
-    and the ``_iterate_blocks`` generator over round(duration / dt)
-    steps.
+    Returns (carrier, n_stored, parts): parts yields (B, m, 2) blocks of
+    the stored states in time order, the initial state first, then the
+    states after steps store_every, 2 store_every, ...  Blocks from
+    step chunks are views, so a consumer that reduces them as they come
+    holds one chunk at a time.
     """
     F, S, carrier, Vinf = _build_exact_map(dyn, dt)
     B = len(seeds)
@@ -282,23 +284,7 @@ def propagate_blocks(dyn: LinearDynamics, seeds, duration: float,
         L = _psd_sqrt(Vinf)
         z0 = np.stack([_gaussian_initial(L, r) for r in rngs])
     n_steps = int(round(duration / dt))
-    return carrier, z0, _iterate_blocks(F, S, z0, n_steps, rngs)
-
-
-def stored_states(dyn: LinearDynamics, seeds, duration: float,
-                  dt: float = DEFAULT_DT, quench: bool = True,
-                  initial_state=None, store_every: int = 1):
-    """``propagate_blocks``, keeping every store_every-th state.
-
-    Returns (carrier, n_stored, parts): parts yields (B, m, 2) blocks of
-    the stored states in time order, the initial state first, then the
-    states after steps store_every, 2 store_every, ...  Blocks from
-    step chunks are views, so a consumer that reduces them as they come
-    holds one chunk at a time.
-    """
-    carrier, z0, blocks = propagate_blocks(dyn, seeds, duration, dt,
-                                           quench, initial_state)
-    n_stored = int(round(duration / dt)) // store_every + 1
+    blocks = _iterate_blocks(F, S, z0, n_steps, rngs)
 
     def parts():
         yield z0[:, None]
@@ -308,7 +294,7 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
             if first <= k0 + block.shape[1]:
                 yield block[:, first - k0 - 1::store_every]
 
-    return carrier, n_stored, parts()
+    return carrier, n_steps // store_every + 1, parts()
 
 
 def ensemble_states(dyn: LinearDynamics, n_traj: int, duration: float,
@@ -337,8 +323,7 @@ def _record(states, n_traj: int, dt_s: float) -> list[Trajectory]:
         filled += part.shape[1]
     times = dt_s * np.arange(n_stored)
     return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
-                       dt=dt_s, frame=FRAME_REDUCED,
-                       reference_frequency=carrier)
+                       dt=dt_s, reference_frequency=carrier)
             for i in range(n_traj)]
 
 

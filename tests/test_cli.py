@@ -6,7 +6,10 @@ import pytest
 
 from conftest import read_csv, run_python
 
+from clocksync import paper_preset, propagate_exact
 from clocksync.cli import run
+from clocksync.experiments import (burn_in_time, operating_point,
+                                   sync_degree, tick_stats)
 from clocksync.output import format_cell, write_csv, write_svg
 
 
@@ -57,7 +60,7 @@ def test_cli_import_leaves_scipy_signal_out():
         "sweep_coupling, transient_experiment\n"
         "p = paper_preset()\n"
         "transient_experiment(p, 0.05, n_traj=50, master_seed=1, dt=5e-5)\n"
-        "sweep_coupling(p, grid=[0.0, 0.03], protocol='monte-carlo', "
+        "sweep_coupling(p, grid=[0.0, 0.03], protocol='both', "
         "duration=0.2, dt=1e-4, tick_duration=0.01)\n"
         "power_spectrum(np.arange(64.0), 1.0)\n"
         "power_spectrum(np.arange(64.0) * 1j, 1.0)\n"
@@ -116,11 +119,12 @@ class TestConfig:
         ["ness", "--g-over-kappa=-0.02"],
         ["trajectory", "--g-over-kappa=-0.04"],
         ["transient", "--g-over-kappa=-0.04"],
+        ["sweep", "--protocol", "monte-carlo"],
     ], ids=["sweep-g-max", "sweep-points", "sweep-tick-duration",
             "trajectory-dt", "trajectory-duration", "transient-dt",
             "trajectory-store-every", "transient-n-traj",
             "ness-g-over-kappa", "trajectory-g-over-kappa",
-            "transient-g-over-kappa"])
+            "transient-g-over-kappa", "sweep-protocol"])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 2
@@ -215,6 +219,25 @@ class TestCommands:
         assert {"C", "D", "N1", "N2", "carrier_hz"} <= set(summary)
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["d_window_s"] == 0.25
+
+    def test_trajectory_summary_uses_the_sweep_reducers(self, tmp_path,
+                                                        capsys):
+        # C, D and N of the stored record after burn-in, through the same
+        # functions a sweep point's streams go through
+        out = tmp_path / "o"
+        assert run(["trajectory", "--duration", "0.4", "--seed", "13",
+                    "--out", str(out)]) == 0
+        summary = json.loads((out / "trajectory_summary.json").read_text())
+        dyn, nm = operating_point(paper_preset(), 0.02)
+        traj = propagate_exact(dyn, 0.4, seed=13)
+        record = np.stack([traj.b1, traj.b2], axis=-1)
+        start = int(np.searchsorted(traj.times, burn_in_time(nm)))
+        assert start > 0
+        carrier = traj.reference_frequency
+        ticks = tick_stats([record[start:]], carrier, traj.dt)
+        assert summary["C"] == sync_degree([record], carrier, traj.dt, start)
+        assert [summary[k] for k in ("D", "N1", "N2")] == [
+            ticks.D, ticks.N1, ticks.N2]
 
     def test_transient_csv(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -8,16 +8,16 @@ import pytest
 from conftest import chunk_steps
 
 from clocksync import (EnsembleError, SweepRow, ThresholdError,
-                       TurningPointError, find_threshold, find_turning_point,
-                       run_ensemble, sweep_coupling, transient_correlation,
-                       transient_entropy_flux, transient_experiment)
+                       TurningPointError, ensemble_moments, find_threshold,
+                       find_turning_point, run_ensemble, sweep_coupling,
+                       transient_experiment)
 from clocksync import experiments, trajectory
 from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
                                    TICK_SEED_BASE, operating_point,
-                                   trajectory_sync_metrics)
+                                   tick_stats)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
-from clocksync.model import FRAME_REDUCED, TWO_PI, reduced_drift_matrix
-from clocksync.trajectory import Trajectory, derived_seed, propagate_blocks
+from clocksync.model import reduced_drift_matrix
+from clocksync.trajectory import derived_seed, stored_states
 
 
 def synthetic_rows(g, c, pi=None):
@@ -54,8 +54,9 @@ class TestSweepAnalytic:
     def test_grid_validation(self, paper):
         with pytest.raises(ValueError):
             sweep_coupling(paper, grid=[-0.01, 0.02], protocol="analytic")
-        with pytest.raises(ValueError):
-            sweep_coupling(paper, protocol="bogus")
+        for protocol in ("bogus", "monte-carlo"):
+            with pytest.raises(ValueError):
+                sweep_coupling(paper, protocol=protocol)
 
 
 class TestThreshold:
@@ -113,7 +114,7 @@ class TestTransientExperiment:
     def test_streamed_equals_stored_adapters(self, paper, monkeypatch,
                                              steps_per_chunk, store_every):
         # the block stream, cut anywhere, reduces to the same bits as the
-        # stored record passed to the adapters as one block
+        # stored record reduced as one block
         g, n, duration, dt, seed = 0.02, MIN_FLUX_ENSEMBLE, 0.02, 1e-4, 4
         dyn, _ = operating_point(paper, g)
         chunk_steps(monkeypatch, steps_per_chunk, n)
@@ -122,10 +123,10 @@ class TestTransientExperiment:
                                    store_every=store_every)
         ens = run_ensemble(dyn, n, duration, dt, master_seed=seed,
                            store_every=store_every)
-        t, R = transient_correlation(ens)
-        assert np.array_equal(res.times, t)
-        assert np.array_equal(res.R, R, equal_nan=True)
-        fluxes = transient_entropy_flux(ens, dyn.params)
+        moments = ensemble_moments(ens)
+        assert np.array_equal(res.times, ens[0].times)
+        assert np.array_equal(res.R, moments.correlation(), equal_nan=True)
+        fluxes = moments.fluxes(dyn.params)
         for got, want in zip((res.mu_b1_t, res.mu_b2_t, res.mu_a_t), fluxes):
             assert np.array_equal(got, want)
 
@@ -181,7 +182,7 @@ class TestSweepMonteCarlo:
                                          steps_per_block):
         # short C windows, so the record spans many of them
         monkeypatch.setattr(experiments, "C_WINDOW_SAMPLES", 50)
-        kw = dict(grid=[0.0, 0.03], protocol="monte-carlo", master_seed=2,
+        kw = dict(grid=[0.0, 0.03], protocol="both", master_seed=2,
                   duration=0.2, dt=1e-4, tick_duration=0.01)
         ref = [r.C for r in sweep_coupling(paper, **kw)]
         chunk_steps(monkeypatch, steps_per_block, 1)  # one point at a time
@@ -196,7 +197,7 @@ class TestSweepMonteCarlo:
     def test_memory_flat_in_grid_size(self, paper):
         # every point is propagated and reduced on its own, so the peak is
         # one point's: its tick record of one full D window dominates it
-        kw = dict(protocol="monte-carlo", master_seed=1, duration=0.2,
+        kw = dict(protocol="both", master_seed=1, duration=0.2,
                   dt=1e-4, tick_duration=0.25)
         peaks = []
         for n in (2, 6):
@@ -221,19 +222,17 @@ class TestSweepMonteCarlo:
         assert abs(rows_a[1].C - rows_a[1].analytic_C) < 0.2
 
     def test_trajectory_and_sweep_share_tick_statistics(self, paper):
-        # a 0.27 s tick record: one full 0.25 s window plus a counted tail
+        # a 0.27 s tick record: one full 0.25 s window plus a counted tail;
+        # the sweep streams it, the trajectory command passes its stored
+        # record as one block
         g, seed, duration = 0.03, 5, 0.27
-        [row] = sweep_coupling(paper, grid=[g], protocol="monte-carlo",
+        [row] = sweep_coupling(paper, grid=[g], protocol="both",
                                master_seed=seed, duration=0.2,
                                tick_duration=duration)
-        carrier, _, blocks = propagate_blocks(
+        carrier, _, parts = stored_states(
             reduced_drift_matrix(paper.with_coupling(g)),
             [derived_seed(seed, TICK_SEED_BASE)], duration, TICK_RECORD_DT,
             quench=False)
-        record = np.concatenate([b for _, b in blocks], axis=1)[0]
-        traj = Trajectory(times=TICK_RECORD_DT * np.arange(len(record)),
-                          b1=record[:, 0], b2=record[:, 1],
-                          dt=TICK_RECORD_DT, frame=FRAME_REDUCED,
-                          reference_frequency=carrier)
-        single = trajectory_sync_metrics(traj, 0.0)
+        record = np.concatenate(list(parts), axis=1)[0]
+        single = tick_stats([record[1:]], carrier, TICK_RECORD_DT)
         assert (single.D, single.N1, single.N2) == (row.D, row.N1, row.N2)

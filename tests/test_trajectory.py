@@ -7,10 +7,10 @@ from conftest import block_standard_error, chunk_steps
 
 from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
                        reduced_drift_matrix, run_ensemble, solve_lyapunov)
-from clocksync.model import FRAME_REDUCED, LinearDynamics, PhysicalParams
+from clocksync.model import PhysicalParams
 from clocksync.experiments import operating_point
 from clocksync.trajectory import (_iterate_blocks, _recentered, derived_seed,
-                                  displacements, propagate_blocks)
+                                  displacements, stored_states)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -55,9 +55,9 @@ class TestDeterminism:
 
 
 def states(dyn, seeds, duration=0.2, dt=1e-3):
-    """All states of a propagate_blocks batch, initial state first."""
-    _, z0, blocks = propagate_blocks(dyn, seeds, duration, dt)
-    return np.concatenate([z0[:, None]] + [b for _, b in blocks], axis=1)
+    """All states of a stored_states batch, initial state first."""
+    _, _, parts = stored_states(dyn, seeds, duration, dt)
+    return np.concatenate(list(parts), axis=1)
 
 
 class TestEngine:
@@ -214,6 +214,5 @@ class TestSampling:
     def test_frame_metadata(self, paper):
         dyn = reduced_drift_matrix(paper.with_coupling(0.01))
         traj = propagate_exact(dyn, 0.01, dt=1e-5, seed=0)
-        assert traj.frame == FRAME_REDUCED
         # carrier per design: omega2 plus mismatch midpoint plus spring shift
         assert abs(traj.reference_frequency - paper.omega2) < 2 * np.pi * 500
