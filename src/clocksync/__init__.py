@@ -22,8 +22,8 @@ from .steadystate import (CovarianceState, EntropyRates, analytic_sync_degree,
 from .trajectory import (Trajectory, displacements, propagate_exact,
                          run_ensemble)
 from .metrics import (SyncMetrics, TickSeries, TickStats, TransientResult,
-                      ensemble_moments, extract_ticks, pearson_sync_degree,
-                      power_spectrum, transient_time)
+                      ensemble_moments, extract_ticks, power_spectrum,
+                      transient_time)
 from .experiments import (SweepRow, find_threshold, find_turning_point,
                           sweep_coupling, transient_experiment)
 
@@ -39,7 +39,7 @@ __all__ = [
     "ensemble_moments", "entropy_rates", "extract_ticks", "find_threshold",
     "find_turning_point", "full_drift_and_diffusion",
     "normal_modes_closed_form", "normal_modes_numeric", "occupations",
-    "paper_preset", "pearson_sync_degree", "power_spectrum",
+    "paper_preset", "power_spectrum",
     "propagate_exact", "reduced_drift_matrix", "run_ensemble",
     "solve_lyapunov", "steady_state", "sweep_coupling",
     "transient_experiment", "transient_time",

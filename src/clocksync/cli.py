@@ -27,15 +27,16 @@ import numpy as np
 
 from . import __version__
 from .errors import ClockSyncError, ConfigError
-from .experiments import (SWEEP_CSV_HEADER, analytic_point, burn_in_time,
-                          check_record_length, find_threshold,
-                          find_turning_point, operating_point, sweep_coupling,
-                          sync_degree, tick_stats, transient_experiment)
+from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
+                          analytic_point, burn_in_time, check_record_length,
+                          find_threshold, find_turning_point, operating_point,
+                          sweep_coupling, sync_degree, tick_stats,
+                          transient_experiment)
 from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, min_tick_samples,
                       power_spectrum)
 from .model import TWO_PI, PhysicalParams, paper_preset
 from .output import ensure_dir, write_csv, write_json, write_svg
-from .trajectory import DEFAULT_DT, propagate_exact
+from .trajectory import DEFAULT_DT, DEFAULT_DURATION, propagate_exact
 
 _PRESETS = {"paper": paper_preset}
 
@@ -89,12 +90,18 @@ def _params_from_config(preset: str, config_path: str | None) -> PhysicalParams:
         raise ConfigError(f"invalid physical parameters: {exc}") from exc
 
 
-def _echo_config(out: str, command: str, params: PhysicalParams, options: dict):
+def _echo_config(out: str, params: PhysicalParams):
+    """Write resolved_config.json for the running command: click's parsed
+    options, minus preset and config (resolved into params_rad) and out
+    and svg (where and how results are written, not what they are)."""
+    ctx = click.get_current_context()
+    command = ctx.info_name
     payload = {
         "command": command,
         "version": __version__,
         "params_rad": dataclasses.asdict(params),
-        "options": options,
+        "options": {k: v for k, v in ctx.params.items()
+                    if k not in ("preset", "config_path", "out", "svg")},
     }
     if command in ("sweep", "trajectory"):  # the commands that report D
         payload["d_window_s"] = D_WINDOW_SECONDS
@@ -149,8 +156,7 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
     path = os.path.join(out, "modes.csv")
     write_csv(path, header, rows)
     _maybe_svg(svg, path, header, rows)
-    _echo_config(out, "modes", params, {"g_max": g_max, "points": points,
-                                        "seed": seed})
+    _echo_config(out, params)
     click.echo(f"wrote {path}")
 
 
@@ -170,8 +176,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
            pt.analytic_C, pt.gamma_plus, pt.gamma_minus]
     path = os.path.join(out, "ness.csv")
     write_csv(path, header, [row])
-    _echo_config(out, "ness", dyn.params, {"g_over_kappa": g_over_kappa,
-                                           "seed": seed})
+    _echo_config(out, dyn.params)
     click.echo(f"wrote {path}")
 
 
@@ -181,10 +186,11 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
 @click.option("--points", default=26, show_default=True, type=_GE_ONE)
 @click.option("--protocol", default="both", show_default=True,
               type=click.Choice(["analytic", "both"]))
-@click.option("--duration", default=10.0, show_default=True, type=_GT_ZERO,
-              help="Monte Carlo record length per point (s).")
+@click.option("--duration", default=DEFAULT_DURATION, show_default=True,
+              type=_GT_ZERO, help="Monte Carlo record length per point (s).")
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
-@click.option("--tick-duration", default=6.0, show_default=True, type=_GT_ZERO,
+@click.option("--tick-duration", default=TICK_RECORD_DURATION,
+              show_default=True, type=_GT_ZERO,
               help="Fine-sampled record length for tick statistics (s).")
 def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
           duration, dt, tick_duration):
@@ -209,30 +215,26 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
             summary[name] = None
             summary[name + "_error"] = str(exc)
     write_json(os.path.join(out, "sweep_summary.json"), summary)
-    _echo_config(out, "sweep", params,
-                 {"g_max": g_max, "points": points, "protocol": protocol,
-                  "duration": duration, "dt": dt,
-                  "tick_duration": tick_duration, "seed": seed})
+    _echo_config(out, params)
     click.echo(f"wrote {path}")
 
 
 @cli.command()
 @shared_options
 @click.option("--g-over-kappa", default=0.02, show_default=True, type=_GE_ZERO)
-@click.option("--duration", default=10.0, show_default=True, type=_GT_ZERO)
+@click.option("--duration", default=DEFAULT_DURATION, show_default=True,
+              type=_GT_ZERO)
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
-@click.option("--store-every", default=1, show_default=True, type=_GE_ONE)
 def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
-               dt, store_every):
+               dt):
     """One NESS trajectory: raw envelopes, spectra, and sync metrics."""
     dyn, nm = operating_point(_params_from_config(preset, config_path),
                               g_over_kappa)
     burn_in = burn_in_time(nm)
-    check_record_length(duration, dt * store_every, burn_in,
-                        min_tick_samples(dt * store_every), "trajectory")
+    check_record_length(duration, dt, burn_in, min_tick_samples(dt),
+                        "trajectory")
     ensure_dir(out)
-    traj = propagate_exact(dyn, duration, dt, seed=seed,
-                           store_every=store_every)
+    traj = propagate_exact(dyn, duration, dt, seed=seed)
     header = ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
     rows = np.column_stack([traj.times, traj.b1.real, traj.b1.imag,
                             traj.b2.real, traj.b2.imag])
@@ -255,9 +257,7 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     write_json(os.path.join(out, "trajectory_summary.json"),
                {"C": sync_degree([record], carrier, traj.dt, start),
                 "D": m.D, "N1": m.N1, "N2": m.N2, "carrier_hz": carrier_hz})
-    _echo_config(out, "trajectory", dyn.params,
-                 {"g_over_kappa": g_over_kappa, "duration": duration,
-                  "dt": dt, "store_every": store_every, "seed": seed})
+    _echo_config(out, dyn.params)
     click.echo(f"wrote {path}")
 
 
@@ -269,15 +269,13 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
 @click.option("--duration", default=None, type=_GT_ZERO,
               help="Record length (s); default adapts to the linewidths.")
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
-@click.option("--store-every", default=1, show_default=True, type=_GE_ONE)
 def transient(preset, config_path, out, seed, svg, g_over_kappa, n_traj,
-              duration, dt, store_every):
+              duration, dt):
     """Quench ensemble: transient correlation and entropy fluxes."""
     params = _params_from_config(preset, config_path)
     ensure_dir(out)
     res = transient_experiment(params, g_over_kappa, n_traj=n_traj,
-                               master_seed=seed, duration=duration, dt=dt,
-                               store_every=store_every)
+                               master_seed=seed, duration=duration, dt=dt)
     header = ["t", "R", "mu_b1", "mu_b2", "mu_a"]
     rows = np.column_stack([res.times, res.R, res.mu_b1_t, res.mu_b2_t,
                             res.mu_a_t]).tolist()
@@ -287,10 +285,7 @@ def transient(preset, config_path, out, seed, svg, g_over_kappa, n_traj,
     write_json(os.path.join(out, "transient_summary.json"),
                {"transient_time_s": res.transient_time,
                 "g_over_kappa": g_over_kappa, "n_traj": n_traj})
-    _echo_config(out, "transient", params,
-                 {"g_over_kappa": g_over_kappa, "n_traj": n_traj,
-                  "duration": duration, "dt": dt,
-                  "store_every": store_every, "seed": seed})
+    _echo_config(out, params)
     click.echo(f"wrote {path}")
 
 

@@ -37,8 +37,7 @@ from .model import (TWO_PI, NormalModes, PhysicalParams, effective_coupling,
                     normal_modes_closed_form, reduced_drift_matrix)
 from .steadystate import analytic_sync_degree, entropy_rates, steady_state
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
-                         derived_seed, displacements, ensemble_states,
-                         stored_states)
+                         derived_seed, displacements, stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -235,8 +234,8 @@ def find_turning_point(rows: list[SweepRow]) -> float:
 
 def transient_experiment(params: PhysicalParams, g_over_kappa: float,
                          n_traj: int = 600, master_seed: int = 0,
-                         duration: float | None = None, dt: float = DEFAULT_DT,
-                         store_every: int = 1) -> TransientResult:
+                         duration: float | None = None,
+                         dt: float = DEFAULT_DT) -> TransientResult:
     """Quench protocol: switch the coupling on at t = 0 and watch R(t).
 
     The ensemble starts from the uncoupled thermal state.  The record
@@ -246,9 +245,9 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     of R(t) that contains the transient and its plateau, so the moving
     median window tracks the physical timescale rather than the record
     length.  The ensemble is reduced block by block as the engine steps
-    it (``EnsembleMoments``); only the per-time moments of the stored
-    samples, t = 0 and every store_every-th step, are kept.  Ensembles
-    below MIN_FLUX_ENSEMBLE members raise EnsembleError before any work.
+    it (``EnsembleMoments``); only the per-time moments of its states,
+    t = 0 and every step, are kept.  Ensembles below MIN_FLUX_ENSEMBLE
+    members raise EnsembleError before any work.
     """
     if n_traj < MIN_FLUX_ENSEMBLE:
         raise EnsembleError(f"transient experiment needs n_traj >= "
@@ -258,13 +257,12 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     if duration is None:
         duration = max(6.0 / modes.gamma_plus,
                        120.0 / modes.gamma_minus, 0.05)
-    _, n_stored, parts = ensemble_states(dyn, n_traj, duration, dt,
-                                         master_seed=master_seed, quench=True,
-                                         store_every=store_every)
+    seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
+    _, n_stored, parts = stored_states(dyn, seeds, duration, dt)
     moments = EnsembleMoments(n_stored)
     for part in parts:
         moments.update(part)
-    times = dt * store_every * np.arange(n_stored)
+    times = dt * np.arange(n_stored)
     R = moments.correlation()
     window = duration if gap <= 0 else min(duration, 40.0 / gap)
     sel = times <= window

@@ -129,18 +129,6 @@ class PearsonStats:
         return float(np.clip(m12 / math.sqrt(m11 * m22), -1.0, 1.0))
 
 
-def pearson_sync_degree(x1, x2) -> float:
-    """Pearson correlation of two displacement records, means removed.
-
-    Raises ConstantSeriesError if either series has zero variance.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape or x1.ndim != 1 or len(x1) < 2:
-        raise ValueError("inputs must be equal-length 1-d series of length >= 2")
-    return PearsonStats().update(x1, x2).result()
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) in numpy's fixed pairwise order; a BLAS dot product
     sums in an order that follows its thread count."""

@@ -24,12 +24,11 @@ live while one is built (112 bytes per member-step, the previous chunk's
 states included, plus 32 bytes per step for the band array) stays within
 ``_CHUNK_BYTES``.
 
-``stored_states`` (any keys) and ``ensemble_states`` (derived keys) hand
-the stream of stored states to a consumer block by block;
-``propagate_exact`` and ``run_ensemble`` collect the same stream into
-whole records.  A consumer that reduces each block as it comes (a sweep
-point's C, D and N, a quench's R(t) and fluxes) needs memory for about
-one chunk, not for the record.
+``stored_states`` hands the stream of states to a consumer block by
+block; ``propagate_exact`` and ``run_ensemble`` collect the same stream
+into whole records.  A consumer that reduces each block as it comes (a
+sweep point's C, D and N, a quench's R(t) and fluxes) needs memory for
+about one chunk, not for the record.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -46,6 +45,7 @@ the chunk size.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,14 +154,13 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
     the call, before any noise is drawn, when the spectral radius
     max|t_ii| is >= 1.
 
-    The generator yields (first_step_index, states) with states of shape
-    (B, m, 2) covering steps first..first+m-1 (state AFTER each step; the
-    initial state is not yielded).  Noise is drawn per member in chunks of
-    steps; chunked draws from one generator are bit-identical to a single
-    large draw, every step (the first of a chunk included) takes the same
-    solve and elementwise arithmetic, and the members are independent
-    right-hand sides of each solve, so states depend neither on the chunk
-    size nor on the rest of the batch.
+    The generator yields the states after each step in (B, m, 2) blocks,
+    in time order (the initial state is not yielded).  Noise is drawn per
+    member in chunks of steps; chunked draws from one generator are
+    bit-identical to a single large draw, every step (the first of a
+    chunk included) takes the same solve and elementwise arithmetic, and
+    the members are independent right-hand sides of each solve, so states
+    depend neither on the chunk size nor on the rest of the batch.
     """
     T, Q = sla.schur(F, output="complex")
     radius = float(np.max(np.abs(np.diag(T))))
@@ -208,8 +207,7 @@ def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
     # and the scratch rows are carved from one buffer, each C-contiguous
     work = np.empty(3 * B * (chunk + 1), dtype=complex)
     band = np.ones((2, chunk + 1), dtype=complex, order="F")
-    k = 0
-    while k < n_steps:
+    for k in range(0, n_steps, chunk):
         m = min(chunk, n_steps - k)
         noise = np.empty((B, m, 4))
         for b, rng in enumerate(rngs):
@@ -242,8 +240,7 @@ def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
         z2 += x
         if not np.all(np.isfinite(block[:, -1])):
             raise StabilityError("trajectory diverged (non-finite samples)")
-        yield k, block
-        k += m
+        yield block
 
 
 def _build_exact_map(dyn: LinearDynamics, dt: float):
@@ -259,19 +256,18 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
 
 def stored_states(dyn: LinearDynamics, seeds, duration: float,
                   dt: float = DEFAULT_DT, quench: bool = True,
-                  initial_state=None, store_every: int = 1):
+                  initial_state=None):
     """Members j = 0..B-1 of one dynamics, member j keyed seeds[j], over
-    round(duration / dt) steps, keeping every store_every-th state.
+    round(duration / dt) steps.
 
     Initial states come from the uncoupled thermal ensemble (``quench``)
     or the NESS, 4 normals per member, unless ``initial_state`` (B, 2) is
     given.
 
     Returns (carrier, n_stored, parts): parts yields (B, m, 2) blocks of
-    the stored states in time order, the initial state first, then the
-    states after steps store_every, 2 store_every, ...  Blocks from
-    step chunks are views, so a consumer that reduces them as they come
-    holds one chunk at a time.
+    the states in time order, the initial state first, then the state
+    after each step.  Blocks from step chunks are views, so a consumer
+    that reduces them as they come holds one chunk at a time.
     """
     F, S, carrier, Vinf = _build_exact_map(dyn, dt)
     B = len(seeds)
@@ -285,33 +281,11 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
         z0 = np.stack([_gaussian_initial(L, r) for r in rngs])
     n_steps = int(round(duration / dt))
     blocks = _iterate_blocks(F, S, z0, n_steps, rngs)
-
-    def parts():
-        yield z0[:, None]
-        for k0, block in blocks:
-            # global steps k0+1 .. k0+m; keep multiples of store_every
-            first = (k0 // store_every + 1) * store_every
-            if first <= k0 + block.shape[1]:
-                yield block[:, first - k0 - 1::store_every]
-
-    return carrier, n_steps // store_every + 1, parts()
+    return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)
 
 
-def ensemble_states(dyn: LinearDynamics, n_traj: int, duration: float,
-                    dt: float = DEFAULT_DT, master_seed: int = 0,
-                    quench: bool = True, store_every: int = 1):
-    """``stored_states`` of a seeded ensemble: member i has derived seed
-    master_seed * 2^64 + i."""
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
-    return stored_states(dyn, seeds, duration, dt, quench=quench,
-                         store_every=store_every)
-
-
-def _record(states, n_traj: int, dt_s: float) -> list[Trajectory]:
-    """Store a ``stored_states`` stream of n_traj members and sample
-    spacing dt_s.
+def _record(states, n_traj: int, dt: float) -> list[Trajectory]:
+    """Store a ``stored_states`` stream of n_traj members and step dt.
 
     Members share one times array; b1, b2 are views into one record.
     """
@@ -321,30 +295,27 @@ def _record(states, n_traj: int, dt_s: float) -> list[Trajectory]:
     for part in parts:
         out[:, filled:filled + part.shape[1]] = part
         filled += part.shape[1]
-    times = dt_s * np.arange(n_stored)
+    times = dt * np.arange(n_stored)
     return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
-                       dt=dt_s, reference_frequency=carrier)
+                       dt=dt, reference_frequency=carrier)
             for i in range(n_traj)]
 
 
 def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
-                    seed: int = 0, initial_state=None,
-                    store_every: int = 1) -> Trajectory:
+                    seed: int = 0, initial_state=None) -> Trajectory:
     """Exact discrete-time OU update, statistically exact for any dt.
 
     state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H.
     With zero diffusion this reduces to the matrix-exponential flow.
     """
     states = stored_states(dyn, [seed], duration, dt,
-                           initial_state=initial_state,
-                           store_every=store_every)
-    return _record(states, 1, dt * store_every)[0]
+                           initial_state=initial_state)
+    return _record(states, 1, dt)[0]
 
 
 def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
                  dt: float = DEFAULT_DT, master_seed: int = 0,
-                 quench: bool = True,
-                 store_every: int = 1) -> list[Trajectory]:
+                 quench: bool = True) -> list[Trajectory]:
     """Seeded ensemble of independent trajectories, ordered by index.
 
     With ``quench`` (the default protocol) initial states are drawn from
@@ -353,8 +324,10 @@ def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
     of the coupled dynamics instead.  Trajectory i uses the derived seed
     master_seed * 2^64 + i, so ``run_ensemble(..., n_traj=1)`` is
     bit-identical to ``propagate_exact`` called with that derived seed.
-    The whole record is kept; ``ensemble_states`` streams it instead.
+    The whole record is kept; ``stored_states`` streams it instead.
     """
-    return _record(ensemble_states(dyn, n_traj, duration, dt, master_seed,
-                                   quench, store_every),
-                   n_traj, dt * store_every)
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
+    seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
+    return _record(stored_states(dyn, seeds, duration, dt, quench=quench),
+                   n_traj, dt)

@@ -15,6 +15,7 @@ from conftest import block_standard_error, r_squared, random_stable_system
 
 import clocksync as cs
 from clocksync.experiments import burn_in_time
+from clocksync.metrics import PearsonStats
 from clocksync.model import TWO_PI
 from clocksync.trajectory import displacements
 
@@ -135,8 +136,9 @@ def test_criterion_4_monte_carlo_vs_analytic(paper):
         x1, x2 = (x[keep] for x in displacements(traj))
         n_blocks = 16
         usable = (len(x1) // n_blocks) * n_blocks
-        blocks_c = [cs.pearson_sync_degree(bx1, bx2) for bx1, bx2 in zip(
-            np.split(x1[:usable], n_blocks), np.split(x2[:usable], n_blocks))]
+        blocks_c = [PearsonStats().update(bx1, bx2).result()
+                    for bx1, bx2 in zip(np.split(x1[:usable], n_blocks),
+                                        np.split(x2[:usable], n_blocks))]
         se_c = np.std(blocks_c, ddof=1) / np.sqrt(n_blocks)
         for mc, an, se, label in [
                 (v1.mean(), cov.n_b1_eff + 0.5, block_standard_error(v1), "V11"),

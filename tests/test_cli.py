@@ -114,7 +114,7 @@ class TestConfig:
         ["trajectory", "--dt", "0"],
         ["trajectory", "--duration", "0"],
         ["transient", "--dt", "0"],
-        ["trajectory", "--store-every", "0"],
+        ["trajectory", "--store-every", "2"],
         ["transient", "--n-traj", "1"],
         ["ness", "--g-over-kappa=-0.02"],
         ["trajectory", "--g-over-kappa=-0.04"],
@@ -122,7 +122,7 @@ class TestConfig:
         ["sweep", "--protocol", "monte-carlo"],
     ], ids=["sweep-g-max", "sweep-points", "sweep-tick-duration",
             "trajectory-dt", "trajectory-duration", "transient-dt",
-            "trajectory-store-every", "transient-n-traj",
+            "trajectory-store-every-removed", "transient-n-traj",
             "ness-g-over-kappa", "trajectory-g-over-kappa",
             "transient-g-over-kappa", "sweep-protocol"])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv):
@@ -166,7 +166,8 @@ class TestCommands:
         assert header == ["g_over_kappa", "omega_plus", "omega_minus",
                           "gamma_plus", "gamma_minus", "ratio"]
         assert len(rows) == 5
-        assert (out / "resolved_config.json").exists()
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert set(resolved["options"]) == {"g_max", "points", "seed"}
 
     def test_modes_at_unstable_coupling(self, tmp_path, capsys):
         # blue detuning anti-damps the long-lived mode: the table still
@@ -188,6 +189,8 @@ class TestCommands:
         assert header[:5] == ["g_over_kappa", "n_b1_eff", "n_b2_eff",
                               "n_a_eff", "n_cross_eff"]
         assert rows[0][9] > 0.9  # analytic_C above threshold
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert set(resolved["options"]) == {"g_over_kappa", "seed"}
 
     def test_sweep_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -204,12 +207,14 @@ class TestCommands:
         assert "threshold_g_over_kappa" in summary
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["d_window_s"] == 0.25
-        assert "d_window_s" not in resolved["options"]
+        assert set(resolved["options"]) == {
+            "g_max", "points", "protocol", "duration", "dt", "tick_duration",
+            "seed"}
 
     def test_trajectory_csv(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = run(["trajectory", "--g-over-kappa", "0.01", "--duration",
-                    "0.4", "--store-every", "4", "--out", str(out)])
+                    "0.4", "--dt", "4e-5", "--out", str(out)])
         assert code == 0
         header, rows = read_csv(out / "trajectory.csv")
         assert header == ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
@@ -219,6 +224,8 @@ class TestCommands:
         assert {"C", "D", "N1", "N2", "carrier_hz"} <= set(summary)
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["d_window_s"] == 0.25
+        assert set(resolved["options"]) == {"g_over_kappa", "duration", "dt",
+                                            "seed"}
 
     def test_trajectory_summary_uses_the_sweep_reducers(self, tmp_path,
                                                         capsys):
@@ -248,6 +255,9 @@ class TestCommands:
         assert header == ["t", "R", "mu_b1", "mu_b2", "mu_a"]
         summary = json.loads((out / "transient_summary.json").read_text())
         assert summary["transient_time_s"] > 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert set(resolved["options"]) == {"g_over_kappa", "n_traj",
+                                            "duration", "dt", "seed"}
 
     def test_seeded_runs_byte_identical(self, tmp_path, capsys):
         args = ["transient", "--g-over-kappa", "0.03", "--n-traj", "50",

@@ -104,25 +104,22 @@ class TestTransientExperiment:
         # before any noise is drawn
         def no_propagation(*args, **kwargs):
             raise AssertionError("propagated a rejected ensemble")
-        monkeypatch.setattr(experiments, "ensemble_states", no_propagation)
+        monkeypatch.setattr(experiments, "stored_states", no_propagation)
         for n in (1, MIN_FLUX_ENSEMBLE - 1):
             with pytest.raises(EnsembleError):
                 transient_experiment(paper, 0.02, n_traj=n, master_seed=0)
 
-    @pytest.mark.parametrize("store_every", [1, 3])
     @pytest.mark.parametrize("steps_per_chunk", [1, 2, 7, 33])
     def test_streamed_equals_stored_adapters(self, paper, monkeypatch,
-                                             steps_per_chunk, store_every):
+                                             steps_per_chunk):
         # the block stream, cut anywhere, reduces to the same bits as the
         # stored record reduced as one block
         g, n, duration, dt, seed = 0.02, MIN_FLUX_ENSEMBLE, 0.02, 1e-4, 4
         dyn, _ = operating_point(paper, g)
         chunk_steps(monkeypatch, steps_per_chunk, n)
         res = transient_experiment(paper, g, n_traj=n, master_seed=seed,
-                                   duration=duration, dt=dt,
-                                   store_every=store_every)
-        ens = run_ensemble(dyn, n, duration, dt, master_seed=seed,
-                           store_every=store_every)
+                                   duration=duration, dt=dt)
+        ens = run_ensemble(dyn, n, duration, dt, master_seed=seed)
         moments = ensemble_moments(ens)
         assert np.array_equal(res.times, ens[0].times)
         assert np.array_equal(res.R, moments.correlation(), equal_nan=True)

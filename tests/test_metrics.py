@@ -11,14 +11,19 @@ from conftest import run_python
 
 from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
                        TickStats, ensemble_moments, extract_ticks,
-                       pearson_sync_degree, power_spectrum,
-                       reduced_drift_matrix, run_ensemble, transient_time)
+                       power_spectrum, reduced_drift_matrix, run_ensemble,
+                       transient_time)
 from clocksync.experiments import tick_stats
 from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, EnsembleMoments,
                                PearsonStats, TickSeries, _clean_periods,
                                _crossings)
 from clocksync.model import TWO_PI
 from clocksync.trajectory import Trajectory
+
+
+def pearson(x1, x2):
+    """C of two whole series: one piece of ``PearsonStats``."""
+    return PearsonStats().update(x1, x2).result()
 
 
 def make_traj(b1, b2, dt, carrier):
@@ -73,21 +78,21 @@ def _reference_extract_ticks(traj, clock):
 class TestPearson:
     def test_identical(self):
         x = np.sin(np.linspace(0, 20, 500))
-        assert pearson_sync_degree(x, x) == pytest.approx(1.0)
+        assert pearson(x, x) == pytest.approx(1.0)
 
     def test_anti(self):
         x = np.sin(np.linspace(0, 20, 500))
-        assert pearson_sync_degree(x, -x) == pytest.approx(-1.0)
+        assert pearson(x, -x) == pytest.approx(-1.0)
 
     def test_independent_noise_small(self):
         rng = np.random.default_rng(0)
         n = 20000
-        c = pearson_sync_degree(rng.standard_normal(n), rng.standard_normal(n))
+        c = pearson(rng.standard_normal(n), rng.standard_normal(n))
         assert abs(c) < 3 / np.sqrt(n)
 
     def test_constant_rejected(self):
         with pytest.raises(ConstantSeriesError):
-            pearson_sync_degree(np.ones(10), np.arange(10.0))
+            pearson(np.ones(10), np.arange(10.0))
 
     def test_tiny_nonconstant_series(self):
         # squared deviations of order 1e-272 underflow to zero
@@ -95,7 +100,7 @@ class TestPearson:
         x[0] = 0.0
         y = np.zeros(64)
         y[0] = 4.72403968e-272
-        assert pearson_sync_degree(x, y) == pytest.approx(-1.0)
+        assert pearson(x, y) == pytest.approx(-1.0)
 
     def test_one_piece_is_the_two_pass_formula(self):
         rng = np.random.default_rng(4)
@@ -107,7 +112,7 @@ class TestPearson:
             return float(np.add.reduce(a * b))
 
         ref = dot(d1, d2) / math.sqrt(dot(d1, d1) * dot(d2, d2))
-        assert pearson_sync_degree(x1, x2) == ref
+        assert pearson(x1, x2) == ref
 
     def test_pieces_merge_to_the_whole_series(self):
         rng = np.random.default_rng(5)
@@ -116,22 +121,18 @@ class TestPearson:
         stats = PearsonStats()
         for i in range(0, 5000, 777):
             stats.update(x1[i:i + 777], x2[i:i + 777])
-        assert stats.result() == pytest.approx(pearson_sync_degree(x1, x2),
+        assert stats.result() == pytest.approx(pearson(x1, x2),
                                                rel=1e-12)
-
-    def test_length_check(self):
-        with pytest.raises(ValueError):
-            pearson_sync_degree([1.0], [2.0])
 
     def test_independent_of_blas_threads(self):
         # a threaded BLAS dot product sums 1e6 terms in an order that
         # follows its thread count
         code = ("import numpy as np\n"
-                "from clocksync import pearson_sync_degree\n"
+                "from clocksync.metrics import PearsonStats\n"
                 "rng = np.random.default_rng(1)\n"
                 "x1 = rng.standard_normal(10 ** 6)\n"
                 "x2 = 0.5 * x1 + rng.standard_normal(10 ** 6)\n"
-                "print(pearson_sync_degree(x1, x2).hex())\n")
+                "print(PearsonStats().update(x1, x2).result().hex())\n")
         one, two = (run_python(code, OPENBLAS_NUM_THREADS=n)
                     for n in ("1", "2"))
         assert one == two
@@ -145,7 +146,7 @@ class TestPearson:
     def test_bounded(self, x, y):
         if np.ptp(x) == 0 or np.ptp(y) == 0:
             return
-        assert abs(pearson_sync_degree(x, y)) <= 1.0
+        assert abs(pearson(x, y)) <= 1.0
 
 
 class TestTicks:

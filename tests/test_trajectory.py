@@ -9,8 +9,9 @@ from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
                        reduced_drift_matrix, run_ensemble, solve_lyapunov)
 from clocksync.model import PhysicalParams
 from clocksync.experiments import operating_point
-from clocksync.trajectory import (_iterate_blocks, _recentered, derived_seed,
-                                  displacements, stored_states)
+from clocksync.trajectory import (_build_exact_map, _iterate_blocks,
+                                  _recentered, derived_seed, displacements,
+                                  stored_states)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -191,13 +192,21 @@ class TestValidation:
 
 
 class TestSampling:
-    def test_store_every_thins_grid(self):
-        dyn = toy_dyn()
-        full = propagate_exact(dyn, 1.0, dt=1e-3, seed=7)
-        thin = propagate_exact(dyn, 1.0, dt=1e-3, seed=7, store_every=10)
-        assert thin.dt == pytest.approx(1e-2)
-        assert len(thin.times) == len(full.times[::10])
-        assert np.array_equal(thin.b1, full.b1[::10])
+    @pytest.mark.parametrize("g", [0.0, 0.05])
+    @pytest.mark.parametrize("dt, k", [(1e-5, 10), (1e-6, 7)])
+    def test_k_steps_are_one_step_of_k_dt(self, paper, g, dt, k):
+        # the exact map composes: a record thinned k-fold has the same
+        # statistics as one stepped at k dt
+        dyn = reduced_drift_matrix(paper.with_coupling(g))
+        F, S, _, _ = _build_exact_map(dyn, dt)
+        Fk, Sk, _, _ = _build_exact_map(dyn, k * dt)
+        power, noise = np.eye(2), np.zeros((2, 2), complex)
+        for _ in range(k):
+            noise += power @ S @ S.conj().T @ power.conj().T
+            power = F @ power
+        np.testing.assert_allclose(Fk, power, rtol=1e-12, atol=0)
+        assert (np.linalg.norm(Sk @ Sk.conj().T - noise)
+                <= 1e-9 * np.linalg.norm(noise))
 
     def test_uniform_grid_and_finite(self):
         traj = propagate_exact(toy_dyn(), 1.0, dt=1e-3, seed=0)
