@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -35,7 +36,7 @@ from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
 from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, min_tick_samples,
                       power_spectrum)
 from .model import TWO_PI, PhysicalParams, paper_preset
-from .output import ensure_dir, write_csv, write_json, write_svg
+from .output import write_csv, write_json, write_svg
 from .trajectory import DEFAULT_DT, DEFAULT_DURATION, propagate_exact
 
 _PRESETS = {"paper": paper_preset}
@@ -43,8 +44,20 @@ _PRESETS = {"paper": paper_preset}
 _FREQ_FIELDS = ("omega1", "omega2", "gamma1", "gamma2", "kappa", "detuning",
                 "G1", "G2")
 _PLAIN_FIELDS = ("nth1", "nth2", "na_in")
-_GE_ZERO = click.FloatRange(min=0.0)
-_GT_ZERO = click.FloatRange(min=0.0, min_open=True)
+
+
+class _FiniteRange(click.FloatRange):
+    """click.FloatRange that also rejects inf and nan."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number.", param, ctx)
+        return value
+
+
+_GE_ZERO = _FiniteRange(min=0.0)
+_GT_ZERO = _FiniteRange(min=0.0, min_open=True)
 _GE_ONE = click.IntRange(min=1)
 
 
@@ -67,26 +80,28 @@ def _params_from_config(preset: str, config_path: str | None) -> PhysicalParams:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "preset" in doc:
-        base = _PRESETS.get(doc["preset"])
-        if base is None:
+        if not isinstance(doc["preset"], str) or doc["preset"] not in _PRESETS:
             raise ConfigError(f"unknown preset {doc['preset']!r}")
-        params = base()
+        params = _PRESETS[doc["preset"]]()
+    if not isinstance(doc.get("params", {}), dict):
+        raise ConfigError("config params must be a JSON object")
 
-    overrides = {}
-    for key, value in dict(doc.get("params", {})).items():
-        if key in _PLAIN_FIELDS:
-            overrides[key] = float(value)
-        elif key.endswith("_rad") and key[:-4] in _FREQ_FIELDS:
-            overrides[key[:-4]] = float(value)
-        elif key.endswith("_hz") and key[:-3] in _FREQ_FIELDS:
-            overrides[key[:-3]] = TWO_PI * float(value)
-        else:
-            raise ConfigError(
-                f"unknown params key {key!r}; frequency fields take a "
-                f"_rad or _hz suffix: {_FREQ_FIELDS}, plain: {_PLAIN_FIELDS}")
-    try:
+    try:  # float() of null, a list or a non-numeric string raises
+        overrides = {}
+        for key, value in doc.get("params", {}).items():
+            if key in _PLAIN_FIELDS:
+                overrides[key] = float(value)
+            elif key.endswith("_rad") and key[:-4] in _FREQ_FIELDS:
+                overrides[key[:-4]] = float(value)
+            elif key.endswith("_hz") and key[:-3] in _FREQ_FIELDS:
+                overrides[key[:-3]] = TWO_PI * float(value)
+            else:
+                raise ConfigError(
+                    f"unknown params key {key!r}; frequency fields take a "
+                    f"_rad or _hz suffix: {_FREQ_FIELDS}, "
+                    f"plain: {_PLAIN_FIELDS}")
         return dataclasses.replace(params, **overrides)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid physical parameters: {exc}") from exc
 
 
@@ -108,9 +123,14 @@ def _echo_config(out: str, params: PhysicalParams):
     write_json(os.path.join(out, "resolved_config.json"), payload)
 
 
-def _maybe_svg(enabled: bool, csv_path: str, header, rows):
-    if enabled:
-        write_svg(csv_path[:-4] + ".svg", header, rows)
+def _write_table(out: str, name: str, header, table, svg: bool = False):
+    """Write out/name.csv, and out/name.svg too when svg is set; returns
+    the CSV path."""
+    path = os.path.join(out, name + ".csv")
+    write_csv(path, header, table)
+    if svg:
+        write_svg(os.path.join(out, name + ".svg"), header, table)
+    return path
 
 
 _shared = [
@@ -145,7 +165,7 @@ def cli():
 def modes(preset, config_path, out, seed, svg, g_max, points):
     """Normal-mode table over a coupling grid."""
     params = _params_from_config(preset, config_path)
-    ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     header = ["g_over_kappa", "omega_plus", "omega_minus", "gamma_plus",
               "gamma_minus", "ratio"]
     rows = []
@@ -153,9 +173,7 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
         _, nm = operating_point(params, float(g))
         rows.append([g, nm.omega_plus, nm.omega_minus, nm.gamma_plus,
                      nm.gamma_minus, nm.ratio])
-    path = os.path.join(out, "modes.csv")
-    write_csv(path, header, rows)
-    _maybe_svg(svg, path, header, rows)
+    path = _write_table(out, "modes", header, rows, svg)
     _echo_config(out, params)
     click.echo(f"wrote {path}")
 
@@ -166,7 +184,7 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
 def ness(preset, config_path, out, seed, svg, g_over_kappa):
     """Single-point NESS report: occupations and entropy rates."""
     params = _params_from_config(preset, config_path)
-    ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     pt, dyn, _, cov = analytic_point(params, g_over_kappa)
     header = ["g_over_kappa", "n_b1_eff", "n_b2_eff", "n_a_eff",
               "n_cross_eff", "mu_b1", "mu_b2", "mu_a", "pi_s", "analytic_C",
@@ -174,8 +192,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
     row = [g_over_kappa, cov.n_b1_eff, cov.n_b2_eff, cov.n_a_eff,
            cov.n_cross_eff, pt.mu_b1, pt.mu_b2, pt.mu_a, pt.pi_s,
            pt.analytic_C, pt.gamma_plus, pt.gamma_minus]
-    path = os.path.join(out, "ness.csv")
-    write_csv(path, header, [row])
+    path = _write_table(out, "ness", header, [row])
     _echo_config(out, dyn.params)
     click.echo(f"wrote {path}")
 
@@ -196,15 +213,13 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
           duration, dt, tick_duration):
     """Coupling sweep: sync metrics, normal modes, entropy rates."""
     params = _params_from_config(preset, config_path)
-    ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     grid = np.linspace(0.0, g_max, points)
     rows = sweep_coupling(params, grid, protocol=protocol, master_seed=seed,
                           duration=duration, dt=dt,
                           tick_duration=tick_duration)
-    path = os.path.join(out, "sweep.csv")
-    data = [r.as_list() for r in rows]
-    write_csv(path, SWEEP_CSV_HEADER, data)
-    _maybe_svg(svg, path, SWEEP_CSV_HEADER, data)
+    path = _write_table(out, "sweep", SWEEP_CSV_HEADER,
+                        [r.as_list() for r in rows], svg)
 
     summary = {}
     for name, fn in [("threshold_g_over_kappa", find_threshold),
@@ -233,26 +248,21 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     burn_in = burn_in_time(nm)
     check_record_length(duration, dt, burn_in, min_tick_samples(dt),
                         "trajectory")
-    ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     traj = propagate_exact(dyn, duration, dt, seed=seed)
+    record = np.stack([traj.b1, traj.b2], axis=-1)
     header = ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
-    rows = np.column_stack([traj.times, traj.b1.real, traj.b1.imag,
-                            traj.b2.real, traj.b2.imag])
-    path = os.path.join(out, "trajectory.csv")
-    write_csv(path, header, rows.tolist())
+    path = _write_table(out, "trajectory", header,
+                        np.column_stack([traj.times, record.view(float)]))
 
     start = int(np.searchsorted(traj.times, burn_in))
     f1, p1 = power_spectrum(traj.b1[start:], traj.dt)
     f2, p2 = power_spectrum(traj.b2[start:], traj.dt)
     carrier = traj.reference_frequency
     carrier_hz = carrier / TWO_PI
-    spectrum_rows = np.column_stack([carrier_hz + f1, p1, p2]).tolist()
-    spectrum_header = ["f_hz", "psd_b1", "psd_b2"]
-    spectrum_path = os.path.join(out, "spectrum.csv")
-    write_csv(spectrum_path, spectrum_header, spectrum_rows)
-    _maybe_svg(svg, spectrum_path, spectrum_header, spectrum_rows)
+    _write_table(out, "spectrum", ["f_hz", "psd_b1", "psd_b2"],
+                 np.column_stack([carrier_hz + f1, p1, p2]), svg)
 
-    record = np.stack([traj.b1, traj.b2], axis=-1)
     m = tick_stats([record[start:]], carrier, traj.dt)
     write_json(os.path.join(out, "trajectory_summary.json"),
                {"C": sync_degree([record], carrier, traj.dt, start),
@@ -273,15 +283,12 @@ def transient(preset, config_path, out, seed, svg, g_over_kappa, n_traj,
               duration, dt):
     """Quench ensemble: transient correlation and entropy fluxes."""
     params = _params_from_config(preset, config_path)
-    ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     res = transient_experiment(params, g_over_kappa, n_traj=n_traj,
                                master_seed=seed, duration=duration, dt=dt)
     header = ["t", "R", "mu_b1", "mu_b2", "mu_a"]
-    rows = np.column_stack([res.times, res.R, res.mu_b1_t, res.mu_b2_t,
-                            res.mu_a_t]).tolist()
-    path = os.path.join(out, "transient.csv")
-    write_csv(path, header, rows)
-    _maybe_svg(svg, path, header, rows)
+    path = _write_table(out, "transient", header, np.column_stack(
+        [res.times, res.R, res.mu_b1_t, res.mu_b2_t, res.mu_a_t]), svg)
     write_json(os.path.join(out, "transient_summary.json"),
                {"transient_time_s": res.transient_time,
                 "g_over_kappa": g_over_kappa, "n_traj": n_traj})

@@ -23,7 +23,7 @@ entropy rates.  Sweeps, quenches and every CLI command start from these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,10 +54,6 @@ TICK_RECORD_DT = 1e-6
 # of global step index, so it does not depend on how the engine chunks.
 C_WINDOW_SAMPLES = 2 ** 12
 
-SWEEP_CSV_HEADER = ["g_over_kappa", "C", "D", "N1", "N2", "gamma_plus",
-                    "gamma_minus", "ratio", "mu_b1", "mu_b2", "mu_a", "pi_s",
-                    "analytic_C"]
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -79,6 +75,9 @@ class SweepRow:
 
     def as_list(self):
         return [getattr(self, k) for k in SWEEP_CSV_HEADER]
+
+
+SWEEP_CSV_HEADER = [f.name for f in fields(SweepRow)]
 
 
 def burn_in_time(modes: NormalModes) -> float:
@@ -247,7 +246,8 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     length.  The ensemble is reduced block by block as the engine steps
     it (``EnsembleMoments``); only the per-time moments of its states,
     t = 0 and every step, are kept.  Ensembles below MIN_FLUX_ENSEMBLE
-    members raise EnsembleError before any work.
+    members raise EnsembleError, and a window too short for
+    ``transient_time`` ConfigError, before any work.
     """
     if n_traj < MIN_FLUX_ENSEMBLE:
         raise EnsembleError(f"transient experiment needs n_traj >= "
@@ -257,6 +257,9 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     if duration is None:
         duration = max(6.0 / modes.gamma_plus,
                        120.0 / modes.gamma_minus, 0.05)
+    window = duration if gap <= 0 else min(duration, 40.0 / gap)
+    # transient_time needs 10 samples of R(t) in the window
+    check_record_length(window, dt, 0.0, 10, "transient R(t) window")
     seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
     _, n_stored, parts = stored_states(dyn, seeds, duration, dt)
     moments = EnsembleMoments(n_stored)
@@ -264,7 +267,6 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
         moments.update(part)
     times = dt * np.arange(n_stored)
     R = moments.correlation()
-    window = duration if gap <= 0 else min(duration, 40.0 / gap)
     sel = times <= window
     t_tr = transient_time(times[sel], R[sel])
     mu1, mu2, mua = moments.fluxes(dyn.params)

@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +81,8 @@ class PhysicalParams:
     na_in: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("parameters must be finite")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ValueError("mechanical decay rates must be positive")
         if self.kappa <= 0:

@@ -1,6 +1,6 @@
 """Plot-ready output emission: CSV always, simple SVG line plots optionally.
 
-CSV cells are written with shortest round-trip float formatting and a
+CSV cells are the shortest round-trip ``repr`` of each float, with a
 locale-independent decimal point, so equal inputs produce byte-identical
 files and a re-read reproduces the values exactly.
 """
@@ -9,28 +9,33 @@ from __future__ import annotations
 
 import json
 import math
-import os
+
+import numpy as np
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#17becf"]
+_CSV_SLICE_ROWS = 4096  # rows held as Python floats at a time
 
 
-def format_cell(value) -> str:
-    return repr(float(value))
+def _table(header, rows):
+    """rows (lists or an ndarray) as a float array; ValueError if it is
+    empty, ragged, or not as wide as the header."""
+    table = np.asarray(rows, dtype=float)
+    if table.size == 0:
+        raise ValueError("refusing to write an empty table")
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError("row length does not match header")
+    return table
 
 
 def write_csv(path, header, rows):
-    """Write rows of numbers under a fixed header; empty data is an error."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("refusing to write an empty CSV")
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("row length does not match header")
-        lines.append(",".join(format_cell(v) for v in row))
+    """Write a table of numbers under a fixed header."""
+    table = _table(header, rows)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(table), _CSV_SLICE_ROWS):
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in
+                          table[i:i + _CSV_SLICE_ROWS].tolist())
 
 
 def write_json(path, payload):
@@ -46,15 +51,8 @@ def write_svg(path, header, rows):
     labels, no interactivity.
     """
     width, height, margin = 800, 500, 60
-    rows = list(rows)
-    if not rows:
-        raise ValueError("refusing to write an empty SVG")
-    cols = list(zip(*rows))
-    x = [float(v) for v in cols[0]]
+    x, *ys = _table(header, rows).T.tolist()
     xmin, xmax = min(x), max(x)
-    ys = []
-    for c in cols[1:]:
-        ys.append([float(v) for v in c])
     finite = [v for col in ys for v in col if math.isfinite(v)]
     if not finite:
         raise ValueError("no finite values to plot")
@@ -79,13 +77,13 @@ def write_svg(path, header, rows):
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{margin}" y="{height - margin + 20}" font-size="12">'
-        f'{format_cell(xmin)}</text>',
+        f'{xmin!r}</text>',
         f'<text x="{width - margin}" y="{height - margin + 20}" '
-        f'font-size="12" text-anchor="end">{format_cell(xmax)}</text>',
+        f'font-size="12" text-anchor="end">{xmax!r}</text>',
         f'<text x="{margin - 6}" y="{height - margin}" font-size="12" '
-        f'text-anchor="end">{format_cell(ymin)}</text>',
+        f'text-anchor="end">{ymin!r}</text>',
         f'<text x="{margin - 6}" y="{margin}" font-size="12" '
-        f'text-anchor="end">{format_cell(ymax)}</text>',
+        f'text-anchor="end">{ymax!r}</text>',
     ]
     for i, (label, col) in enumerate(zip(header[1:], ys)):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
@@ -99,8 +97,3 @@ def write_svg(path, header, rows):
     parts.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -10,7 +10,7 @@ from clocksync import paper_preset, propagate_exact
 from clocksync.cli import run
 from clocksync.experiments import (burn_in_time, operating_point,
                                    sync_degree, tick_stats)
-from clocksync.output import format_cell, write_csv, write_svg
+from clocksync.output import write_csv, write_svg
 
 
 class TestOutputs:
@@ -18,10 +18,14 @@ class TestOutputs:
         path = tmp_path / "t.csv"
         rows = [[0.1, 1e-300, 2 ** 53 + 1.0], [float("nan"), float("inf"), -0.0]]
         write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text().splitlines()[1:] == [
+            "0.1,1e-300,9007199254740992.0", "nan,inf,-0.0"]
         header, back = read_csv(path)
         assert header == ["a", "b", "c"]
         assert back[0] == rows[0]
         assert np.isnan(back[1][0]) and np.isinf(back[1][1])
+        write_csv(path, ["a"], [[float("-inf")]])
+        assert path.read_text() == "a\n-inf\n"
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -32,15 +36,28 @@ class TestOutputs:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "w.csv", ["a", "b"], [[1.0]])
 
-    def test_format_cell(self):
-        assert format_cell(0.1) == "0.1"
-        assert format_cell(float("nan")) == "nan"
-        assert format_cell(float("-inf")) == "-inf"
+    @pytest.mark.parametrize("write", [write_csv, write_svg])
+    def test_ragged_rows_rejected(self, tmp_path, write):
+        with pytest.raises(ValueError):
+            write(tmp_path / "r", ["a", "b"], [[1.0, 2.0], [3.0]])
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("write", [write_csv, write_svg])
+    def test_array_and_lists_give_same_bytes(self, tmp_path, write):
+        # more rows than one CSV slice, a signed zero and non-finite cells
+        x = np.linspace(-1.0, 1.0, 10001)
+        table = np.column_stack([x, np.sin(x), x ** 3 - 1e-300])
+        table[5000, 1] = -0.0
+        table[17, 2], table[9000, 2] = np.nan, np.inf
+        write(tmp_path / "a", ["x", "s", "q"], table)
+        write(tmp_path / "l", ["x", "s", "q"], table.tolist())
+        assert ((tmp_path / "a").read_bytes()
+                == (tmp_path / "l").read_bytes())
 
     def test_svg_polyline_per_column(self, tmp_path):
         path = tmp_path / "p.svg"
         x = np.linspace(0, 1, 20)
-        rows = np.column_stack([x, np.sin(x), np.cos(x), x ** 2]).tolist()
+        rows = np.column_stack([x, np.sin(x), np.cos(x), x ** 2])
         write_svg(path, ["x", "s", "c", "q"], rows)
         text = path.read_text()
         assert text.count("<polyline") == 3
@@ -93,6 +110,24 @@ class TestConfig:
         assert run(["modes", "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        '{"params": [1, 2]}',
+        '{"params": {"nth1": "abc"}}',
+        '{"params": {"nth1": null}}',
+        '{"preset": []}',
+        '{"params": {"nth1": NaN}}',
+        '{"params": {"nth1": 1e400}}',
+    ], ids=["params-list", "string", "null", "preset-list", "nan",
+            "overflow"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, doc):
+        # JSON the parser accepts, with values no parameter can take
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc)
+        out = tmp_path / "o"
+        assert run(["ness", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hz_and_rad_override(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -120,11 +155,17 @@ class TestConfig:
         ["trajectory", "--g-over-kappa=-0.04"],
         ["transient", "--g-over-kappa=-0.04"],
         ["sweep", "--protocol", "monte-carlo"],
+        ["ness", "--g-over-kappa", "inf"],
+        ["sweep", "--g-max", "nan"],
+        ["trajectory", "--duration", "inf"],
+        ["transient", "--dt", "nan"],
     ], ids=["sweep-g-max", "sweep-points", "sweep-tick-duration",
             "trajectory-dt", "trajectory-duration", "transient-dt",
             "trajectory-store-every-removed", "transient-n-traj",
             "ness-g-over-kappa", "trajectory-g-over-kappa",
-            "transient-g-over-kappa", "sweep-protocol"])
+            "transient-g-over-kappa", "sweep-protocol", "ness-inf",
+            "sweep-g-max-nan", "trajectory-duration-inf",
+            "transient-dt-nan"])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 2
@@ -136,7 +177,10 @@ class TestConfig:
          "--tick-duration", "0.05"],
         ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.2",
          "--tick-duration", "0.005"],
-    ], ids=["trajectory", "sweep-correlation-record", "sweep-tick-record"])
+        ["transient", "--n-traj", "50", "--dt", "0.05"],
+        ["transient", "--n-traj", "50", "--duration", "1e-5"],
+    ], ids=["trajectory", "sweep-correlation-record", "sweep-tick-record",
+            "transient-dt", "transient-duration"])
     def test_record_shorter_than_burn_in_exits_2(self, tmp_path, capsys,
                                                  argv):
         out = tmp_path / "o"

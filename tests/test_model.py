@@ -221,6 +221,9 @@ class TestParams:
             dataclasses.replace(paper, kappa=0.0)
         with pytest.raises(ValueError):
             dataclasses.replace(paper, nth1=-0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                dataclasses.replace(paper, omega1=bad)
 
     def test_delta_omega_derived(self, paper):
         assert paper.delta_omega == paper.omega1 - paper.omega2
