@@ -24,8 +24,6 @@ class TestOutputs:
         assert header == ["a", "b", "c"]
         assert back[0] == rows[0]
         assert np.isnan(back[1][0]) and np.isinf(back[1][1])
-        write_csv(path, ["a"], [[float("-inf")]])
-        assert path.read_text() == "a\n-inf\n"
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -35,6 +33,12 @@ class TestOutputs:
     def test_row_width_checked(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "w.csv", ["a", "b"], [[1.0]])
+
+    def test_format_cell(self, tmp_path):
+        # a cell is the float's repr: shortest round trip, nan and +-inf
+        path = tmp_path / "f.csv"
+        write_csv(path, ["a", "b", "c"], [[0.1, float("nan"), float("-inf")]])
+        assert path.read_text() == "a,b,c\n0.1,nan,-inf\n"
 
     @pytest.mark.parametrize("write", [write_csv, write_svg])
     def test_ragged_rows_rejected(self, tmp_path, write):
