@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .errors import (BranchSelectionError, ClockSyncError, ConfigError,
                      ConstantSeriesError, EnsembleError, FrameMismatchError,
                      LyapunovSolveError, PlateauError, StabilityError,
-                     ThresholdError, TurningPointError)
+                     ThresholdError, TickExtractionError, TurningPointError)
 from .model import (EffectiveCoupling, LinearDynamics, NormalModes,
                     PhysicalParams, cavity_susceptibility, effective_coupling,
                     full_drift_and_diffusion, normal_modes_closed_form,
@@ -33,7 +33,7 @@ __all__ = [
     "EnsembleError", "EntropyRates", "FrameMismatchError", "LinearDynamics",
     "LyapunovSolveError", "NormalModes", "PhysicalParams", "PlateauError",
     "StabilityError", "SweepRow", "SyncMetrics", "ThresholdError",
-    "TickSeries", "TickStats", "Trajectory",
+    "TickExtractionError", "TickSeries", "TickStats", "Trajectory",
     "TransientResult", "TurningPointError", "analytic_sync_degree",
     "cavity_susceptibility", "displacements", "effective_coupling",
     "ensemble_moments", "entropy_rates", "extract_ticks", "find_threshold",

@@ -192,7 +192,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
     row = [g_over_kappa, cov.n_b1_eff, cov.n_b2_eff, cov.n_a_eff,
            cov.n_cross_eff, pt.mu_b1, pt.mu_b2, pt.mu_a, pt.pi_s,
            pt.analytic_C, pt.gamma_plus, pt.gamma_minus]
-    path = _write_table(out, "ness", header, [row])
+    path = _write_table(out, "ness", header, [row], svg)
     _echo_config(out, dyn.params)
     click.echo(f"wrote {path}")
 
@@ -251,22 +251,23 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     os.makedirs(out, exist_ok=True)
     traj = propagate_exact(dyn, duration, dt, seed=seed)
     record = np.stack([traj.b1, traj.b2], axis=-1)
+    start = int(np.searchsorted(traj.times, burn_in))
+    carrier = traj.reference_frequency
+    # C, D and N before any file, so a record they reject writes none
+    m = tick_stats([record[start:]], carrier, traj.dt)
+    C = sync_degree([record], carrier, traj.dt, start)
+
     header = ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
     path = _write_table(out, "trajectory", header,
                         np.column_stack([traj.times, record.view(float)]))
-
-    start = int(np.searchsorted(traj.times, burn_in))
     f1, p1 = power_spectrum(traj.b1[start:], traj.dt)
     f2, p2 = power_spectrum(traj.b2[start:], traj.dt)
-    carrier = traj.reference_frequency
     carrier_hz = carrier / TWO_PI
     _write_table(out, "spectrum", ["f_hz", "psd_b1", "psd_b2"],
                  np.column_stack([carrier_hz + f1, p1, p2]), svg)
-
-    m = tick_stats([record[start:]], carrier, traj.dt)
     write_json(os.path.join(out, "trajectory_summary.json"),
-               {"C": sync_degree([record], carrier, traj.dt, start),
-                "D": m.D, "N1": m.N1, "N2": m.N2, "carrier_hz": carrier_hz})
+               {"C": C, "D": m.D, "N1": m.N1, "N2": m.N2,
+                "carrier_hz": carrier_hz})
     _echo_config(out, dyn.params)
     click.echo(f"wrote {path}")
 

@@ -33,6 +33,10 @@ class EnsembleError(ClockSyncError):
     """Ensemble too small or inconsistent for the requested statistic."""
 
 
+class TickExtractionError(ClockSyncError, ValueError):
+    """Oscillator phase is not advancing, or a record has too few ticks."""
+
+
 class PlateauError(ClockSyncError):
     """Transient correlation has not reached a plateau in the window."""
 

@@ -11,9 +11,10 @@ and N2 from ``tick_stats``.
 Sweeps and quenches reduce the engine's block stream as it comes: a
 sweep point's C per C window, its D and N per D window, and a quench's
 R(t) and fluxes per block of every member's states.  No record of a
-whole run is kept, so memory stays bounded by the engine's chunk budget
-and a window, whatever the record length, the number of sweep points or
-the number of trajectories.
+whole run is kept, so memory stays bounded by one engine chunk (at most
+``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a window, whatever
+the record length, the number of sweep points or the number of
+trajectories.
 
 Every operating point (coupling, normal modes, reduced dynamics) is built
 by ``operating_point``; ``analytic_point`` adds its NESS covariance and

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeriesError, EnsembleError, PlateauError
+from .errors import (ConstantSeriesError, EnsembleError, PlateauError,
+                     TickExtractionError)
 from .model import PhysicalParams
 from .steadystate import bath_fluxes
 from .trajectory import Trajectory
@@ -182,8 +183,8 @@ def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     A tick is a crossing of the unwrapped oscillator phase
     phi(t) = reference_frequency * t - arg b(t) through a multiple of
     2*pi (equivalent to one carrier cycle of the displacement), linearly
-    interpolated between samples.  Requires a record long enough for at
-    least 10 ticks.
+    interpolated between samples.  TickExtractionError if the phase is
+    not advancing or the record holds fewer than 10 ticks.
     """
     b = {1: traj.b1, 2: traj.b2}[clock]
     t = traj.times
@@ -204,7 +205,7 @@ def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     # decides only an exact tie
     if 2 * len(slips) > len(dphi) or (
             2 * len(slips) == len(dphi) and np.median(dphi) <= 0):
-        raise ValueError(
+        raise TickExtractionError(
             "oscillator phase is not advancing; envelope evolves faster "
             "than the carrier, tick extraction is ill-defined")
     if len(slips):
@@ -217,7 +218,8 @@ def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     m0 = math.floor(phase[0] / (2 * np.pi)) + 1  # first crossing after t=0
     m1 = math.floor(phase[-1] / (2 * np.pi))
     if m1 - m0 + 1 < 10:
-        raise ValueError("trajectory too short: fewer than 10 ticks")
+        raise TickExtractionError(
+            "trajectory too short: fewer than 10 ticks")
     targets = 2 * np.pi * np.arange(m0, m1 + 1)
     hi = _crossings(phase, targets)
     hi = np.clip(hi, 1, len(phase) - 1)
@@ -363,11 +365,6 @@ def power_spectrum(x, dt: float):
     return np.fft.fftshift(np.fft.fftfreq(nperseg, dt)), np.fft.fftshift(psd)
 
 
-# time steps reduced per pass of EnsembleMoments.update; bounds its
-# temporaries to a few arrays of members x _MOMENT_STEPS, whatever the block
-_MOMENT_STEPS = 256
-
-
 class EnsembleMoments:
     """Per-time ensemble second moments of a stream of member blocks.
 
@@ -378,8 +375,9 @@ class EnsembleMoments:
     member axis, which numpy adds row by row, in member order, whatever
     k: without the trailing pair axis a one-time block would switch it to
     pairwise summation.  So the moments do not depend on how the times
-    are split into blocks, and memory is O(T + B x block) rather than
-    O(B x T).
+    are split into blocks.  Each block is reduced in one pass, with
+    temporaries a few times its size; fed the engine's chunks, memory is
+    O(T + B x chunk) rather than O(B x T).
     """
 
     def __init__(self, n_times: int):
@@ -393,15 +391,13 @@ class EnsembleMoments:
         if self.members not in (0, n):
             raise EnsembleError("every block must hold the same members")
         self.members = n
-        for k in range(0, block.shape[1], _MOMENT_STEPS):
-            part = block[:, k:k + _MOMENT_STEPS]
-            d = part - np.add.reduce(part, axis=0) / n
-            t = slice(self.filled, self.filled + part.shape[1])
-            cross = (d[..., 0] * np.conj(d[..., 1])).view(float)
-            self.cross[t] = np.add.reduce(
-                cross.reshape(part.shape), axis=0).view(complex)[:, 0]
-            self.var[t] = np.add.reduce(np.abs(d) ** 2, axis=0)
-            self.filled = t.stop
+        d = block - np.add.reduce(block, axis=0) / n
+        t = slice(self.filled, self.filled + block.shape[1])
+        cross = (d[..., 0] * np.conj(d[..., 1])).view(float)
+        self.cross[t] = np.add.reduce(
+            cross.reshape(block.shape), axis=0).view(complex)[:, 0]
+        self.var[t] = np.add.reduce(np.abs(d) ** 2, axis=0)
+        self.filled = t.stop
 
     def correlation(self) -> np.ndarray:
         """R(t) = Re sum db1 db2* / sqrt(sum|db1|^2 sum|db2|^2), the
@@ -431,8 +427,9 @@ class EnsembleMoments:
 
 def ensemble_moments(ensemble: list[Trajectory]) -> EnsembleMoments:
     """``EnsembleMoments`` of a stored ensemble on a common time grid,
-    reduced as one block: R(t) is its ``correlation()``, the per-bath
-    fluxes its ``fluxes(params)``."""
+    reduced in one pass over the whole record: R(t) is its
+    ``correlation()``, the per-bath fluxes its ``fluxes(params)``.  A
+    library and test adapter; ``transient_experiment`` streams instead."""
     if not ensemble:
         raise EnsembleError("need at least 1 trajectory")
     t0 = ensemble[0].times

@@ -19,10 +19,8 @@ solved by one LAPACK banded triangular solve (``ztbtrs``) with every
 member a right-hand side of the same call.  Each Schur-basis
 buffer leads with a carry column holding the previous chunk's last
 state, so chunk boundaries go through the same arithmetic as every other
-step; Q rotates each chunk back.  Chunks are sized so that every array
-live while one is built (112 bytes per member-step, the previous chunk's
-states included, plus 32 bytes per step for the band array) stays within
-``_CHUNK_BYTES``.
+step; Q rotates each chunk back.  A chunk holds at most
+``_CHUNK_MEMBER_STEPS`` member-steps, and always at least one step.
 
 ``stored_states`` hands the stream of states to a consumer block by
 block; ``propagate_exact`` and ``run_ensemble`` collect the same stream
@@ -58,14 +56,9 @@ from .steadystate import solve_lyapunov
 
 DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
-# Bound on the arrays live while one propagation chunk is built.  Per
-# member-step: the normals, which become the yielded states (32 bytes), two
-# Schur-basis components and a scratch row (16 each) and the previous
-# chunk's states, which the consumer still holds (32).  Per step, whatever
-# the batch: the band array of the triangular solves (32).
-_CHUNK_BYTES = 1.6e8
-_CHUNK_BYTES_PER_STEP = 112
-_BAND_BYTES_PER_STEP = 32
+# A chunk of B members runs _CHUNK_MEMBER_STEPS // B steps, so the arrays
+# live while one is built stay at a few MB whatever the batch.
+_CHUNK_MEMBER_STEPS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -201,8 +194,7 @@ def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
     rows x instead.
     """
     B = len(rngs)
-    chunk = max(1, min(n_steps, int(_CHUNK_BYTES / (
-        B * _CHUNK_BYTES_PER_STEP + _BAND_BYTES_PER_STEP))))
+    chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // B))
     # the two Schur-basis components of every chunk, carry column first,
     # and the scratch rows are carved from one buffer, each C-contiguous
     work = np.empty(3 * B * (chunk + 1), dtype=complex)

@@ -37,9 +37,7 @@ def run_python(code, **env):
 def chunk_steps(monkeypatch, steps, members):
     """Make the engine step ``members`` trajectories ``steps`` at a time."""
     from clocksync import trajectory
-    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", steps * (
-        members * trajectory._CHUNK_BYTES_PER_STEP
-        + trajectory._BAND_BYTES_PER_STEP))
+    monkeypatch.setattr(trajectory, "_CHUNK_MEMBER_STEPS", steps * members)
 
 
 def r_squared(x, y):

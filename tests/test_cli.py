@@ -193,12 +193,23 @@ class TestConfig:
         assert not list(out.glob("*.csv"))
 
     def test_physics_error_exits_3(self, tmp_path, capsys):
-        # blue detuning anti-damps the long-lived mode: no NESS exists
-        cfg = tmp_path / "blue.json"
-        cfg.write_text(json.dumps({"params": {"detuning_rad": 5.0e6}}))
-        assert run(["ness", "--config", str(cfg), "--g-over-kappa", "0.05",
-                    "--out", str(tmp_path / "o")]) == 3
-        assert "StabilityError" in capsys.readouterr().err
+        cases = [
+            # blue detuning anti-damps the long-lived mode: no NESS exists
+            ({"detuning_rad": 5.0e6}, "StabilityError",
+             ["ness", "--g-over-kappa", "0.05"]),
+            # envelopes relax faster than the 100 Hz carrier turns: the
+            # oscillator phase does not advance, so no tick is defined
+            ({"omega1_hz": 110, "omega2_hz": 100, "gamma1_hz": 1e5,
+              "gamma2_hz": 1e5}, "TickExtractionError",
+             ["trajectory", "--g-over-kappa", "0", "--duration", "0.05",
+              "--dt", "1e-6"]),
+        ]
+        for i, (params, error, argv) in enumerate(cases):
+            cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"o{i}"
+            cfg.write_text(json.dumps({"params": params}))
+            assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+            assert error in capsys.readouterr().err
+            assert not list(out.glob("*.csv"))
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         target = tmp_path / "blocked"
@@ -232,7 +243,9 @@ class TestCommands:
 
     def test_ness_csv(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert run(["ness", "--g-over-kappa", "0.02", "--out", str(out)]) == 0
+        assert run(["ness", "--g-over-kappa", "0.02", "--out", str(out),
+                    "--svg"]) == 0
+        assert (out / "ness.svg").stat().st_size > 0
         header, rows = read_csv(out / "ness.csv")
         assert header[:5] == ["g_over_kappa", "n_b1_eff", "n_b2_eff",
                               "n_a_eff", "n_cross_eff"]

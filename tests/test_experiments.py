@@ -130,7 +130,7 @@ class TestTransientExperiment:
     def test_memory_flat_in_ensemble_size(self, paper, monkeypatch):
         # the stored record of 4x the members would be 4x the memory; the
         # streamed moments need one chunk, sized in member-steps
-        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1e6)
+        monkeypatch.setattr(trajectory, "_CHUNK_MEMBER_STEPS", 2 ** 13)
         kw = dict(master_seed=1, dt=5e-5)
         transient_experiment(paper, 0.05, n_traj=MIN_FLUX_ENSEMBLE, **kw)
         peaks = []

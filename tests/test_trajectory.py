@@ -6,7 +6,8 @@ import pytest
 from conftest import block_standard_error, chunk_steps
 
 from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
-                       reduced_drift_matrix, run_ensemble, solve_lyapunov)
+                       reduced_drift_matrix, run_ensemble, solve_lyapunov,
+                       trajectory)
 from clocksync.model import PhysicalParams
 from clocksync.experiments import operating_point
 from clocksync.trajectory import (_build_exact_map, _iterate_blocks,
@@ -89,6 +90,18 @@ class TestEngine:
         for batch, ref in zip(batches, refs):
             chunk_steps(monkeypatch, steps_per_chunk, batch[0])
             assert np.array_equal(records(*batch), ref)
+
+    def test_chunks_are_sized_in_member_steps(self):
+        # a long one-member pass is cut into chunks too, and a wide batch
+        # into proportionally shorter ones
+        cap = trajectory._CHUNK_MEMBER_STEPS
+        for members, n_steps in ((1, 10 ** 6), (600, 3 * (cap // 600) + 5)):
+            seeds = [derived_seed(8, j) for j in range(members)]
+            _, _, parts = stored_states(self.DYN, seeds, n_steps * 1e-3, 1e-3)
+            next(parts)  # the initial state
+            full, tail = divmod(n_steps, cap // members)
+            assert ([p.shape[1] for p in parts]
+                    == [cap // members] * full + [tail])
 
     def test_member_states_do_not_depend_on_the_batch(self):
         batch = states(self.DYN, self.SEEDS)
