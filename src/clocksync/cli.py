@@ -29,15 +29,15 @@ import numpy as np
 from . import __version__
 from .errors import ClockSyncError, ConfigError
 from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
-                          analytic_point, burn_in_time, check_record_length,
-                          find_threshold, find_turning_point, operating_point,
-                          sweep_coupling, sync_degree, tick_stats,
-                          transient_experiment)
+                          analytic_point, check_record_length, find_threshold,
+                          find_turning_point, operating_point, sweep_coupling,
+                          sync_degree, tick_stats, transient_experiment)
 from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, min_tick_samples,
                       power_spectrum)
 from .model import TWO_PI, PhysicalParams, paper_preset
 from .output import write_csv, write_json, write_svg
-from .trajectory import DEFAULT_DT, DEFAULT_DURATION, propagate_exact
+from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, derived_seed,
+                         record_states, stored_states)
 
 _PRESETS = {"paper": paper_preset}
 
@@ -70,10 +70,10 @@ def _params_from_config(preset: str, config_path: str | None) -> PhysicalParams:
         return params
 
     try:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - {"preset", "params"}
@@ -242,26 +242,24 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
 def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
                dt):
-    """One NESS trajectory: raw envelopes, spectra, and sync metrics."""
-    dyn, nm = operating_point(_params_from_config(preset, config_path),
-                              g_over_kappa)
-    burn_in = burn_in_time(nm)
-    check_record_length(duration, dt, burn_in, min_tick_samples(dt),
-                        "trajectory")
+    """One NESS trajectory: raw envelopes, spectra, and sync metrics, all
+    of a record that starts in the NESS, keyed as member 0 of the seed
+    (``run_ensemble(..., master_seed=seed, quench=False)``)."""
+    dyn, _ = operating_point(_params_from_config(preset, config_path),
+                             g_over_kappa)
+    check_record_length(duration, dt, min_tick_samples(dt), "trajectory")
     os.makedirs(out, exist_ok=True)
-    traj = propagate_exact(dyn, duration, dt, seed=seed)
-    record = np.stack([traj.b1, traj.b2], axis=-1)
-    start = int(np.searchsorted(traj.times, burn_in))
-    carrier = traj.reference_frequency
+    carrier, (record,) = record_states(stored_states(
+        dyn, [derived_seed(seed, 0)], duration, dt, quench=False), 1)
     # C, D and N before any file, so a record they reject writes none
-    m = tick_stats([record[start:]], carrier, traj.dt)
-    C = sync_degree([record], carrier, traj.dt, start)
+    m = tick_stats([record], carrier, dt)
+    C = sync_degree([record], carrier, dt)
 
     header = ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
-    path = _write_table(out, "trajectory", header,
-                        np.column_stack([traj.times, record.view(float)]))
-    f1, p1 = power_spectrum(traj.b1[start:], traj.dt)
-    f2, p2 = power_spectrum(traj.b2[start:], traj.dt)
+    path = _write_table(out, "trajectory", header, np.column_stack(
+        [dt * np.arange(len(record)), record.view(float)]))
+    f1, p1 = power_spectrum(record[:, 0], dt)
+    f2, p2 = power_spectrum(record[:, 1], dt)
     carrier_hz = carrier / TWO_PI
     _write_table(out, "spectrum", ["f_hz", "psd_b1", "psd_b2"],
                  np.column_stack([carrier_hz + f1, p1, p2]), svg)

@@ -6,7 +6,8 @@ fast, and a Monte Carlo path (each grid point propagated on its own)
 that exercises the full simulation pipeline.  Threshold detection runs
 on the analytic C; the Monte Carlo estimates validate it.  C of a sweep
 point and of a single trajectory comes from ``sync_degree``, and D, N1
-and N2 from ``tick_stats``.
+and N2 from ``tick_stats``, over every sample of records that start in
+the NESS: the exact map keeps them stationary, so none needs a burn-in.
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
 sweep point's C per C window, its D and N per D window, and a quench's
@@ -82,7 +83,8 @@ SWEEP_CSV_HEADER = [f.name for f in fields(SweepRow)]
 
 
 def burn_in_time(modes: NormalModes) -> float:
-    """Equilibration margin: 5 decay times of the long-lived mode."""
+    """Equilibration margin of a record with a thermal start (such as
+    ``propagate_exact``'s): 5 decay times of the long-lived mode."""
     return BURN_IN_DECAY_TIMES / modes.gamma_plus if modes.gamma_plus > 0 else 0.0
 
 
@@ -98,32 +100,26 @@ def tick_stats(blocks, carrier: float, dt: float) -> SyncMetrics:
     return stats.result()
 
 
-def sync_degree(parts, carrier: float, dt: float, start: int) -> float:
-    """Pearson C of one member's stream of (m, 2) sample blocks, from
-    global sample index start on.  The sums are taken per C window
-    (C_WINDOW_SAMPLES of global sample index) and merged by
-    ``PearsonStats``."""
+def sync_degree(parts, carrier: float, dt: float) -> float:
+    """Pearson C of one member's stream of (m, 2) sample blocks, every
+    sample counted.  The sums are taken per C window (C_WINDOW_SAMPLES
+    of global sample index) and merged by ``PearsonStats``."""
     stats = PearsonStats()
     k = 0
     for window in windows(parts, C_WINDOW_SAMPLES):
-        w, s = len(window), max(start - k, 0)
-        if s < w:
-            traj = Trajectory(times=dt * np.arange(k + s, k + w),
-                              b1=window[s:, 0], b2=window[s:, 1], dt=dt,
-                              reference_frequency=carrier)
-            stats.update(*displacements(traj))
+        w = len(window)
+        traj = Trajectory(times=dt * np.arange(k, k + w), b1=window[:, 0],
+                          b2=window[:, 1], dt=dt, reference_frequency=carrier)
+        stats.update(*displacements(traj))
         k += w
     return stats.result()
 
 
-def check_record_length(duration: float, dt: float, discard: float,
-                        samples: int, what: str):
-    """ConfigError unless ``samples`` samples of spacing dt follow burn-in."""
-    need = discard + samples * dt
-    if duration < need:
-        raise ConfigError(f"{what} of {duration:g} s is too short: need "
-                          f"at least {need:.6g} s ({discard:.6g} s burn-in "
-                          f"plus {samples} samples of {dt:g} s)")
+def check_record_length(duration: float, dt: float, samples: int, what: str):
+    """ConfigError unless ``samples`` samples of spacing dt fit in duration."""
+    if duration < samples * dt:
+        raise ConfigError(f"{what} of {duration:g} s is too short: need at "
+                          f"least {samples} samples of {dt:g} s")
 
 
 # Seed layout inside a sweep: point i draws its correlation record with
@@ -164,13 +160,12 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     """Sweep |G|/kappa and collect analytic and Monte Carlo observables.
 
     The analytic columns are computed point by point.  On the Monte Carlo
-    path each grid point is then propagated on its own, twice: a
-    correlation record (point i keyed with derived seed i, thermal
-    start), whose Pearson C is streamed from the end of the point's
-    burn-in on, and a fine tick record (derived seed 2^32 + i, stationary
-    start, so no burn-in) for D and N.  Neither record is stored, and a
-    point's row depends only on its own coupling and index, so memory
-    does not grow with the grid and the output is reproducible.
+    path each grid point is then propagated on its own, twice, each record
+    starting in the NESS: a correlation record (point i keyed with derived
+    seed i) whose Pearson C is streamed over every sample, and a fine tick
+    record (derived seed 2^32 + i) for D and N.  Neither record is
+    stored, and a point's row depends only on its own coupling and index,
+    so memory does not grow with the grid and the output is reproducible.
     """
     if protocol not in ("analytic", "both"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -180,20 +175,15 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
 
     if protocol == "analytic":  # keeps no per-point dynamics
         return [analytic_point(params, float(g))[0] for g in grid]
-    points = [analytic_point(params, float(g))[:3] for g in grid]
-    check_record_length(duration, dt,
-                        max(burn_in_time(modes) for _, _, modes in points), 2,
-                        "correlation record")
-    check_record_length(tick_duration, TICK_RECORD_DT, 0.0,
+    points = [analytic_point(params, float(g))[:2] for g in grid]
+    check_record_length(duration, dt, 2, "correlation record")
+    check_record_length(tick_duration, TICK_RECORD_DT,
                         min_tick_samples(TICK_RECORD_DT), "tick record")
     rows = []
-    for i, (row, dyn, modes) in enumerate(points):
-        carrier, n_stored, parts = stored_states(
-            dyn, [derived_seed(master_seed, i)], duration, dt)
-        # the first sample at or after the burn-in
-        start = int(np.searchsorted(dt * np.arange(n_stored),
-                                    burn_in_time(modes)))
-        C = sync_degree((p[0] for p in parts), carrier, dt, start)
+    for i, (row, dyn) in enumerate(points):
+        carrier, _, parts = stored_states(
+            dyn, [derived_seed(master_seed, i)], duration, dt, quench=False)
+        C = sync_degree((p[0] for p in parts), carrier, dt)
         carrier, _, parts = stored_states(
             dyn, [derived_seed(master_seed, TICK_SEED_BASE + i)],
             tick_duration, TICK_RECORD_DT, quench=False)
@@ -260,7 +250,7 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
                        120.0 / modes.gamma_minus, 0.05)
     window = duration if gap <= 0 else min(duration, 40.0 / gap)
     # transient_time needs 10 samples of R(t) in the window
-    check_record_length(window, dt, 0.0, 10, "transient R(t) window")
+    check_record_length(window, dt, 10, "transient R(t) window")
     seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
     _, n_stored, parts = stored_states(dyn, seeds, duration, dt)
     moments = EnsembleMoments(n_stored)

@@ -354,11 +354,13 @@ def power_spectrum(x, dt: float):
     onesided = not np.iscomplexobj(x)
     # periodic Hann window
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(nperseg) / nperseg)
-    segments = np.lib.stride_tricks.sliding_window_view(
-        x, nperseg)[::nperseg // 2]
-    segments = (segments - segments.mean(axis=1, keepdims=True)) * window
-    spectra = np.fft.rfft(segments) if onesided else np.fft.fft(segments)
-    psd = np.mean(np.abs(spectra) ** 2, axis=0) * (dt / np.sum(window ** 2))
+    starts = range(0, n - nperseg + 1, nperseg // 2)
+    fft = np.fft.rfft if onesided else np.fft.fft
+    psd = 0.0  # summed in segment order, one segment in memory at a time
+    for s in starts:
+        segment = x[s:s + nperseg]
+        psd += np.abs(fft((segment - segment.mean()) * window)) ** 2
+    psd = psd / len(starts) * (dt / np.sum(window ** 2))
     if onesided:
         psd[1:-1] *= 2  # all but DC and Nyquist (nperseg is even)
         return np.fft.rfftfreq(nperseg, dt), psd

@@ -23,10 +23,10 @@ step; Q rotates each chunk back.  A chunk holds at most
 ``_CHUNK_MEMBER_STEPS`` member-steps, and always at least one step.
 
 ``stored_states`` hands the stream of states to a consumer block by
-block; ``propagate_exact`` and ``run_ensemble`` collect the same stream
-into whole records.  A consumer that reduces each block as it comes (a
-sweep point's C, D and N, a quench's R(t) and fluxes) needs memory for
-about one chunk, not for the record.
+block; ``record_states``, ``propagate_exact`` and ``run_ensemble``
+collect the same stream into whole records.  A consumer that reduces
+each block as it comes (a sweep point's C, D and N, a quench's R(t) and
+fluxes) needs memory for about one chunk, not for the record.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -276,18 +276,25 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)
 
 
-def _record(states, n_traj: int, dt: float) -> list[Trajectory]:
-    """Store a ``stored_states`` stream of n_traj members and step dt.
-
-    Members share one times array; b1, b2 are views into one record.
-    """
+def record_states(states, n_traj: int) -> tuple[float, np.ndarray]:
+    """(carrier, record): a ``stored_states`` stream of n_traj members
+    filled into one (n_traj, n_stored, 2) array."""
     carrier, n_stored, parts = states
     out = np.empty((n_traj, n_stored, 2), dtype=complex)
     filled = 0
     for part in parts:
         out[:, filled:filled + part.shape[1]] = part
         filled += part.shape[1]
-    times = dt * np.arange(n_stored)
+    return carrier, out
+
+
+def _record(states, n_traj: int, dt: float) -> list[Trajectory]:
+    """Store a ``stored_states`` stream of n_traj members and step dt.
+
+    Members share one times array; b1, b2 are views into one record.
+    """
+    carrier, out = record_states(states, n_traj)
+    times = dt * np.arange(out.shape[1])
     return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
                        dt=dt, reference_frequency=carrier)
             for i in range(n_traj)]

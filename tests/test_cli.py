@@ -6,10 +6,9 @@ import pytest
 
 from conftest import read_csv, run_python
 
-from clocksync import paper_preset, propagate_exact
+from clocksync import paper_preset, run_ensemble
 from clocksync.cli import run
-from clocksync.experiments import (burn_in_time, operating_point,
-                                   sync_degree, tick_stats)
+from clocksync.experiments import operating_point, sync_degree, tick_stats
 from clocksync.output import write_csv, write_svg
 
 
@@ -115,18 +114,20 @@ class TestConfig:
                     "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("doc", [
-        '{"params": [1, 2]}',
-        '{"params": {"nth1": "abc"}}',
-        '{"params": {"nth1": null}}',
-        '{"preset": []}',
-        '{"params": {"nth1": NaN}}',
-        '{"params": {"nth1": 1e400}}',
+        b'{"params": [1, 2]}',
+        b'{"params": {"nth1": "abc"}}',
+        b'{"params": {"nth1": null}}',
+        b'{"preset": []}',
+        b'{"params": {"nth1": NaN}}',
+        b'{"params": {"nth1": 1e400}}',
+        b'\xff\xfe{"params": {}}',
     ], ids=["params-list", "string", "null", "preset-list", "nan",
-            "overflow"])
+            "overflow", "not-utf8"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc):
-        # JSON the parser accepts, with values no parameter can take
+        # JSON the parser accepts, with values no parameter can take, and
+        # bytes that are not UTF-8 text
         cfg = tmp_path / "c.json"
-        cfg.write_text(doc)
+        cfg.write_bytes(doc)
         out = tmp_path / "o"
         assert run(["ness", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
@@ -177,16 +178,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("argv", [
         ["trajectory", "--g-over-kappa", "0.04", "--duration", "0.05"],
-        ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.05",
-         "--tick-duration", "0.05"],
+        ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "1e-5",
+         "--dt", "1e-5", "--tick-duration", "0.05"],
         ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.2",
          "--tick-duration", "0.005"],
         ["transient", "--n-traj", "50", "--dt", "0.05"],
         ["transient", "--n-traj", "50", "--duration", "1e-5"],
     ], ids=["trajectory", "sweep-correlation-record", "sweep-tick-record",
             "transient-dt", "transient-duration"])
-    def test_record_shorter_than_burn_in_exits_2(self, tmp_path, capsys,
-                                                 argv):
+    def test_record_too_short_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 2
         assert "at least" in capsys.readouterr().err
@@ -290,22 +290,24 @@ class TestCommands:
 
     def test_trajectory_summary_uses_the_sweep_reducers(self, tmp_path,
                                                         capsys):
-        # C, D and N of the stored record after burn-in, through the same
-        # functions a sweep point's streams go through
+        # C, D and N of the whole record, which starts in the NESS and is
+        # member 0 of the seed's ensemble, through the same functions a
+        # sweep point's streams go through
         out = tmp_path / "o"
         assert run(["trajectory", "--duration", "0.4", "--seed", "13",
                     "--out", str(out)]) == 0
         summary = json.loads((out / "trajectory_summary.json").read_text())
-        dyn, nm = operating_point(paper_preset(), 0.02)
-        traj = propagate_exact(dyn, 0.4, seed=13)
+        dyn, _ = operating_point(paper_preset(), 0.02)
+        [traj] = run_ensemble(dyn, 1, 0.4, master_seed=13, quench=False)
         record = np.stack([traj.b1, traj.b2], axis=-1)
-        start = int(np.searchsorted(traj.times, burn_in_time(nm)))
-        assert start > 0
         carrier = traj.reference_frequency
-        ticks = tick_stats([record[start:]], carrier, traj.dt)
-        assert summary["C"] == sync_degree([record], carrier, traj.dt, start)
+        ticks = tick_stats([record], carrier, traj.dt)
+        assert summary["C"] == sync_degree([record], carrier, traj.dt)
         assert [summary[k] for k in ("D", "N1", "N2")] == [
             ticks.D, ticks.N1, ticks.N2]
+        _, rows = read_csv(out / "trajectory.csv")
+        assert len(rows) == len(record)
+        assert rows[0] == [0.0, *record[0].view(float)]
 
     def test_transient_csv(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -14,7 +14,7 @@ from clocksync import (EnsembleError, SweepRow, ThresholdError,
 from clocksync import experiments, trajectory
 from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
                                    TICK_SEED_BASE, operating_point,
-                                   tick_stats)
+                                   sync_degree, tick_stats)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.model import reduced_drift_matrix
 from clocksync.trajectory import derived_seed, stored_states
@@ -184,6 +184,19 @@ class TestSweepMonteCarlo:
         ref = [r.C for r in sweep_coupling(paper, **kw)]
         chunk_steps(monkeypatch, steps_per_block, 1)  # one point at a time
         assert [r.C for r in sweep_coupling(paper, **kw)] == ref
+
+    def test_c_is_the_whole_stationary_stream(self, paper):
+        # point i's correlation record starts in the NESS, keyed derived
+        # seed i, and every sample of it counts
+        seed, duration, dt = 9, 0.2, 1e-4
+        rows = sweep_coupling(paper, grid=[0.0, 0.03], protocol="both",
+                              master_seed=seed, duration=duration, dt=dt,
+                              tick_duration=0.01)
+        dyn, _ = operating_point(paper, 0.03)
+        carrier, _, parts = stored_states(dyn, [derived_seed(seed, 1)],
+                                          duration, dt, quench=False)
+        record = np.concatenate(list(parts), axis=1)[0]
+        assert rows[1].C == sync_degree([record], carrier, dt)
 
     def test_row_depends_only_on_its_coupling_and_index(self, paper):
         kw = dict(protocol="both", master_seed=3, duration=0.2, dt=1e-4,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,20 @@ class TestPowerSpectrum:
     def test_too_short(self):
         with pytest.raises(ValueError):
             power_spectrum(np.ones(3), 1.0)
+
+    def test_one_segment_at_a_time(self):
+        # 2^20 samples make 15 half-overlapping segments of 2^17; their
+        # periodograms are summed as they come, not held all at once
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(2 ** 20) + 1j * rng.standard_normal(2 ** 20)
+        segment_bytes = 2 ** 17 * z.itemsize
+        tracemalloc.start()
+        try:
+            power_spectrum(z, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * segment_bytes
 
     @pytest.mark.parametrize("n", [4, 1000, 4097])
     @pytest.mark.parametrize("complex_valued", [False, True])
