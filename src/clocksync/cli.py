@@ -105,17 +105,18 @@ def _params_from_config(preset: str, config_path: str | None) -> PhysicalParams:
         raise ConfigError(f"invalid physical parameters: {exc}") from exc
 
 
-def _echo_config(out: str, params: PhysicalParams):
+def _echo_config(out: str, params: PhysicalParams, **resolved):
     """Write resolved_config.json for the running command: click's parsed
     options, minus preset and config (resolved into params_rad) and out
-    and svg (where and how results are written, not what they are)."""
+    and svg (where and how results are written, not what they are), with
+    ``resolved`` replacing options whose value the run settled."""
     ctx = click.get_current_context()
     command = ctx.info_name
     payload = {
         "command": command,
         "version": __version__,
         "params_rad": dataclasses.asdict(params),
-        "options": {k: v for k, v in ctx.params.items()
+        "options": {k: resolved.get(k, v) for k, v in ctx.params.items()
                     if k not in ("preset", "config_path", "out", "svg")},
     }
     if command in ("sweep", "trajectory"):  # the commands that report D
@@ -291,7 +292,7 @@ def transient(preset, config_path, out, seed, svg, g_over_kappa, n_traj,
     write_json(os.path.join(out, "transient_summary.json"),
                {"transient_time_s": res.transient_time,
                 "g_over_kappa": g_over_kappa, "n_traj": n_traj})
-    _echo_config(out, params)
+    _echo_config(out, params, duration=res.duration)
     click.echo(f"wrote {path}")
 
 

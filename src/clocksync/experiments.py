@@ -228,17 +228,17 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
                          dt: float = DEFAULT_DT) -> TransientResult:
     """Quench protocol: switch the coupling on at t = 0 and watch R(t).
 
-    The ensemble starts from the uncoupled thermal state.  The record
-    covers both the correlation transient (set by the linewidth gap
-    gamma_minus - gamma_plus) and the slow flux relaxation (set by
-    gamma_plus).  The transient time is evaluated on the front segment
-    of R(t) that contains the transient and its plateau, so the moving
-    median window tracks the physical timescale rather than the record
-    length.  The ensemble is reduced block by block as the engine steps
-    it (``EnsembleMoments``); only the per-time moments of its states,
-    t = 0 and every step, are kept.  Ensembles below MIN_FLUX_ENSEMBLE
-    members raise EnsembleError, and a window too short for
-    ``transient_time`` ConfigError, before any work.
+    The ensemble starts from the uncoupled thermal state.  The record,
+    ``duration`` or when None a length the result keeps, covers both the
+    correlation transient (set by the linewidth gap gamma_minus -
+    gamma_plus) and the slow flux relaxation (set by gamma_plus).  The
+    transient time is evaluated on the front segment of R(t) that contains
+    the transient and its plateau, so the moving median window tracks the
+    physical timescale rather than the record length.  The ensemble is
+    reduced block by block as the engine steps it (``EnsembleMoments``);
+    only the per-time moments of its states, t = 0 and every step, are kept.
+    Ensembles below MIN_FLUX_ENSEMBLE members raise EnsembleError, and a
+    window too short for ``transient_time`` ConfigError, before any work.
     """
     if n_traj < MIN_FLUX_ENSEMBLE:
         raise EnsembleError(f"transient experiment needs n_traj >= "
@@ -262,4 +262,4 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     t_tr = transient_time(times[sel], R[sel])
     mu1, mu2, mua = moments.fluxes(dyn.params)
     return TransientResult(times=times, R=R, mu_b1_t=mu1, mu_b2_t=mu2,
-                           mu_a_t=mua, transient_time=t_tr)
+                           mu_a_t=mua, transient_time=t_tr, duration=duration)

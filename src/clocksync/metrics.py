@@ -72,7 +72,7 @@ class SyncMetrics:
 
 @dataclass(frozen=True)
 class TransientResult:
-    """Quench-ensemble observables: R(t), per-bath fluxes, transient time."""
+    """Quench-ensemble R(t), per-bath fluxes, transient time, record length."""
 
     times: np.ndarray
     R: np.ndarray
@@ -80,6 +80,7 @@ class TransientResult:
     mu_b2_t: np.ndarray
     mu_a_t: np.ndarray
     transient_time: float
+    duration: float
 
 
 class PearsonStats:
@@ -177,6 +178,13 @@ def _crossings(phase: np.ndarray, targets: np.ndarray) -> np.ndarray:
         hi[down] -= 1
 
 
+def _runs(idx: np.ndarray):
+    """(first, last) of each run of consecutive values in increasing idx."""
+    first = np.diff(idx, prepend=idx[:1] - 2) > 1
+    last = np.diff(idx, append=idx[-1:] + 2) > 1
+    return idx[first], idx[last]
+
+
 def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     """Tick instants of one clock from its envelope record.
 
@@ -190,13 +198,9 @@ def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     t = traj.times
     mag = np.abs(b)
     floor = MAGNITUDE_FLOOR_FRACTION * np.sqrt(np.mean(mag ** 2))
-    low = mag < floor
-    gaps = []
-    if np.any(low):
-        # contiguous low-magnitude runs -> flagged (t_start, t_end) pairs
-        runs = np.flatnonzero(low)
-        splits = np.split(runs, np.flatnonzero(np.diff(runs) > 1) + 1)
-        gaps = [(t[s[0]], t[s[-1]]) for s in splits if len(s)]
+    # contiguous low-magnitude runs -> flagged (t_start, t_end) pairs
+    first, last = _runs(np.flatnonzero(mag < floor))
+    gaps = list(zip(t[first], t[last]))
 
     phase = traj.reference_frequency * t - _unwrapped_angle(b)
     dphi = np.diff(phase)
@@ -211,8 +215,8 @@ def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
     if len(slips):
         # isolated phase slips (envelope swung past the origin): flag the
         # affected intervals as gaps, then clamp so crossings stay defined
-        runs = np.split(slips, np.flatnonzero(np.diff(slips) > 1) + 1)
-        gaps.extend((t[r[0]], t[r[-1] + 1]) for r in runs if len(r))
+        first, last = _runs(slips)
+        gaps.extend(zip(t[first], t[last + 1]))
         gaps.sort()
         phase = np.maximum.accumulate(phase)
     m0 = math.floor(phase[0] / (2 * np.pi)) + 1  # first crossing after t=0

@@ -33,12 +33,15 @@ midpoint plus optical-spring shift) is moved into the carrier, so the
 integrated envelopes are as slow as possible; the carrier actually used
 is recorded as ``Trajectory.reference_frequency``.
 
+Every member starts at z0 = L zeta, zeta a pair of unit complex normals:
+a quench in the NESS of the uncoupled model, L = diag(sqrt(nth_i + 1/2)),
+a NESS record in the NESS of its own dynamics, L = V_inf^(1/2).
+
 Reproducibility: trajectory i of an ensemble with master seed m draws
-from a Philox counter-based generator keyed with m * 2^64 + i.  Each
-stream first yields 4 standard normals for the initial condition, then
-4 per step (real/imaginary pairs for the two modes).  A member's states
-depend only on its dynamics and key, not on the rest of its batch or on
-the chunk size.
+from a Philox counter-based generator keyed with m * 2^64 + i: first the
+4 standard normals of zeta, then 4 per step (real/imaginary pairs for
+the two modes).  A member's states depend only on its dynamics and key,
+not on the rest of its batch or on the chunk size.
 """
 
 from __future__ import annotations
@@ -115,20 +118,9 @@ def derived_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) << 64) + int(index)
 
 
-def _thermal_initial(dyn: LinearDynamics, rng: np.random.Generator) -> np.ndarray:
-    """Draw b(0) from the uncoupled thermal ensemble (4 normals)."""
-    z = rng.standard_normal(4)
-    p = dyn.params
-    s1 = np.sqrt(0.5 * (p.nth1 + 0.5))
-    s2 = np.sqrt(0.5 * (p.nth2 + 0.5))
-    return np.array([s1 * (z[0] + 1j * z[1]), s2 * (z[2] + 1j * z[3])])
-
-
 def _gaussian_initial(L: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw b(0) with covariance L L^H (4 normals)."""
-    z = rng.standard_normal(4)
-    zeta = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]]) / np.sqrt(2.0)
-    return L @ zeta
+    """Draw b(0) = L zeta with covariance L L^H (4 normals)."""
+    return L @ (rng.standard_normal(4).view(complex) / np.sqrt(2.0))
 
 
 def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
@@ -163,7 +155,6 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
     Qh = Q.conj().T
     # noise lands in the Schur basis: u = R n, n = normals, R = Q^H S/sqrt 2
     R = Qh @ S / np.sqrt(2.0)
-    z0 = np.asarray(z0, dtype=complex).reshape(len(rngs), 2)
     z1, z2 = z0[:, :1], z0[:, 1:]
     w1 = Qh[0, 0] * z1 + Qh[0, 1] * z2
     w2 = Qh[1, 0] * z1 + Qh[1, 1] * z2
@@ -247,14 +238,14 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
 
 
 def stored_states(dyn: LinearDynamics, seeds, duration: float,
-                  dt: float = DEFAULT_DT, quench: bool = True,
-                  initial_state=None):
+                  dt: float = DEFAULT_DT, quench: bool = True):
     """Members j = 0..B-1 of one dynamics, member j keyed seeds[j], over
     round(duration / dt) steps.
 
-    Initial states come from the uncoupled thermal ensemble (``quench``)
-    or the NESS, 4 normals per member, unless ``initial_state`` (B, 2) is
-    given.
+    Each member starts at z0 = L zeta, zeta from its first 4 normals.
+    With ``quench`` the start is the uncoupled thermal state, which is
+    the NESS of the uncoupled model: L = diag(sqrt(nth_i + 1/2)).
+    Otherwise it is the NESS of dyn: L = V_inf^(1/2).
 
     Returns (carrier, n_stored, parts): parts yields (B, m, 2) blocks of
     the states in time order, the initial state first, then the state
@@ -262,15 +253,11 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     that reduces them as they come holds one chunk at a time.
     """
     F, S, carrier, Vinf = _build_exact_map(dyn, dt)
-    B = len(seeds)
     rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
-    if initial_state is not None:
-        z0 = np.asarray(initial_state, dtype=complex).reshape(B, 2)
-    elif quench:
-        z0 = np.stack([_thermal_initial(dyn, r) for r in rngs])
-    else:
-        L = _psd_sqrt(Vinf)
-        z0 = np.stack([_gaussian_initial(L, r) for r in rngs])
+    p = dyn.params
+    L = (np.diag(np.sqrt([p.nth1 + 0.5, p.nth2 + 0.5])) if quench
+         else _psd_sqrt(Vinf))
+    z0 = np.stack([_gaussian_initial(L, r) for r in rngs])
     n_steps = int(round(duration / dt))
     blocks = _iterate_blocks(F, S, z0, n_steps, rngs)
     return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)
@@ -289,10 +276,8 @@ def record_states(states, n_traj: int) -> tuple[float, np.ndarray]:
 
 
 def _record(states, n_traj: int, dt: float) -> list[Trajectory]:
-    """Store a ``stored_states`` stream of n_traj members and step dt.
-
-    Members share one times array; b1, b2 are views into one record.
-    """
+    """Store a ``stored_states`` stream of n_traj members and step dt;
+    members share one times array, b1 and b2 are views into one record."""
     carrier, out = record_states(states, n_traj)
     times = dt * np.arange(out.shape[1])
     return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
@@ -301,15 +286,14 @@ def _record(states, n_traj: int, dt: float) -> list[Trajectory]:
 
 
 def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
-                    seed: int = 0, initial_state=None) -> Trajectory:
+                    seed: int = 0) -> Trajectory:
     """Exact discrete-time OU update, statistically exact for any dt.
 
-    state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H.
-    With zero diffusion this reduces to the matrix-exponential flow.
+    state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H,
+    from a quench start z0 = diag(sqrt(nth_i + 1/2)) zeta.  With zero
+    diffusion this reduces to the matrix-exponential flow from z0.
     """
-    states = stored_states(dyn, [seed], duration, dt,
-                           initial_state=initial_state)
-    return _record(states, 1, dt)[0]
+    return _record(stored_states(dyn, [seed], duration, dt), 1, dt)[0]
 
 
 def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
@@ -317,10 +301,9 @@ def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
                  quench: bool = True) -> list[Trajectory]:
     """Seeded ensemble of independent trajectories, ordered by index.
 
-    With ``quench`` (the default protocol) initial states are drawn from
-    the uncoupled (G = 0) thermal ensemble and evolved under the coupled
-    drift from t = 0; with ``quench=False`` they are drawn from the NESS
-    of the coupled dynamics instead.  Trajectory i uses the derived seed
+    Members start as in ``stored_states``: in the uncoupled (G = 0)
+    thermal state with ``quench`` (the default protocol), in the NESS of
+    the coupled dynamics otherwise.  Trajectory i uses the derived seed
     master_seed * 2^64 + i, so ``run_ensemble(..., n_traj=1)`` is
     bit-identical to ``propagate_exact`` called with that derived seed.
     The whole record is kept; ``stored_states`` streams it instead.

@@ -321,6 +321,16 @@ class TestCommands:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert set(resolved["options"]) == {"g_over_kappa", "n_traj",
                                             "duration", "dt", "seed"}
+        # the adaptive duration is recorded, and passing it back
+        # reproduces the run byte for byte
+        duration = resolved["options"]["duration"]
+        assert isinstance(duration, float) and duration > 0
+        again = tmp_path / "again"
+        assert run(["transient", "--g-over-kappa", "0.04", "--n-traj", "80",
+                    "--seed", "7", "--duration", repr(duration),
+                    "--out", str(again)]) == 0
+        for name in ("transient.csv", "transient_summary.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_seeded_runs_byte_identical(self, tmp_path, capsys):
         args = ["transient", "--g-over-kappa", "0.03", "--n-traj", "50",

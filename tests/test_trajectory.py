@@ -123,10 +123,10 @@ class TestDeterministicLimits:
         import scipy.linalg as sla
         dyn = toy_dyn(nth=0.0)
         dyn0 = dataclasses.replace(dyn, diffusion=np.zeros((2, 2), complex))
-        traj = propagate_exact(dyn0, duration=0.5, dt=0.05, seed=0,
-                               initial_state=[0.4, -0.2j])
+        traj = propagate_exact(dyn0, duration=0.5, dt=0.05, seed=0)
         drift_r, _ = _recentered(dyn0)
-        z = np.array([0.4, -0.2j])
+        z = np.array([traj.b1[0], traj.b2[0]])  # the drawn thermal start
+        assert np.all(z != 0)
         for k, t in enumerate(traj.times):
             expect = sla.expm(drift_r * t) @ z
             assert np.allclose([traj.b1[k], traj.b2[k]], expect, atol=1e-12)
@@ -140,6 +140,24 @@ class TestStatistics:
         var = np.abs(traj.b1) ** 2
         se = block_standard_error(var)
         assert abs(var.mean() - (p.nth1 + 0.5)) < 3 * se
+
+    @pytest.mark.parametrize("quench", [True, False])
+    def test_start_distribution(self, paper, quench):
+        # the start alone (duration 0): a quench starts in the uncoupled
+        # thermal state diag(nth + 1/2), a NESS record in V_inf
+        dyn = operating_point(paper, 0.04)[0]
+        ens = run_ensemble(dyn, 4000, duration=0.0, master_seed=3,
+                           quench=quench)
+        b1, b2 = np.array([(tr.b1[0], tr.b2[0]) for tr in ens]).T
+        if quench:
+            V = np.diag([paper.nth1 + 0.5, paper.nth2 + 0.5])
+        else:
+            V = solve_lyapunov(dyn.drift, dyn.diffusion)
+        for sample, expect in ((np.abs(b1) ** 2, V[0, 0]),
+                               (np.abs(b2) ** 2, V[1, 1]),
+                               (np.real(b1 * np.conj(b2)), V[0, 1])):
+            se = np.std(sample, ddof=1) / np.sqrt(len(sample))
+            assert abs(sample.mean() - np.real(expect)) <= 4 * se
 
     def test_exact_single_step_reaches_ness(self):
         dyn = toy_dyn(nth=3.0)
@@ -165,13 +183,13 @@ class TestStatistics:
         assert abs(w1 - w2) < 3 * se * np.sqrt(2)
 
     def test_moments_linear_in_diffusion_scale(self):
+        # NESS starts: V_inf, and with it the start's L, scale with the
+        # diffusion, so every state scales by sqrt(scale)
         dyn = toy_dyn(nth=5.0)
         scale = 4.0
         dyn_scaled = dataclasses.replace(dyn, diffusion=scale * dyn.diffusion)
-        z0 = np.array([1.0 + 1.0j, -2.0j])
-        a = propagate_exact(dyn, 5.0, dt=1e-3, seed=5, initial_state=z0)
-        b = propagate_exact(dyn_scaled, 5.0, dt=1e-3, seed=5,
-                            initial_state=np.sqrt(scale) * z0)
+        a, b = (run_ensemble(d, 1, 5.0, dt=1e-3, master_seed=5,
+                             quench=False)[0] for d in (dyn, dyn_scaled))
         assert np.allclose(b.b1, np.sqrt(scale) * a.b1, rtol=1e-12)
         ratio = np.mean(np.abs(b.b1) ** 2) / np.mean(np.abs(a.b1) ** 2)
         assert ratio == pytest.approx(scale, rel=1e-12)
