@@ -141,7 +141,8 @@ _shared = [
                  default=None, help="JSON config overriding the preset."),
     click.option("--out", default="out", show_default=True,
                  help="Output directory."),
-    click.option("--seed", default=0, show_default=True, type=int,
+    click.option("--seed", default=0, show_default=True,
+                 type=click.IntRange(0, 2 ** 64 - 1),
                  help="Master seed for all stochastic paths."),
     click.option("--svg", is_flag=True, help="Also write SVG quick-look plots."),
 ]

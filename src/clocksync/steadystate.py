@@ -55,8 +55,12 @@ class EntropyRates:
 def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Solve A V + V A^H + D = 0 for the stationary covariance V.
 
-    Vectorized Kronecker solve; exact and cheap for the system sizes here
-    (<= 6).  A must be strictly stable and D symmetric (Hermitian) PSD.
+    A and D are matrices (n, n) or stacks (..., n, n) of them; V has the
+    shape of A, one covariance per matrix.  Vectorized Kronecker solve,
+    one LAPACK call for the whole stack; exact and cheap for the system
+    sizes here (<= 6).  Each V is bit-identical to the solve of its
+    matrix alone.  Every A must be strictly stable and every D symmetric
+    (Hermitian) PSD.
 
     Raises
     ------
@@ -65,37 +69,61 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     LyapunovSolveError
         If the Kronecker system is singular or the residual exceeds
         1e-8 * ||D||.
+
+    In a stack, the error and its message are those of the first failing
+    matrix in stack order, as its solve alone would raise them.
     """
     A = np.asarray(A)
     D = np.asarray(D)
-    n = A.shape[0]
-    if A.shape != (n, n) or D.shape != (n, n):
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or D.shape != A.shape:
         raise ValueError("A and D must be square matrices of equal size")
-    eig = np.linalg.eigvals(A)
-    if np.max(eig.real) >= 0:
-        raise StabilityError(
-            f"drift is not stable: max Re(eig) = {np.max(eig.real):.3e}")
+    n, stack = A.shape[-1], A.shape[:-2]
+    A = A.reshape(-1, n, n)
+    D = D.reshape(-1, n, n)
+    eig_max = np.linalg.eigvals(A).real.max(axis=-1)
+    # the first unstable matrix fails first: none after it is solved
+    unstable = np.flatnonzero(eig_max >= 0)
+    stop = unstable[0] if len(unstable) else len(A)
+    A, D = A[:stop], D[:stop]
 
+    # K = kron(A, I) + kron(I, conj(A)), the same products np.kron forms
     eye = np.eye(n)
-    K = np.kron(A, eye) + np.kron(eye, A.conj())
+    K = (A[:, :, None, :, None] * eye[None, :, None, :]
+         + eye[:, None, :, None] * A.conj()[:, None, :, None, :]
+         ).reshape(stop, n * n, n * n)
     try:
-        v = np.linalg.solve(K, -D.reshape(-1))
+        v = np.linalg.solve(K, -D.reshape(stop, n * n, 1))
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(K)
-        raise LyapunovSolveError(
-            f"singular Kronecker system (cond = {cond:.3e})") from exc
-    V = v.reshape(n, n)
-    V = 0.5 * (V + V.conj().T)
+        j = next(j for j in range(stop) if _is_singular(K[j]))
+        raise LyapunovSolveError(f"singular Kronecker system "
+                                 f"(cond = {np.linalg.cond(K[j]):.3e})") from exc
+    V = v.reshape(stop, n, n)
+    V = 0.5 * (V + V.conj().swapaxes(-1, -2))
     if not np.iscomplexobj(A) and not np.iscomplexobj(D):
         V = V.real
 
-    res = np.linalg.norm(A @ V + V @ A.conj().T + D)
-    bound = LYAPUNOV_RTOL * np.linalg.norm(D)
-    if res > bound:
+    AH = A.conj().swapaxes(-1, -2)
+    res = np.linalg.norm(A @ V + V @ AH + D, axis=(-2, -1))
+    bound = LYAPUNOV_RTOL * np.linalg.norm(D, axis=(-2, -1))
+    over = np.flatnonzero(res > bound)
+    if len(over):
+        j = over[0]
         raise LyapunovSolveError(
-            f"Lyapunov residual {res:.3e} exceeds {bound:.3e} "
-            f"(cond = {np.linalg.cond(K):.3e})")
-    return V
+            f"Lyapunov residual {res[j]:.3e} exceeds {bound[j]:.3e} "
+            f"(cond = {np.linalg.cond(K[j]):.3e})")
+    if len(unstable):
+        raise StabilityError(
+            f"drift is not stable: max Re(eig) = {eig_max[stop]:.3e}")
+    return V.reshape(stack + (n, n))
+
+
+def _is_singular(K: np.ndarray) -> bool:
+    """Whether LAPACK's LU factorization of K meets a zero pivot."""
+    try:
+        np.linalg.solve(K, np.zeros(len(K)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def occupations(V: np.ndarray, dyn: LinearDynamics) -> CovarianceState:

@@ -177,6 +177,24 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["trajectory", "--seed", "-1"],
+        ["transient", "--seed", str(2 ** 64)],
+        ["sweep", "--protocol", "both", "--seed", "-1"],
+    ], ids=["trajectory", "transient", "sweep-monte-carlo"])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        # a Philox key holds a 64-bit master seed; parsing rejects the
+        # rest before any work or output
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        assert run(["trajectory", "--g-over-kappa", "0.04", "--duration",
+                    "0.2", "--seed", str(2 ** 64 - 1), "--out",
+                    str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv", [
         ["trajectory", "--g-over-kappa", "0.04", "--duration", "0.05"],
         ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "1e-5",
          "--dt", "1e-5", "--tick-duration", "0.05"],

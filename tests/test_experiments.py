@@ -13,8 +13,8 @@ from clocksync import (EnsembleError, SweepRow, ThresholdError,
                        transient_experiment)
 from clocksync import experiments, trajectory
 from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
-                                   TICK_SEED_BASE, operating_point,
-                                   sync_degree, tick_stats)
+                                   TICK_SEED_BASE, analytic_point,
+                                   operating_point, sync_degree, tick_stats)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.model import reduced_drift_matrix
 from clocksync.trajectory import derived_seed, stored_states
@@ -57,6 +57,38 @@ class TestSweepAnalytic:
         for protocol in ("bogus", "monte-carlo"):
             with pytest.raises(ValueError):
                 sweep_coupling(paper, protocol=protocol)
+
+
+def row_bits(rows):
+    return np.array([r.as_list() for r in rows]).tobytes()
+
+
+class TestAnalyticSlices:
+    # the NESS is solved ANALYTIC_SLICE couplings per stacked call; no row
+    # depends on where the grid is cut
+
+    def test_rows_equal_per_point_rows(self, paper):
+        grid = np.linspace(0.0, 0.05, experiments.ANALYTIC_SLICE + 3)
+        rows = sweep_coupling(paper, grid=grid, protocol="analytic")
+        per_point = [analytic_point(paper, float(g))[0] for g in grid]
+        assert row_bits(rows) == row_bits(per_point)
+        half = len(grid) // 2
+        halves = (sweep_coupling(paper, grid=grid[:half], protocol="analytic")
+                  + sweep_coupling(paper, grid=grid[half:],
+                                   protocol="analytic"))
+        assert row_bits(rows) == row_bits(halves)
+
+    def test_both_protocol_rows(self, paper, monkeypatch):
+        kw = dict(grid=[0.0, 0.02, 0.04], protocol="both", master_seed=1,
+                  duration=0.2, tick_duration=0.02)
+        ref = sweep_coupling(paper, **kw)
+        analytic = sweep_coupling(paper, grid=kw["grid"], protocol="analytic")
+        assert row_bits([dataclasses.replace(r, C=math.nan, D=math.nan,
+                                             N1=math.nan, N2=math.nan)
+                         for r in ref]) == row_bits(analytic)
+        for size in (1, 2):
+            monkeypatch.setattr(experiments, "ANALYTIC_SLICE", size)
+            assert row_bits(sweep_coupling(paper, **kw)) == row_bits(ref)
 
 
 class TestThreshold:

@@ -44,6 +44,58 @@ class TestLyapunov:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.eye(3))
+        with pytest.raises(ValueError):
+            solve_lyapunov(-np.ones((3, 2, 2)), np.ones((2, 2, 2)))
+
+
+def kron_solve(A, D):
+    """Reference solve of one matrix: np.kron system, Hermitian part."""
+    n = len(A)
+    K = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A.conj())
+    V = np.linalg.solve(K, -D.reshape(-1)).reshape(n, n)
+    V = 0.5 * (V + V.conj().T)
+    return V if np.iscomplexobj(A) or np.iscomplexobj(D) else V.real
+
+
+def stacked(dyns):
+    return (np.array([d.drift for d in dyns]),
+            np.array([d.diffusion for d in dyns]))
+
+
+class TestStackedLyapunov:
+    # a stack solves each matrix to the bits of its solve alone, signed
+    # zeros included, in any stack shape
+
+    @pytest.mark.parametrize("build, points", [
+        (reduced_drift_matrix, 101), (full_drift_and_diffusion, 11),
+    ], ids=["reduced-complex-2x2", "full-real-6x6"])
+    def test_bit_identical_to_per_matrix_solves(self, paper, build, points):
+        A, D = stacked([build(paper.with_coupling(g))
+                        for g in np.linspace(0.0, 0.05, points)])
+        V = solve_lyapunov(A, D)
+        assert V.shape == A.shape and V.dtype == np.result_type(A, D)
+        alone = np.array([solve_lyapunov(a, d) for a, d in zip(A, D)])
+        assert V.tobytes() == alone.tobytes()
+        assert V.tobytes() == np.array(
+            [kron_solve(a, d) for a, d in zip(A, D)]).tobytes()
+        n = A.shape[-1]
+        V2 = solve_lyapunov(A[:10].reshape(2, 5, n, n),
+                            D[:10].reshape(2, 5, n, n))
+        assert V2.tobytes() == V[:10].tobytes()
+
+    def test_first_unstable_point_raises(self, paper):
+        A, D = stacked([reduced_drift_matrix(paper.with_coupling(g))
+                        for g in np.linspace(0.0, 0.05, 26)])
+        A[7] += 200.0 * np.eye(2)   # max Re(eig) > 0 at points 7 and 12,
+        A[12] += 5e3 * np.eye(2)    # with different messages
+        with pytest.raises(StabilityError) as first:
+            solve_lyapunov(A[7], D[7])
+        with pytest.raises(StabilityError) as later:
+            solve_lyapunov(A[12], D[12])
+        assert str(first.value) != str(later.value)
+        with pytest.raises(StabilityError) as stack:
+            solve_lyapunov(A, D)
+        assert str(stack.value) == str(first.value)
 
 
 class TestOccupations:
