@@ -18,11 +18,11 @@ the record length, the number of sweep points or the number of
 trajectories.
 
 Every operating point (coupling, normal modes, reduced dynamics) is built
-by ``operating_point``.  ``analytic_points`` is the one analytic path: it
-adds the NESS covariances and entropy rates of a grid of couplings,
-solving ANALYTIC_SLICE of them per stacked Lyapunov call, and
-``analytic_point`` is its one-point case.  Sweeps, quenches and every CLI
-command start from these.
+by ``operating_points``, which rejects one that overflows a float.
+``analytic_points`` is the one analytic path: it adds the NESS
+covariances and entropy rates, solving ANALYTIC_SLICE couplings per
+stacked Lyapunov call.  ``operating_point`` and ``analytic_point`` are
+their one-point cases; sweeps, quenches and every command start there.
 """
 
 from __future__ import annotations
@@ -136,14 +136,37 @@ def check_record_length(duration: float, dt: float, samples: int, what: str):
 TICK_SEED_BASE = 2 ** 32
 
 
+def operating_points(params: PhysicalParams, grid):
+    """(points, drifts, diffusions) of a list of |G|/kappa: per g, the
+    dynamics for params.with_coupling(g) and its normal modes (no NESS, so
+    unstable couplings are served too), then the stacked drifts and
+    diffusions.  ConfigError names the first g whose drift, diffusion or
+    normal modes overflow a float."""
+    points = []
+    for g in grid:
+        try:  # a huge x ** 2 raises OverflowError, an infinite G ValueError
+            p = params.with_coupling(g)
+            c = effective_coupling(p)
+            modes = normal_modes_closed_form(p.delta_omega, p.gamma1,
+                                             p.gamma2, c)
+            points.append((reduced_drift_matrix(p, c), modes))
+        except (OverflowError, ValueError):
+            break  # grid[len(points)] fails below
+    A = np.array([dyn.drift for dyn, _ in points]).reshape(-1, 2, 2)
+    D = np.array([dyn.diffusion for dyn, _ in points]).reshape(-1, 2, 2)
+    lam = np.reshape([(m.lambda_plus, m.lambda_minus) for _, m in points],
+                     (-1, 1, 2))
+    finite = np.isfinite(np.hstack([A, D, lam])).all(axis=(1, 2))
+    ok = np.append(finite, len(points) == len(grid))
+    if not ok.all():
+        raise ConfigError(
+            f"|G|/kappa = {grid[np.argmin(ok)]!r} overflows the model")
+    return points, A, D
+
+
 def operating_point(params: PhysicalParams, g: float):
-    """(dynamics for params.with_coupling(g), normal modes); needs no
-    NESS, so it also serves couplings whose drift is unstable."""
-    p = params.with_coupling(g)
-    coupling = effective_coupling(p)
-    modes = normal_modes_closed_form(p.delta_omega, p.gamma1, p.gamma2,
-                                     coupling)
-    return reduced_drift_matrix(p, coupling), modes
+    """``operating_points`` of the one coupling g: (dynamics, modes)."""
+    return operating_points(params, [g])[0][0]
 
 
 def analytic_points(params: PhysicalParams, grid):
@@ -157,9 +180,8 @@ def analytic_points(params: PhysicalParams, grid):
     """
     for start in range(0, len(grid), ANALYTIC_SLICE):
         gs = [float(g) for g in grid[start:start + ANALYTIC_SLICE]]
-        points = [operating_point(params, g) for g in gs]
-        V = solve_lyapunov(np.array([dyn.drift for dyn, _ in points]),
-                           np.array([dyn.diffusion for dyn, _ in points]))
+        points, A, D = operating_points(params, gs)
+        V = solve_lyapunov(A, D)
         for g, (dyn, modes), v in zip(gs, points, V):
             cov = occupations(v, dyn)
             rates = entropy_rates(cov, dyn.params)

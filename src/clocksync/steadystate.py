@@ -67,8 +67,8 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     StabilityError
         If any eigenvalue of A has non-negative real part.
     LyapunovSolveError
-        If the Kronecker system is singular or the residual exceeds
-        1e-8 * ||D||.
+        If the Kronecker system is singular or the residual is not
+        within 1e-8 * ||D|| (a nan residual included).
 
     In a stack, the error and its message are those of the first failing
     matrix in stack order, as its solve alone would raise them.
@@ -105,7 +105,7 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     AH = A.conj().swapaxes(-1, -2)
     res = np.linalg.norm(A @ V + V @ AH + D, axis=(-2, -1))
     bound = LYAPUNOV_RTOL * np.linalg.norm(D, axis=(-2, -1))
-    over = np.flatnonzero(res > bound)
+    over = np.flatnonzero(~(res <= bound))  # a nan residual fails too
     if len(over):
         j = over[0]
         raise LyapunovSolveError(

@@ -210,6 +210,39 @@ class TestConfig:
         assert "at least" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("params, argv", [
+        (None, ["ness", "--g-over-kappa", "1e200"]),
+        (None, ["trajectory", "--g-over-kappa", "1e200"]),
+        (None, ["transient", "--g-over-kappa", "1e200"]),
+        (None, ["modes", "--g-max", "1e200"]),
+        (None, ["sweep", "--protocol", "analytic", "--g-max", "1e200"]),
+        (None, ["ness", "--g-over-kappa", "1e302"]),
+        ({"kappa_hz": 1e300}, ["ness"]),
+        ({"nth1": 1e308}, ["ness"]),
+        ({"nth1": 1e308}, ["sweep", "--points", "3"]),
+        ({"gamma1_hz": 1e306}, ["ness"]),
+        ({"gamma1_hz": 1e306}, ["sweep", "--points", "3"]),
+        ({"gamma1_hz": 1e306}, ["trajectory", "--duration", "0.2"]),
+        ({"omega1_hz": 1e306}, ["ness"]),
+        ({"omega1_hz": 1e306}, ["modes"]),
+    ], ids=["ness-g", "trajectory-g", "transient-g", "modes-g-max",
+            "sweep-g-max", "ness-g-infinite-coupling", "ness-kappa",
+            "ness-nth1", "sweep-nth1", "ness-gamma1", "sweep-gamma1",
+            "trajectory-gamma1", "ness-omega1", "modes-omega1"])
+    def test_overflowing_model_exits_2(self, tmp_path, capsys, params, argv):
+        # finite inputs whose drift, diffusion or normal modes overflow a
+        # float: a typed error naming the coupling, before any table
+        if params is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"params": params}))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "|G|/kappa = " in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
     def test_physics_error_exits_3(self, tmp_path, capsys):
         cases = [
             # blue detuning anti-damps the long-lived mode: no NESS exists

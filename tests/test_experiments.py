@@ -7,14 +7,15 @@ import pytest
 
 from conftest import chunk_steps
 
-from clocksync import (EnsembleError, SweepRow, ThresholdError,
+from clocksync import (ConfigError, EnsembleError, SweepRow, ThresholdError,
                        TurningPointError, ensemble_moments, find_threshold,
                        find_turning_point, run_ensemble, sweep_coupling,
                        transient_experiment)
 from clocksync import experiments, trajectory
 from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
                                    TICK_SEED_BASE, analytic_point,
-                                   operating_point, sync_degree, tick_stats)
+                                   operating_point, operating_points,
+                                   sync_degree, tick_stats)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.model import reduced_drift_matrix
 from clocksync.trajectory import derived_seed, stored_states
@@ -57,6 +58,20 @@ class TestSweepAnalytic:
         for protocol in ("bogus", "monte-carlo"):
             with pytest.raises(ValueError):
                 sweep_coupling(paper, protocol=protocol)
+
+
+    def test_overflowing_coupling_named(self, paper):
+        # at 1e100 only the closed-form normal modes overflow (to nan); at
+        # 1e200 G ** 2 raises OverflowError.  The first one is named.
+        with pytest.raises(ConfigError, match=r"= 1e\+100 "):
+            operating_points(paper, [0.0, 0.02, 1e100, 1e200])
+        with pytest.raises(ConfigError, match=r"= 1e\+200 "):
+            sweep_coupling(paper, grid=[0.0, 1e200], protocol="analytic")
+        points, A, D = operating_points(paper, [0.0, 0.02])
+        dyn, modes = operating_point(paper, 0.02)
+        assert points[1][1] == modes
+        assert A[1].tobytes() == dyn.drift.tobytes()
+        assert D[1].tobytes() == dyn.diffusion.tobytes()
 
 
 def row_bits(rows):

@@ -16,8 +16,7 @@ from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
                        transient_time)
 from clocksync.experiments import tick_stats
 from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, EnsembleMoments,
-                               PearsonStats, TickSeries, _clean_periods,
-                               _crossings)
+                               PearsonStats, TickSeries, _clean_periods)
 from clocksync.model import TWO_PI
 from clocksync.trajectory import Trajectory
 
@@ -230,22 +229,6 @@ class TestTicks:
             got = extract_ticks(traj, clock)
             assert np.array_equal(got.tick_times, expect.tick_times)
             assert got.gaps == expect.gaps
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-3, 60), st.integers(-2, 2),
-                              st.integers(1, 3)), min_size=2, max_size=60))
-    def test_crossings_match_searchsorted(self, samples):
-        # phases on 2 pi k, a few ulps beside it, and repeated (clamped
-        # slips): where floor(phase / 2 pi) and the exact comparison
-        # disagree, for some k
-        phase = np.sort(np.repeat(
-            [2 * np.pi * k + u * np.spacing(2 * np.pi * k)
-             for k, u, _ in samples], [r for _, _, r in samples]))
-        first = math.floor(phase[0] / (2 * np.pi)) + 1
-        targets = 2 * np.pi * np.arange(
-            first, math.floor(phase[-1] / (2 * np.pi)) + 1)
-        assert np.array_equal(_crossings(phase, targets),
-                              np.searchsorted(phase, targets))
 
     @pytest.mark.parametrize("advance, retreat", [(3.0, -1.0), (1.0, -3.0)])
     def test_tied_phase_steps_use_the_median(self, advance, retreat):

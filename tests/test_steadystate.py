@@ -6,7 +6,8 @@ import pytest
 
 from conftest import random_stable_system
 
-from clocksync import (CovarianceState, FrameMismatchError, StabilityError,
+from clocksync import (CovarianceState, FrameMismatchError,
+                       LyapunovSolveError, StabilityError,
                        analytic_sync_degree, entropy_rates,
                        full_drift_and_diffusion, occupations,
                        reduced_drift_matrix, solve_lyapunov, steady_state,
@@ -96,6 +97,22 @@ class TestStackedLyapunov:
         with pytest.raises(StabilityError) as stack:
             solve_lyapunov(A, D)
         assert str(stack.value) == str(first.value)
+
+    def test_nan_residual_fails(self, paper):
+        # at omega1 = 2 pi x 1e306 the drift is finite but A V + V A^H
+        # overflows to inf - inf: the residual is nan, which no bound
+        # accepts, alone or inside a stack
+        bad = reduced_drift_matrix(
+            dataclasses.replace(paper, omega1=TWO_PI * 1e306))
+        good = reduced_drift_matrix(paper.with_coupling(0.02))
+        A, D = stacked([good, bad, good])
+        with np.errstate(all="ignore"):
+            with pytest.raises(LyapunovSolveError,
+                               match="residual nan") as alone:
+                solve_lyapunov(bad.drift, bad.diffusion)
+            with pytest.raises(LyapunovSolveError) as stack:
+                solve_lyapunov(A, D)
+        assert str(stack.value) == str(alone.value)
 
 
 class TestOccupations:
