@@ -22,8 +22,7 @@ from .steadystate import (CovarianceState, EntropyRates, analytic_sync_degree,
 from .trajectory import (Trajectory, displacements, propagate_exact,
                          run_ensemble)
 from .metrics import (SyncMetrics, TickSeries, TickStats, TransientResult,
-                      ensemble_moments, extract_ticks, power_spectrum,
-                      transient_time)
+                      extract_ticks, power_spectrum, transient_time)
 from .experiments import (SweepRow, find_threshold, find_turning_point,
                           sweep_coupling, transient_experiment)
 
@@ -36,10 +35,9 @@ __all__ = [
     "TickExtractionError", "TickSeries", "TickStats", "Trajectory",
     "TransientResult", "TurningPointError", "analytic_sync_degree",
     "cavity_susceptibility", "displacements", "effective_coupling",
-    "ensemble_moments", "entropy_rates", "extract_ticks", "find_threshold",
-    "find_turning_point", "full_drift_and_diffusion",
-    "normal_modes_closed_form", "normal_modes_numeric", "occupations",
-    "paper_preset", "power_spectrum",
+    "entropy_rates", "extract_ticks", "find_threshold", "find_turning_point",
+    "full_drift_and_diffusion", "normal_modes_closed_form",
+    "normal_modes_numeric", "occupations", "paper_preset", "power_spectrum",
     "propagate_exact", "reduced_drift_matrix", "run_ensemble",
     "solve_lyapunov", "steady_state", "sweep_coupling",
     "transient_experiment", "transient_time",

@@ -252,7 +252,7 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     check_record_length(duration, dt, min_tick_samples(dt), "trajectory")
     os.makedirs(out, exist_ok=True)
     carrier, (record,) = record_states(stored_states(
-        dyn, [derived_seed(seed, 0)], duration, dt, quench=False), 1)
+        dyn, [derived_seed(seed, 0)], duration, dt, quench=False))
     # C, D and N before any file, so a record they reject writes none
     m = tick_stats([record], carrier, dt)
     C = sync_degree([record], carrier, dt)

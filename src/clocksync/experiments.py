@@ -143,15 +143,16 @@ def operating_points(params: PhysicalParams, grid):
     diffusions.  ConfigError names the first g whose drift, diffusion or
     normal modes overflow a float."""
     points = []
-    for g in grid:
-        try:  # a huge x ** 2 raises OverflowError, an infinite G ValueError
-            p = params.with_coupling(g)
-            c = effective_coupling(p)
-            modes = normal_modes_closed_form(p.delta_omega, p.gamma1,
-                                             p.gamma2, c)
-            points.append((reduced_drift_matrix(p, c), modes))
-        except (OverflowError, ValueError):
-            break  # grid[len(points)] fails below
+    with np.errstate(all="ignore"):  # what numpy warns of fails below
+        for g in grid:
+            try:  # huge x ** 2: OverflowError; infinite G: ValueError
+                p = params.with_coupling(g)
+                c = effective_coupling(p)
+                modes = normal_modes_closed_form(p.delta_omega, p.gamma1,
+                                                 p.gamma2, c)
+                points.append((reduced_drift_matrix(p, c), modes))
+            except (OverflowError, ValueError):
+                break  # grid[len(points)] fails below
     A = np.array([dyn.drift for dyn, _ in points]).reshape(-1, 2, 2)
     D = np.array([dyn.diffusion for dyn, _ in points]).reshape(-1, 2, 2)
     lam = np.reshape([(m.lambda_plus, m.lambda_minus) for _, m in points],

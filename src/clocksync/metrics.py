@@ -408,23 +408,6 @@ class EnsembleMoments:
         return bath_fluxes(params, v1 / n - 0.5, v2 / n - 0.5, ncr)[1:]
 
 
-def ensemble_moments(ensemble: list[Trajectory]) -> EnsembleMoments:
-    """``EnsembleMoments`` of a stored ensemble on a common time grid,
-    reduced in one pass over the whole record: R(t) is its
-    ``correlation()``, the per-bath fluxes its ``fluxes(params)``.  A
-    library and test adapter; ``transient_experiment`` streams instead."""
-    if not ensemble:
-        raise EnsembleError("need at least 1 trajectory")
-    t0 = ensemble[0].times
-    for tr in ensemble[1:]:
-        if tr.times.shape != t0.shape or not np.allclose(tr.times, t0):
-            raise EnsembleError("trajectories must share a common time grid")
-    moments = EnsembleMoments(len(t0))
-    moments.update(np.stack([np.stack([tr.b1, tr.b2], axis=-1)
-                             for tr in ensemble]))
-    return moments
-
-
 def transient_time(times, R) -> float:
     """First time the smoothed R reaches LEVEL of its maximum.
 

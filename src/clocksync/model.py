@@ -112,7 +112,7 @@ class PhysicalParams:
         return replace(self, G1=s1 * g, G2=s2 * g)
 
 
-def paper_preset(g_over_kappa: float = 0.0) -> PhysicalParams:
+def paper_preset() -> PhysicalParams:
     """The default configuration: two near-degenerate membrane clocks.
 
     omega_{1,2} ~ 2pi x 400 kHz split by 2pi x 200 Hz, gamma_{1,2} =
@@ -120,7 +120,6 @@ def paper_preset(g_over_kappa: float = 0.0) -> PhysicalParams:
     G1 = -G2, red detuning Delta = -0.4 kappa, and white-noise drives
     giving n_th1 = 2e9, n_th2 = 1e9.
     """
-    g = g_over_kappa * PAPER_KAPPA
     return PhysicalParams(
         omega1=PAPER_OMEGA2 + PAPER_DELTA_OMEGA,
         omega2=PAPER_OMEGA2,
@@ -128,8 +127,8 @@ def paper_preset(g_over_kappa: float = 0.0) -> PhysicalParams:
         gamma2=PAPER_GAMMA2,
         kappa=PAPER_KAPPA,
         detuning=PAPER_DETUNING,
-        G1=g,
-        G2=-g,
+        G1=0.0,
+        G2=-0.0,
         nth1=PAPER_NTH1,
         nth2=PAPER_NTH2,
     )

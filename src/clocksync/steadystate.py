@@ -28,14 +28,12 @@ LYAPUNOV_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Second moments plus the derived effective occupations.
+    """Effective occupations of a steady covariance.
 
-    V is the symmetric (Hermitian) steady covariance in the frame of the
-    dynamics it was computed from.  n_cross_eff is the phononic
-    cross-correlation Re<b1† b2> (equal-time <x1 x2> in the lab frame).
+    n_cross_eff is the phononic cross-correlation Re<b1† b2> (equal-time
+    <x1 x2> in the lab frame).
     """
 
-    V: np.ndarray
     n_b1_eff: float
     n_b2_eff: float
     n_a_eff: float
@@ -152,7 +150,7 @@ def occupations(V: np.ndarray, dyn: LinearDynamics) -> CovarianceState:
         na = bath_fluxes(dyn.params, n1, n2, ncr)[0]
     else:
         raise FrameMismatchError(f"unknown frame {dyn.frame!r}")
-    return CovarianceState(V=V, n_b1_eff=float(n1), n_b2_eff=float(n2),
+    return CovarianceState(n_b1_eff=float(n1), n_b2_eff=float(n2),
                            n_a_eff=float(na), n_cross_eff=float(ncr))
 
 

@@ -23,10 +23,11 @@ step; Q rotates each chunk back.  A chunk holds at most
 ``_CHUNK_MEMBER_STEPS`` member-steps, and always at least one step.
 
 ``stored_states`` hands the stream of states to a consumer block by
-block; ``record_states``, ``propagate_exact`` and ``run_ensemble``
-collect the same stream into whole records.  A consumer that reduces
-each block as it comes (a sweep point's C, D and N, a quench's R(t) and
-fluxes) needs memory for about one chunk, not for the record.
+block.  ``record_states`` collects it into one (members, times, 2)
+array, a row per seed, and ``propagate_exact`` and ``run_ensemble`` into
+``Trajectory`` views of that array.  A consumer that reduces each block
+as it comes (a sweep point's C, D and N, a quench's R(t) and fluxes)
+needs memory for about one chunk, not for the record.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -263,26 +264,27 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)
 
 
-def record_states(states, n_traj: int) -> tuple[float, np.ndarray]:
-    """(carrier, record): a ``stored_states`` stream of n_traj members
-    filled into one (n_traj, n_stored, 2) array."""
+def record_states(states) -> tuple[float, np.ndarray]:
+    """(carrier, record): a ``stored_states`` stream filled into one
+    (members, n_stored, 2) array, one row per seed; the member count is
+    that of the stream's first block."""
     carrier, n_stored, parts = states
-    out = np.empty((n_traj, n_stored, 2), dtype=complex)
     filled = 0
     for part in parts:
+        if not filled:
+            out = np.empty((len(part), n_stored, 2), dtype=complex)
         out[:, filled:filled + part.shape[1]] = part
         filled += part.shape[1]
     return carrier, out
 
 
-def _record(states, n_traj: int, dt: float) -> list[Trajectory]:
-    """Store a ``stored_states`` stream of n_traj members and step dt;
-    members share one times array, b1 and b2 are views into one record."""
-    carrier, out = record_states(states, n_traj)
+def _record(states, dt: float) -> list[Trajectory]:
+    """One ``Trajectory`` per member of a ``stored_states`` stream of step
+    dt: one shared times array, b1 and b2 views into one record."""
+    carrier, out = record_states(states)
     times = dt * np.arange(out.shape[1])
-    return [Trajectory(times=times, b1=out[i, :, 0], b2=out[i, :, 1],
-                       dt=dt, reference_frequency=carrier)
-            for i in range(n_traj)]
+    return [Trajectory(times=times, b1=b[:, 0], b2=b[:, 1], dt=dt,
+                       reference_frequency=carrier) for b in out]
 
 
 def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT,
@@ -293,7 +295,7 @@ def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT
     from a quench start z0 = diag(sqrt(nth_i + 1/2)) zeta.  With zero
     diffusion this reduces to the matrix-exponential flow from z0.
     """
-    return _record(stored_states(dyn, [seed], duration, dt), 1, dt)[0]
+    return _record(stored_states(dyn, [seed], duration, dt), dt)[0]
 
 
 def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
@@ -311,5 +313,4 @@ def run_ensemble(dyn: LinearDynamics, n_traj: int, duration: float,
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
-    return _record(stored_states(dyn, seeds, duration, dt, quench=quench),
-                   n_traj, dt)
+    return _record(stored_states(dyn, seeds, duration, dt, quench=quench), dt)

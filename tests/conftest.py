@@ -40,6 +40,23 @@ def chunk_steps(monkeypatch, steps, members):
     monkeypatch.setattr(trajectory, "_CHUNK_MEMBER_STEPS", steps * members)
 
 
+def quench_record(dyn, n, duration, dt, master_seed):
+    """(n, n_stored, 2) states of a seeded quench ensemble, members keyed
+    as in ``run_ensemble``, stored by ``record_states``."""
+    from clocksync.trajectory import (derived_seed, record_states,
+                                      stored_states)
+    seeds = [derived_seed(master_seed, i) for i in range(n)]
+    return record_states(stored_states(dyn, seeds, duration, dt))[1]
+
+
+def moments_of(block):
+    """``EnsembleMoments`` of a (members, times, 2) block, fed as one."""
+    from clocksync.metrics import EnsembleMoments
+    moments = EnsembleMoments(block.shape[1])
+    moments.update(block)
+    return moments
+
+
 def r_squared(x, y):
     keep = np.isfinite(x) & np.isfinite(y)
     x, y = np.asarray(x)[keep], np.asarray(y)[keep]

@@ -12,6 +12,19 @@ from clocksync.experiments import operating_point, sync_degree, tick_stats
 from clocksync.output import write_csv, write_svg
 
 
+class TestPackage:
+    def test_public_names_resolve_once(self):
+        # an export edit must reach both the import and __all__
+        import inspect
+        import clocksync
+        assert len(set(clocksync.__all__)) == len(clocksync.__all__)
+        for name in clocksync.__all__:
+            assert getattr(clocksync, name, None) is not None, name
+        imported = {name for name, value in vars(clocksync).items()
+                    if not (name.startswith("_") or inspect.ismodule(value))}
+        assert imported == set(clocksync.__all__)
+
+
 class TestOutputs:
     def test_csv_round_trip_exact(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -229,6 +242,7 @@ class TestConfig:
             "sweep-g-max", "ness-g-infinite-coupling", "ness-kappa",
             "ness-nth1", "sweep-nth1", "ness-gamma1", "sweep-gamma1",
             "trajectory-gamma1", "ness-omega1", "modes-omega1"])
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_model_exits_2(self, tmp_path, capsys, params, argv):
         # finite inputs whose drift, diffusion or normal modes overflow a
         # float: a typed error naming the coupling, before any table

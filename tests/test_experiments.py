@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import chunk_steps
+from conftest import chunk_steps, moments_of, quench_record
 
 from clocksync import (ConfigError, EnsembleError, SweepRow, ThresholdError,
-                       TurningPointError, ensemble_moments, find_threshold,
-                       find_turning_point, run_ensemble, sweep_coupling,
-                       transient_experiment)
+                       TurningPointError, find_threshold, find_turning_point,
+                       sweep_coupling, transient_experiment)
 from clocksync import experiments, trajectory
 from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
                                    TICK_SEED_BASE, analytic_point,
@@ -166,9 +165,9 @@ class TestTransientExperiment:
         chunk_steps(monkeypatch, steps_per_chunk, n)
         res = transient_experiment(paper, g, n_traj=n, master_seed=seed,
                                    duration=duration, dt=dt)
-        ens = run_ensemble(dyn, n, duration, dt, master_seed=seed)
-        moments = ensemble_moments(ens)
-        assert np.array_equal(res.times, ens[0].times)
+        ens = quench_record(dyn, n, duration, dt, master_seed=seed)
+        moments = moments_of(ens)
+        assert np.array_equal(res.times, dt * np.arange(ens.shape[1]))
         assert np.array_equal(res.R, moments.correlation(), equal_nan=True)
         fluxes = moments.fluxes(dyn.params)
         for got, want in zip((res.mu_b1_t, res.mu_b2_t, res.mu_a_t), fluxes):

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import run_python
+from conftest import moments_of, quench_record, run_python
 
 from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
-                       TickStats, ensemble_moments, extract_ticks,
-                       power_spectrum, reduced_drift_matrix, run_ensemble,
-                       transient_time)
+                       TickStats, extract_ticks, power_spectrum,
+                       reduced_drift_matrix, transient_time)
 from clocksync.experiments import tick_stats
 from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, EnsembleMoments,
                                PearsonStats, TickSeries, _clean_periods)
@@ -409,43 +408,28 @@ class TestPowerSpectrum:
 class TestTransientCorrelation:
     def test_perfectly_correlated_clocks(self):
         rng = np.random.default_rng(2)
-        trajs = []
-        for _ in range(40):
-            b = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-            trajs.append(make_traj(b, 2.0 * b, 1e-3, TWO_PI * 1e3))
-        R = ensemble_moments(trajs).correlation()
+        b = rng.standard_normal((40, 50)) + 1j * rng.standard_normal((40, 50))
+        R = moments_of(np.stack([b, 2.0 * b], -1)).correlation()
         assert np.allclose(R, 1.0)
 
     def test_independent_start(self, paper):
         p = dataclasses.replace(paper, G1=0.0, G2=0.0)
-        ens = run_ensemble(reduced_drift_matrix(p), 400, duration=0.01,
-                           dt=1e-3, master_seed=1)
-        R = ensemble_moments(ens).correlation()
+        ens = quench_record(reduced_drift_matrix(p), 400, duration=0.01,
+                            dt=1e-3, master_seed=1)
+        R = moments_of(ens).correlation()
         assert abs(R[0]) < 3 / np.sqrt(400)
 
-    def test_grid_mismatch_rejected(self):
-        a = make_traj(np.ones(10), np.ones(10), 1e-3, 1.0)
-        b = make_traj(np.ones(11), np.ones(11), 1e-3, 1.0)
-        with pytest.raises(EnsembleError):
-            ensemble_moments([a, b])
-        with pytest.raises(EnsembleError):
-            ensemble_moments([])
-
     def test_degenerate_points_flagged(self):
-        trajs = [make_traj(np.zeros(5), np.zeros(5), 1e-3, 1.0)
-                 for _ in range(3)]
-        R = ensemble_moments(trajs).correlation()
+        R = moments_of(np.zeros((3, 5, 2), dtype=complex)).correlation()
         assert np.all(np.isnan(R))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_bounded_random_ensembles(self, seed):
         rng = np.random.default_rng(seed)
-        trajs = [make_traj(rng.standard_normal(20) + 1j * rng.standard_normal(20),
-                           rng.standard_normal(20) + 1j * rng.standard_normal(20),
-                           1e-3, 1.0)
-                 for _ in range(4)]
-        R = ensemble_moments(trajs).correlation()
+        b1, b2 = (rng.standard_normal((2, 4, 20))
+                  + 1j * rng.standard_normal((2, 4, 20)))
+        R = moments_of(np.stack([b1, b2], -1)).correlation()
         ok = np.isfinite(R)
         assert np.all(np.abs(R[ok]) <= 1.0)
 
@@ -472,9 +456,16 @@ class TestEnsembleMoments:
         num = np.real(np.sum(d1 * np.conj(d2), axis=0))
         ref = num / np.sqrt(np.sum(np.abs(d1) ** 2, axis=0)
                             * np.sum(np.abs(d2) ** 2, axis=0))
-        R = ensemble_moments([make_traj(a, b, 1e-3, 1.0)
-                              for a, b in zip(b1, b2)]).correlation()
+        R = moments_of(np.stack([b1, b2], -1)).correlation()
         assert np.array_equal(R, ref)
+
+    def test_empty_rejected(self, paper):
+        # no block received: no member to reduce
+        moments = EnsembleMoments(5)
+        with pytest.raises(EnsembleError):
+            moments.correlation()
+        with pytest.raises(EnsembleError):
+            moments.fluxes(paper.with_coupling(0.02))
 
     def test_members_must_not_change(self):
         moments = EnsembleMoments(4)
@@ -504,15 +495,15 @@ class TestTransientTime:
 class TestTransientFlux:
     def test_small_ensemble_rejected(self, paper):
         dyn = reduced_drift_matrix(paper.with_coupling(0.02))
-        ens = run_ensemble(dyn, 5, duration=0.001, dt=1e-5, master_seed=0)
+        ens = quench_record(dyn, 5, duration=0.001, dt=1e-5, master_seed=0)
         with pytest.raises(EnsembleError):
-            ensemble_moments(ens).fluxes(paper.with_coupling(0.02))
+            moments_of(ens).fluxes(paper.with_coupling(0.02))
 
     def test_thermal_start_has_no_phonon_flux(self, paper):
         p = paper.with_coupling(0.02)
-        ens = run_ensemble(reduced_drift_matrix(p), 600, duration=0.001,
-                           dt=1e-4, master_seed=11)
-        mu1, mu2, mua = ensemble_moments(ens).fluxes(p)
+        ens = quench_record(reduced_drift_matrix(p), 600, duration=0.001,
+                            dt=1e-4, master_seed=11)
+        mu1, mu2, mua = moments_of(ens).fluxes(p)
         assert abs(mu1[0]) < 0.2 * p.gamma1
         assert abs(mu2[0]) < 0.2 * p.gamma2
         assert mua[0] > 0  # coupling on: the hot membranes transduce at once

@@ -154,17 +154,15 @@ class TestOccupations:
 
 class TestEntropyRates:
     def test_equilibrium_is_reversible(self, paper):
-        cov = CovarianceState(V=np.eye(2), n_b1_eff=paper.nth1,
-                              n_b2_eff=paper.nth2, n_a_eff=0.0,
-                              n_cross_eff=0.0)
+        cov = CovarianceState(n_b1_eff=paper.nth1, n_b2_eff=paper.nth2,
+                              n_a_eff=0.0, n_cross_eff=0.0)
         r = entropy_rates(cov, paper)
         assert r.mu_b1 == r.mu_b2 == r.mu_a == r.Pi_s == 0.0
 
     def test_cooling_flux_sign_and_size(self, paper):
         # half the thermal occupation at large n_th: mu ~ -gamma/2
-        cov = CovarianceState(V=np.eye(2), n_b1_eff=0.5 * paper.nth1,
-                              n_b2_eff=paper.nth2, n_a_eff=0.0,
-                              n_cross_eff=0.0)
+        cov = CovarianceState(n_b1_eff=0.5 * paper.nth1, n_b2_eff=paper.nth2,
+                              n_a_eff=0.0, n_cross_eff=0.0)
         r = entropy_rates(cov, paper)
         assert r.mu_b1 == pytest.approx(-0.5 * paper.gamma1, rel=1e-6)
         assert r.mu_b1 == pytest.approx(-TWO_PI * 3.5, rel=1e-6)
@@ -176,7 +174,7 @@ class TestEntropyRates:
         assert r.Pi_s == pytest.approx(r.mu_b1 + r.mu_b2 + r.mu_a)
 
     def test_nonfinite_rejected(self, paper):
-        cov = CovarianceState(V=np.eye(2), n_b1_eff=math.nan, n_b2_eff=0.0,
+        cov = CovarianceState(n_b1_eff=math.nan, n_b2_eff=0.0,
                               n_a_eff=0.0, n_cross_eff=0.0)
         with pytest.raises(ValueError):
             entropy_rates(cov, paper)

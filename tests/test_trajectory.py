@@ -12,7 +12,7 @@ from clocksync.model import PhysicalParams
 from clocksync.experiments import operating_point
 from clocksync.trajectory import (_build_exact_map, _iterate_blocks,
                                   _recentered, derived_seed, displacements,
-                                  stored_states)
+                                  record_states, stored_states)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -108,6 +108,17 @@ class TestEngine:
         for j in range(5):
             alone = states(self.DYN, [self.SEEDS[j]])
             assert np.array_equal(batch[j], alone[0])
+
+    def test_record_has_one_row_per_seed(self, monkeypatch):
+        # the member count is the stream's, over several chunks too
+        chunk_steps(monkeypatch, 7, 3)
+        for seeds in (self.SEEDS[:3], self.SEEDS[:1]):
+            _, record = record_states(stored_states(self.DYN, seeds, 0.2,
+                                                    1e-3))
+            assert record.shape == (len(seeds), 201, 2)
+            assert np.array_equal(record, states(self.DYN, seeds))
+            rows = {r.tobytes() for r in record}
+            assert len(rows) == len(seeds)
 
     def test_expansive_map_rejected_before_any_noise(self):
         rng, fresh = (np.random.Generator(np.random.Philox(key=1))
