@@ -30,8 +30,9 @@ from . import __version__
 from .errors import ClockSyncError, ConfigError
 from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
                           analytic_point, check_record_length, find_threshold,
-                          find_turning_point, operating_point, sweep_coupling,
-                          sync_degree, tick_stats, transient_experiment)
+                          find_turning_point, operating_point,
+                          operating_points, sweep_coupling, sync_degree,
+                          tick_stats, transient_experiment)
 from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, min_tick_samples,
                       power_spectrum)
 from .model import TWO_PI, PhysicalParams, paper_preset
@@ -170,11 +171,10 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
     os.makedirs(out, exist_ok=True)
     header = ["g_over_kappa", "omega_plus", "omega_minus", "gamma_plus",
               "gamma_minus", "ratio"]
-    rows = []
-    for g in np.linspace(0.0, g_max, points):
-        _, nm = operating_point(params, float(g))
-        rows.append([g, nm.omega_plus, nm.omega_minus, nm.gamma_plus,
-                     nm.gamma_minus, nm.ratio])
+    grid = [float(g) for g in np.linspace(0.0, g_max, points)]
+    rows = [[g, nm.omega_plus, nm.omega_minus, nm.gamma_plus,
+             nm.gamma_minus, nm.ratio]
+            for g, (_, nm) in zip(grid, operating_points(params, grid)[0])]
     path = _write_table(out, "modes", header, rows, svg)
     _echo_config(out, params)
     click.echo(f"wrote {path}")

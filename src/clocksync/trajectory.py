@@ -10,16 +10,14 @@ with the exact OU discretization (Gillespie, Phys. Rev. E 54, 2084,
 1996): z <- F z + S zeta with F = expm(A dt) and
 S S^H = V_inf - F V_inf F^H, statistically exact for any dt.  The
 members share one dynamics, each with its own Philox key.  No Python
-loop runs per time step: the map is factored once into complex Schur form F = Q T Q^H
-(Golub & Van Loan, Matrix Computations, 7.1), the noise is mapped
-straight into the Schur basis with Q^H S, and the upper-triangular T
-turns the update into two scalar first-order recurrences per member.
-Over a chunk of steps each recurrence is a unit lower-bidiagonal system,
-solved by one LAPACK banded triangular solve (``ztbtrs``) with every
-member a right-hand side of the same call.  Each Schur-basis
-buffer leads with a carry column holding the previous chunk's last
-state, so chunk boundaries go through the same arithmetic as every other
-step; Q rotates each chunk back.  A chunk holds at most
+loop runs per time step: over a chunk of m steps, one member's states
+interleaved as (z1_0, z2_0, z1_1, z2_1, ...) solve a unit
+lower-triangular banded system of bandwidth 3, whose subdiagonals hold
+the entries of -F and whose right-hand side is the noise S zeta written
+after the carry state (z1_0, z2_0), the previous chunk's last state.
+One LAPACK banded triangular solve (``ztbtrs``) steps every member of
+the chunk, each a right-hand side, so chunk boundaries go through the
+same arithmetic as every other step.  A chunk holds at most
 ``_CHUNK_MEMBER_STEPS`` member-steps, and always at least one step.
 
 ``stored_states`` hands the stream of states to a consumer block by
@@ -60,8 +58,9 @@ from .steadystate import solve_lyapunov
 
 DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
-# A chunk of B members runs _CHUNK_MEMBER_STEPS // B steps, so the arrays
-# live while one is built stay at a few MB whatever the batch.
+# A chunk of B members runs _CHUNK_MEMBER_STEPS // B steps, so its noise,
+# its solved states and the band (4 x 2(m+1) entries, m steps) stay at a
+# few MB whatever the batch.
 _CHUNK_MEMBER_STEPS = 2 ** 15
 
 
@@ -128,101 +127,75 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
                     n_steps: int, rngs: list):
     """Propagate z <- F z + S zeta; returns a generator of state blocks.
 
-    Every member steps under the same (2, 2) map.  It is factored once,
-    F = Q T Q^H (complex Schur form), and the states are stepped in the
-    Schur basis w = Q^H z, where the triangular map is two scalar
-    recurrences: w2 <- t22 w2 + u2, then
-    w1 <- t11 w1 + t12 w2(previous) + u1, with u = Q^H S zeta.  Over a
-    chunk of m steps each component is a (B, m+1) buffer: column 0
-    carries the previous chunk's last state, columns 1..m receive u
-    (plus the t12 term), and one banded triangular solve (``_recur``)
-    runs the recurrence through them in place.  Raises StabilityError on
-    the call, before any noise is drawn, when the spectral radius
-    max|t_ii| is >= 1.
+    Every member steps under the same (2, 2) map.  Over a chunk of m
+    steps one member's states, interleaved as (z1_0, z2_0, z1_1, z2_1,
+    ...) with the carry state (z1_0, z2_0) first, solve one unit
+    lower-triangular system of bandwidth 3: the row of z1_n reads
+    z1_n - F00 z1_{n-1} - F01 z2_{n-1} = u1_{n-1}, the row of z2_n
+    z2_n - F10 z1_{n-1} - F11 z2_{n-1} = u2_{n-1}, with u = S zeta, and
+    the carry rows are identities.  One banded triangular solve
+    (``ztbtrs``) steps every member of the chunk, each a right-hand side.
+    Raises StabilityError on the call, before any noise is drawn, when
+    the spectral radius of F is >= 1.
 
     The generator yields the states after each step in (B, m, 2) blocks,
     in time order (the initial state is not yielded).  Noise is drawn per
     member in chunks of steps; chunked draws from one generator are
     bit-identical to a single large draw, every step (the first of a
-    chunk included) takes the same solve and elementwise arithmetic, and
-    the members are independent right-hand sides of each solve, so states
-    depend neither on the chunk size nor on the rest of the batch.
+    chunk included) takes the same arithmetic, and the members are
+    independent right-hand sides of each solve, so states depend neither
+    on the chunk size nor on the rest of the batch.
     """
-    T, Q = sla.schur(F, output="complex")
-    radius = float(np.max(np.abs(np.diag(T))))
+    radius = float(np.max(np.abs(np.linalg.eigvals(F))))
     if not radius < 1.0:
         raise StabilityError(f"one-step map is expansive: spectral radius "
                              f"{radius:.17g} >= 1")
-    Qh = Q.conj().T
-    # noise lands in the Schur basis: u = R n, n = normals, R = Q^H S/sqrt 2
-    R = Qh @ S / np.sqrt(2.0)
-    z1, z2 = z0[:, :1], z0[:, 1:]
-    w1 = Qh[0, 0] * z1 + Qh[0, 1] * z2
-    w2 = Qh[1, 0] * z1 + Qh[1, 1] * z2
-    return _schur_blocks(T, Q, R, w1, w2, n_steps, rngs)
+    return _banded_blocks(F, S / np.sqrt(2.0), z0, n_steps, rngs)
 
 
-def _recur(t, v, band):
-    """v[j, n] += t v[j, n-1] for n = 1, 2, ... in place (column 0 is
-    the carry).  Each row is a unit lower-bidiagonal system with
-    subdiagonal -t; all rows are right-hand sides of one ztbtrs call in
-    the Fortran-ordered (2, >= n) ``band``.  v must be C-contiguous, so
-    that v.T reaches LAPACK without a copy.
-    """
-    band = band[:, :v.shape[1]]
-    band[1] = -t
-    ztbtrs(band, v.T, uplo="L", diag="U", overwrite_b=1)
-
-
-def _schur_blocks(T, Q, R, w1, w2, n_steps, rngs):
-    """The chunk loop of ``_iterate_blocks``, from Schur-basis state w.
+def _banded_blocks(F, R, z, n_steps, rngs):
+    """The chunk loop of ``_iterate_blocks``; R = S/sqrt(2) maps the
+    complex view of 4 normals to the noise u.
 
     No complex product writes into memory that one of its operands
-    occupies.  numpy computes such a product in a scalar loop that rounds
+    occupies: numpy computes such a product in a scalar loop that rounds
     differently from its vector loop, and whether it counts as
-    overlapping depends on the chunk's shape: in place it does for one
-    member and one step only, between the interleaved z1 and z2 for any
-    longer chunk.  Products that would overlap go through the scratch
-    rows x instead.
+    overlapping depends on the chunk's shape.  So the normals, a scratch
+    row and the solved states are three buffers; the first two are
+    allocated once, the states afresh per chunk, since the yielded block
+    is a view of them.
     """
     B = len(rngs)
     chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // B))
-    # the two Schur-basis components of every chunk, carry column first,
-    # and the scratch rows are carved from one buffer, each C-contiguous
-    work = np.empty(3 * B * (chunk + 1), dtype=complex)
-    band = np.ones((2, chunk + 1), dtype=complex, order="F")
+    # band row r, column j: the coefficient of state j in row j + r.
+    # z1_n (even j) enters the rows of z1_{n+1} and z2_{n+1} at r = 2, 3,
+    # z2_n (odd j) at r = 1, 2
+    band = np.zeros((4, 2 * chunk + 2), dtype=complex, order="F")
+    band[1, 1::2] = -F[0, 1]
+    band[2, 0::2], band[2, 1::2] = -F[0, 0], -F[1, 1]
+    band[3, 0::2] = -F[1, 0]
+    normals = np.empty(4 * B * chunk)
+    scratch = np.empty(B * chunk, dtype=complex)
     for k in range(0, n_steps, chunk):
         m = min(chunk, n_steps - k)
-        noise = np.empty((B, m, 4))
+        noise = normals[:4 * B * m].reshape(B, m, 4)
         for b, rng in enumerate(rngs):
             rng.standard_normal(out=noise[b])
-        # the complex view pairs (re, im) like n[..., 0::2] + 1j n[..., 1::2];
-        # it is worked in place and becomes the yielded block
-        block = noise.view(np.complex128)
-        z1, z2 = block[..., 0], block[..., 1]
-        v1, v2, x = work[:3 * B * (m + 1)].reshape(3, B, m + 1)
-        v1[:, :1], v2[:, :1] = w1, w2
-        u1, u2 = v1[:, 1:], v2[:, 1:]  # steps 1..m: inputs, then states
-        x = x[:, 1:]
-        np.multiply(z1, R[1, 0], out=u2)
-        np.multiply(z2, R[1, 1], out=u1)
-        u2 += u1
-        np.multiply(z1, R[0, 0], out=x)
-        np.multiply(z2, R[0, 1], out=u1)
-        u1 += x  # z1 and z2 are scratch from here on
-        _recur(T[1, 1], v2, band)
-        np.multiply(v2[:, :-1], T[0, 1], out=z2)
-        u1 += z2
-        _recur(T[0, 0], v1, band)
-        w1, w2 = v1[:, -1:].copy(), v2[:, -1:].copy()
-        # back to z = Q w, elementwise
-        np.multiply(u1, Q[0, 0], out=z1)
-        np.multiply(u2, Q[0, 1], out=z2)
-        z1 += z2
-        np.multiply(u1, Q[1, 0], out=z2)
-        np.multiply(u2, Q[1, 1], out=x)
-        z2 += x
-        if not np.all(np.isfinite(block[:, -1])):
+        # the complex view pairs (re, im) like n[..., 0::2] + 1j n[..., 1::2]
+        zeta = noise.view(np.complex128)
+        part = scratch[:B * m].reshape(B, m)
+        states = np.empty((B, 2 * m + 2), dtype=complex)
+        states[:, :2] = z
+        # steps 1..m: the noise u = R zeta, then the states
+        block = states[:, 2:].reshape(B, m, 2)
+        for i in (0, 1):
+            np.multiply(zeta[..., 0], R[i, 0], out=block[..., i])
+            np.multiply(zeta[..., 1], R[i, 1], out=part)
+            block[..., i] += part
+        ztbtrs(band[:, :2 * m + 2], states.T, uplo="L", diag="U",
+               overwrite_b=1)
+        z = block[:, -1].copy()
+        if not np.all(np.isfinite(z)):
             raise StabilityError("trajectory diverged (non-finite samples)")
         yield block
 

@@ -11,8 +11,8 @@ from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
 from clocksync.model import PhysicalParams
 from clocksync.experiments import operating_point
 from clocksync.trajectory import (_build_exact_map, _iterate_blocks,
-                                  _recentered, derived_seed, displacements,
-                                  record_states, stored_states)
+                                  _psd_sqrt, _recentered, derived_seed,
+                                  displacements, record_states, stored_states)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -109,6 +109,30 @@ class TestEngine:
             alone = states(self.DYN, [self.SEEDS[j]])
             assert np.array_equal(batch[j], alone[0])
 
+    @pytest.mark.parametrize("quench", [True, False])
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_states_follow_the_map(self, paper, monkeypatch, members,
+                                   quench):
+        # a plain per-step loop over the same Philox draws: z0 = L zeta,
+        # then z <- F z + S zeta / sqrt(2), across several chunks
+        dyn = operating_point(paper, 0.04)[0]
+        dt, n_steps = 1e-5, 40
+        F, S, _, Vinf = _build_exact_map(dyn, dt)
+        L = (np.diag(np.sqrt([paper.nth1 + 0.5, paper.nth2 + 0.5]))
+             if quench else _psd_sqrt(Vinf))
+        seeds = [derived_seed(6, j) for j in range(members)]
+        expect = np.empty((members, n_steps + 1, 2), dtype=complex)
+        for j, seed in enumerate(seeds):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            expect[j, 0] = L @ rng.standard_normal(4).view(complex) / 2 ** 0.5
+            for n in range(n_steps):
+                zeta = rng.standard_normal(4).view(complex)
+                expect[j, n + 1] = F @ expect[j, n] + S @ zeta / 2 ** 0.5
+        chunk_steps(monkeypatch, 7, members)
+        _, got = record_states(stored_states(dyn, seeds, n_steps * dt, dt,
+                                             quench=quench))
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
     def test_record_has_one_row_per_seed(self, monkeypatch):
         # the member count is the stream's, over several chunks too
         chunk_steps(monkeypatch, 7, 3)
@@ -121,12 +145,17 @@ class TestEngine:
             assert len(rows) == len(seeds)
 
     def test_expansive_map_rejected_before_any_noise(self):
-        rng, fresh = (np.random.Generator(np.random.Philox(key=1))
-                      for _ in range(2))
-        F = np.array([[1.01, 0.3], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(StabilityError, match="1.01"):
-            _iterate_blocks(F, np.eye(2), np.zeros(2), 10, [rng])
-        assert np.array_equal(rng.standard_normal(4), fresh.standard_normal(4))
+        # the second map's diagonal entries are both below 1, but its
+        # eigenvalues 0.5 +- sqrt(0.27) reach 1.0196
+        for F, radius in (([[1.01, 0.3], [0.0, 0.5]], "1.01"),
+                          ([[0.5, 0.3], [0.9, 0.5]], "1.0196")):
+            rng, fresh = (np.random.Generator(np.random.Philox(key=1))
+                          for _ in range(2))
+            with pytest.raises(StabilityError, match=radius):
+                _iterate_blocks(np.array(F, dtype=complex), np.eye(2),
+                                np.zeros(2), 10, [rng])
+            assert np.array_equal(rng.standard_normal(4),
+                                  fresh.standard_normal(4))
 
 
 class TestDeterministicLimits:
