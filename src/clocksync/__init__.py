@@ -21,8 +21,8 @@ from .steadystate import (CovarianceState, EntropyRates, analytic_sync_degree,
                           steady_state)
 from .trajectory import (Trajectory, displacements, propagate_exact,
                          run_ensemble)
-from .metrics import (SyncMetrics, TickSeries, TickStats, TransientResult,
-                      extract_ticks, power_spectrum, transient_time)
+from .metrics import (SyncMetrics, TickStats, TransientResult,
+                      power_spectrum, transient_time)
 from .experiments import (SweepRow, find_threshold, find_turning_point,
                           sweep_coupling, transient_experiment)
 
@@ -32,10 +32,10 @@ __all__ = [
     "EnsembleError", "EntropyRates", "FrameMismatchError", "LinearDynamics",
     "LyapunovSolveError", "NormalModes", "PhysicalParams", "PlateauError",
     "StabilityError", "SweepRow", "SyncMetrics", "ThresholdError",
-    "TickExtractionError", "TickSeries", "TickStats", "Trajectory",
+    "TickExtractionError", "TickStats", "Trajectory",
     "TransientResult", "TurningPointError", "analytic_sync_degree",
     "cavity_susceptibility", "displacements", "effective_coupling",
-    "entropy_rates", "extract_ticks", "find_threshold", "find_turning_point",
+    "entropy_rates", "find_threshold", "find_turning_point",
     "full_drift_and_diffusion", "normal_modes_closed_form",
     "normal_modes_numeric", "occupations", "paper_preset", "power_spectrum",
     "propagate_exact", "reduced_drift_matrix", "run_ensemble",

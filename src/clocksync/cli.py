@@ -29,12 +29,11 @@ import numpy as np
 from . import __version__
 from .errors import ClockSyncError, ConfigError
 from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
-                          analytic_point, check_record_length, find_threshold,
-                          find_turning_point, operating_point,
+                          TICK_SEED_BASE, analytic_point, check_record_length,
+                          find_threshold, find_turning_point, operating_point,
                           operating_points, sweep_coupling, sync_degree,
-                          tick_stats, transient_experiment)
-from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, min_tick_samples,
-                      power_spectrum)
+                          tick_metrics, tick_period, transient_experiment)
+from .metrics import D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, power_spectrum
 from .model import TWO_PI, PhysicalParams, paper_preset
 from .output import write_csv, write_json, write_svg
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, derived_seed,
@@ -210,7 +209,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
 @click.option("--tick-duration", default=TICK_RECORD_DURATION,
               show_default=True, type=_GT_ZERO,
-              help="Fine-sampled record length for tick statistics (s).")
+              help="Record length for tick statistics (s).")
 def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
           duration, dt, tick_duration):
     """Coupling sweep: sync metrics, normal modes, entropy rates."""
@@ -244,27 +243,36 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
 def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
                dt):
-    """One NESS trajectory: raw envelopes, spectra, and sync metrics, all
-    of a record that starts in the NESS, keyed as member 0 of the seed
-    (``run_ensemble(..., master_seed=seed, quench=False)``)."""
+    """One NESS trajectory: raw envelopes, spectra and C of a record that
+    starts in the NESS, keyed as member 0 of the seed
+    (``run_ensemble(..., master_seed=seed, quench=False)``), and D and N
+    of the tick record that sweep point 0 would step over
+    min(duration, TICK_RECORD_DURATION)."""
     dyn, _ = operating_point(_params_from_config(preset, config_path),
                              g_over_kappa)
-    check_record_length(duration, dt, min_tick_samples(dt), "trajectory")
+    tick_duration = min(duration, TICK_RECORD_DURATION)
+    t0 = tick_period(dyn, tick_duration)
+    # the Welch spectrum needs two segments of at least 2 samples
+    check_record_length(duration, 4 * dt, "trajectory")
     os.makedirs(out, exist_ok=True)
+    # C, D and N before any file, so a record they reject writes none; the
+    # streamed tick record first, so its memory and the record's never add
+    m = tick_metrics(dyn, derived_seed(seed, TICK_SEED_BASE), tick_duration,
+                     t0)
     carrier, (record,) = record_states(stored_states(
         dyn, [derived_seed(seed, 0)], duration, dt, quench=False))
-    # C, D and N before any file, so a record they reject writes none
-    m = tick_stats([record], carrier, dt)
     C = sync_degree([record], carrier, dt)
 
     header = ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
     path = _write_table(out, "trajectory", header, np.column_stack(
         [dt * np.arange(len(record)), record.view(float)]))
-    f1, p1 = power_spectrum(record[:, 0], dt)
-    f2, p2 = power_spectrum(record[:, 1], dt)
+    f, p1 = power_spectrum(record[:, 0], dt)
+    _, p2 = power_spectrum(record[:, 1], dt)
     carrier_hz = carrier / TWO_PI
+    # an envelope component e^{i nu t} moves x_i at carrier - nu; rows
+    # reversed, so the physical axis ascends
     _write_table(out, "spectrum", ["f_hz", "psd_b1", "psd_b2"],
-                 np.column_stack([carrier_hz + f1, p1, p2]), svg)
+                 np.column_stack([carrier_hz - f, p1, p2])[::-1], svg)
     write_json(os.path.join(out, "trajectory_summary.json"),
                {"C": C, "D": m.D, "N1": m.N1, "N2": m.N2,
                 "carrier_hz": carrier_hz})

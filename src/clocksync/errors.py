@@ -34,7 +34,8 @@ class EnsembleError(ClockSyncError):
 
 
 class TickExtractionError(ClockSyncError, ValueError):
-    """Oscillator phase is not advancing, or a record has too few ticks."""
+    """The envelope turns too far per carrier period, or the carrier is
+    not positive, so the clock periods of a tick record are undefined."""
 
 
 class PlateauError(ClockSyncError):

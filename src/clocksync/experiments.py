@@ -8,6 +8,8 @@ on the analytic C; the Monte Carlo estimates validate it.  C of a sweep
 point and of a single trajectory comes from ``sync_degree``, and D, N1
 and N2 from ``tick_stats``, over every sample of records that start in
 the NESS: the exact map keeps them stationary, so none needs a burn-in.
+D and N come from a tick record of their own (``tick_metrics``), stepped
+once per nominal carrier period, whatever the ``dt`` of the command.
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
 sweep point's C per C window, its D and N per D window, and a quench's
@@ -33,29 +35,41 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import (ConfigError, EnsembleError, ThresholdError,
-                     TurningPointError)
-from .metrics import (MIN_FLUX_ENSEMBLE, EnsembleMoments, PearsonStats,
-                      SyncMetrics, TickStats, TransientResult, d_windows,
-                      extract_ticks, min_tick_samples, transient_time,
-                      windows)
+                     TickExtractionError, TurningPointError)
+from .metrics import (D_WINDOW_SECONDS, MAGNITUDE_FLOOR_FRACTION,
+                      MIN_FLUX_ENSEMBLE, MIN_TICK_SECONDS, EnsembleMoments,
+                      PearsonStats, SyncMetrics, TickStats, TransientResult,
+                      d_windows, transient_time, windows)
 from .model import (TWO_PI, NormalModes, PhysicalParams, effective_coupling,
                     normal_modes_closed_form, reduced_drift_matrix)
 from .steadystate import (analytic_sync_degree, entropy_rates, occupations,
                           solve_lyapunov)
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
-                         derived_seed, displacements, stored_states)
+                         derived_seed, displacements, recentered,
+                         stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
 THRESHOLD_LEVEL = 0.5
-# Tick statistics need the carrier cycle resolved (a few samples per
-# 2.5 us period), unlike covariances, and long records: the period-jitter
-# variance mixes over the slow amplitude breathing of the long-lived mode
-# (rate gamma_plus ~ 2pi x 10 Hz), so several hundred amplitude
-# correlation times are required for a stable estimate.  Each sweep point's
-# record is reduced one D window at a time as the engine steps it.
+# Tick statistics need long records: the period-jitter variance mixes
+# over the slow amplitude breathing of the long-lived mode (rate
+# gamma_plus ~ 2pi x 10 Hz), so several hundred amplitude correlation
+# times are required for a stable estimate.  Each record is reduced one
+# D window at a time as the engine steps it.
 TICK_RECORD_DURATION = 6.0
-TICK_RECORD_DT = 1e-6
+# A tick record steps once per nominal carrier period.  One D window of
+# it is held in memory, 32 bytes a step with temporaries several times
+# that, so a window of 2^25 steps (a 134 MHz carrier) takes a few GB; a
+# record of 2^25 steps (6 s of a 5.6 MHz carrier) steps for about 10 s.
+# Past this bound a record is a ConfigError, not a MemoryError or a run
+# of hours (omega1_hz = 1e100 would ask for 1e100 steps).
+MAX_TICK_STEPS = 2 ** 25
+# The envelope may turn at most this far per nominal period T0, read as
+# the largest |eigenvalue| of the recentred drift times T0.  The period
+# T0 + darg/carrier is first order in the phase increment darg: its
+# deviation from T0 is off by a relative darg/2pi (below 1/8 here, 1% on
+# the paper's grid), and a turn near pi would alias darg across +-pi.
+MAX_ENVELOPE_TURN = np.pi / 4
 # The Monte Carlo C merges Pearson sums over windows of this many samples
 # of global step index, so it does not depend on how the engine chunks.
 C_WINDOW_SAMPLES = 2 ** 12
@@ -97,16 +111,62 @@ def burn_in_time(modes: NormalModes) -> float:
     return BURN_IN_DECAY_TIMES / modes.gamma_plus if modes.gamma_plus > 0 else 0.0
 
 
-def tick_stats(blocks, carrier: float, dt: float) -> SyncMetrics:
-    """D, N1, N2 of one member's stream of (m, 2) sample blocks; ticks
-    are extracted per D window, with times restarting at 0."""
-    stats = TickStats(TWO_PI / carrier)
-    for window in d_windows(blocks, dt):
-        traj = Trajectory(times=dt * np.arange(len(window)),
-                          b1=window[:, 0], b2=window[:, 1], dt=dt,
-                          reference_frequency=carrier)
-        stats.update(extract_ticks(traj, 1), extract_ticks(traj, 2))
+def tick_stats(blocks, carrier: float) -> SyncMetrics:
+    """D, N1, N2 of one member's stream of (m, 2) states stepped at the
+    nominal carrier period T0 = 2 pi / carrier, the start state first.
+
+    Clock i's phase carrier t - arg b_i advances by 2 pi - darg_i over a
+    step, so its period is p = T0 + darg_i / carrier to first order in
+    darg_i = angle(b_i[k + 1] conj b_i[k]).  That lies in (-pi, pi], so
+    p > T0 / 2 and no unwrapping is needed.  The periods are reduced per
+    D window: all of them for D, and for N those whose two end states
+    reach MAGNITUDE_FLOOR_FRACTION of the window's rms |b_i|.
+    """
+    t0 = TWO_PI / carrier
+    stats = TickStats(t0)
+    for b in d_windows(blocks, t0):
+        p = t0 + np.angle(b[1:] * np.conj(b[:-1])) / carrier
+        mag = np.abs(b)
+        above = mag >= MAGNITUDE_FLOOR_FRACTION * np.sqrt(
+            np.mean(mag ** 2, axis=0))
+        keep = above[1:] & above[:-1]
+        stats.update(p[:, 0], p[:, 1], keep[:, 0], keep[:, 1])
     return stats.result()
+
+
+def tick_period(dyn, duration: float) -> float:
+    """Nominal carrier period T0 of dyn's tick record, duration long, once
+    the record is known to be sound, before any step.
+
+    ConfigError if the record is shorter than MIN_TICK_SECONDS, or if it
+    or one D window needs more than MAX_TICK_STEPS steps of T0;
+    TickExtractionError if the carrier is not positive or the envelope
+    turns MAX_ENVELOPE_TURN or more per period (it evolves too fast for
+    the carrier to define ticks).
+    """
+    check_record_length(duration, MIN_TICK_SECONDS, "tick record")
+    drift, carrier = recentered(dyn)
+    t0 = TWO_PI / abs(carrier)
+    if max(duration, D_WINDOW_SECONDS) > MAX_TICK_STEPS * t0:
+        raise ConfigError(
+            f"tick record needs more than {MAX_TICK_STEPS} steps of the "
+            f"{t0:g} s carrier period")
+    turn = float(np.max(np.abs(np.linalg.eigvals(drift)))) * t0
+    if not (carrier > 0 and turn < MAX_ENVELOPE_TURN):
+        raise TickExtractionError(
+            f"envelope turns {turn:.3g} rad per period of the {carrier:g} "
+            f"rad/s carrier (need a positive carrier and less than "
+            f"{MAX_ENVELOPE_TURN:.3g} rad): it evolves faster than the "
+            "carrier turns, so ticks are ill-defined")
+    return t0
+
+
+def tick_metrics(dyn, seed: int, duration: float, t0: float) -> SyncMetrics:
+    """``tick_stats`` of the tick record keyed seed: one member of dyn's
+    NESS, duration long, stepped at its carrier period t0 (from
+    ``tick_period``), every state counted."""
+    carrier, _, parts = stored_states(dyn, [seed], duration, t0, quench=False)
+    return tick_stats((p[0] for p in parts), carrier)
 
 
 def sync_degree(parts, carrier: float, dt: float) -> float:
@@ -124,11 +184,11 @@ def sync_degree(parts, carrier: float, dt: float) -> float:
     return stats.result()
 
 
-def check_record_length(duration: float, dt: float, samples: int, what: str):
-    """ConfigError unless ``samples`` samples of spacing dt fit in duration."""
-    if duration < samples * dt:
+def check_record_length(duration: float, minimum: float, what: str):
+    """ConfigError unless duration is at least ``minimum`` seconds."""
+    if duration < minimum:
         raise ConfigError(f"{what} of {duration:g} s is too short: need at "
-                          f"least {samples} samples of {dt:g} s")
+                          f"least {minimum:g} s")
 
 
 # Seed layout inside a sweep: point i draws its correlation record with
@@ -210,10 +270,12 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     The analytic columns come from ``analytic_points``.  On the Monte Carlo
     path each grid point is then propagated on its own, twice, each record
     starting in the NESS: a correlation record (point i keyed with derived
-    seed i) whose Pearson C is streamed over every sample, and a fine tick
-    record (derived seed 2^32 + i) for D and N.  Neither record is
-    stored, and a point's row depends only on its own coupling and index,
-    so memory does not grow with the grid and the output is reproducible.
+    seed i) whose Pearson C is streamed over every sample, and a tick
+    record (derived seed 2^32 + i, ``tick_metrics``) for D and N.  Every
+    point's tick record is checked by ``tick_period`` before any point is
+    stepped.  Neither record is stored, and a point's row depends only on
+    its own coupling and index, so memory does not grow with the grid and
+    the output is reproducible.
     """
     if protocol not in ("analytic", "both"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -224,19 +286,15 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     if protocol == "analytic":  # keeps no dynamics past their slice
         return [pt[0] for pt in analytic_points(params, grid)]
     points = [pt[:2] for pt in analytic_points(params, grid)]
-    check_record_length(duration, dt, 2, "correlation record")
-    check_record_length(tick_duration, TICK_RECORD_DT,
-                        min_tick_samples(TICK_RECORD_DT), "tick record")
+    check_record_length(duration, 2 * dt, "correlation record")
+    periods = [tick_period(dyn, tick_duration) for _, dyn in points]
     rows = []
-    for i, (row, dyn) in enumerate(points):
+    for i, ((row, dyn), t0) in enumerate(zip(points, periods)):
         carrier, _, parts = stored_states(
             dyn, [derived_seed(master_seed, i)], duration, dt, quench=False)
         C = sync_degree((p[0] for p in parts), carrier, dt)
-        carrier, _, parts = stored_states(
-            dyn, [derived_seed(master_seed, TICK_SEED_BASE + i)],
-            tick_duration, TICK_RECORD_DT, quench=False)
-        next(parts)  # the stationary start is not part of the tick record
-        ticks = tick_stats((p[0] for p in parts), carrier, TICK_RECORD_DT)
+        key = derived_seed(master_seed, TICK_SEED_BASE + i)
+        ticks = tick_metrics(dyn, key, tick_duration, t0)
         rows.append(replace(row, C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2))
     return rows
 
@@ -298,7 +356,7 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
                        120.0 / modes.gamma_minus, 0.05)
     window = duration if gap <= 0 else min(duration, 40.0 / gap)
     # transient_time needs 10 samples of R(t) in the window
-    check_record_length(window, dt, 10, "transient R(t) window")
+    check_record_length(window, 10 * dt, "transient R(t) window")
     seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
     _, n_stored, parts = stored_states(dyn, seeds, duration, dt)
     moments = EnsembleMoments(n_stored)

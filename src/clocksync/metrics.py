@@ -2,10 +2,10 @@
 
 All metrics are pure functions over immutable series, except three
 streaming reducers that consume a stream of sample blocks piece by piece:
-``TickStats`` turns the tick trains of each D window (``d_windows``) into
-D and N, ``PearsonStats`` merges the Pearson sums of consecutive pieces
-into C, and ``EnsembleMoments`` reduces (members, times, 2) blocks of a
-quench ensemble into the per-time moments behind R(t) and the fluxes.
+``TickStats`` turns the clock periods of each D window (``d_windows``)
+into D and N, ``PearsonStats`` merges the Pearson sums of consecutive
+pieces into C, and ``EnsembleMoments`` reduces (members, times, 2) blocks
+of a quench ensemble into the per-time moments behind R(t) and the fluxes.
 Their memory is bounded by one piece, not by the record.  Ensemble sums
 run in member order and every sum has a fixed order, so results are
 reproducible bit for bit and do not depend on how a record is split into
@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConstantSeriesError, EnsembleError, PlateauError,
-                     TickExtractionError)
+from .errors import ConstantSeriesError, EnsembleError, PlateauError
 from .model import PhysicalParams
 from .steadystate import bath_fluxes
-from .trajectory import Trajectory
 
-# Ticks are only trusted while the envelope has healthy amplitude: below
+# Periods are only trusted while the envelope has healthy amplitude: below
 # ~10% of rms the per-period phase error grows like 1/|b| and its heavy
 # tail would dominate (and destabilize) the period-variance estimate.
 # The floor trims a fixed ~1% of periods at every operating point.
@@ -34,6 +32,9 @@ MIN_FLUX_ENSEMBLE = 50
 # D averages var(tau) over windows of this length; the offset ramp of
 # unsynchronized clocks grows with it, so it is part of D's definition.
 D_WINDOW_SECONDS = 0.25
+# The shortest tick record, and the shortest trailing D window that
+# counts: 4000 periods of the paper's 2.5 us carrier.
+MIN_TICK_SECONDS = 0.01
 # transient_time: R is smoothed by a moving median over SMOOTH_FRAC of the
 # record; the last PLATEAU_FRAC must stay within PLATEAU_TOL of R's range,
 # and the transient ends where the smoothed R reaches LEVEL of its maximum.
@@ -41,24 +42,6 @@ SMOOTH_FRAC = 0.05
 PLATEAU_FRAC = 0.2
 PLATEAU_TOL = 0.1
 LEVEL = 0.95
-
-
-@dataclass(frozen=True)
-class TickSeries:
-    """Tick instants of one clock and the periods between them.
-
-    gaps lists (start, end) times of intervals where the envelope
-    magnitude fell below the phase-definition floor; ticks there are kept
-    but flagged rather than silently dropped.
-    """
-
-    tick_times: np.ndarray
-    periods: np.ndarray
-    gaps: tuple
-
-    def __post_init__(self):
-        if len(self.tick_times) >= 2 and np.min(self.periods) <= 0:
-            raise ValueError("tick times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -137,113 +120,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-def _unwrapped_angle(b: np.ndarray) -> np.ndarray:
-    """np.unwrap(np.angle(b)), bit for bit, with work only at the jumps.
-
-    np.unwrap cumsums a correction that is 0.0 wherever |step| < pi;
-    adding 0.0 is exact, so running sums over the jumps alone, held
-    constant between them, equal its cumsum.
-    """
-    p = np.angle(b)
-    dd = np.diff(p)
-    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
-    step = dd[jumps]
-    ddmod = np.mod(step + np.pi, 2 * np.pi) - np.pi
-    ddmod[(ddmod == -np.pi) & (step > 0)] = np.pi
-    sums = np.concatenate([[0.0], np.cumsum(ddmod - step)])
-    p[1:] += np.repeat(sums, np.diff(jumps, prepend=0, append=len(dd)))
-    return p
-
-
-def _runs(idx: np.ndarray):
-    """(first, last) of each run of consecutive values in increasing idx."""
-    first = np.diff(idx, prepend=idx[:1] - 2) > 1
-    last = np.diff(idx, append=idx[-1:] + 2) > 1
-    return idx[first], idx[last]
-
-
-def extract_ticks(traj: Trajectory, clock: int) -> TickSeries:
-    """Tick instants of one clock from its envelope record.
-
-    A tick is a crossing of the unwrapped oscillator phase
-    phi(t) = reference_frequency * t - arg b(t) through a multiple of
-    2*pi (equivalent to one carrier cycle of the displacement), linearly
-    interpolated between samples.  TickExtractionError if the phase is
-    not advancing or the record holds fewer than 10 ticks.
-    """
-    b = {1: traj.b1, 2: traj.b2}[clock]
-    t = traj.times
-    mag = np.abs(b)
-    floor = MAGNITUDE_FLOOR_FRACTION * np.sqrt(np.mean(mag ** 2))
-    # contiguous low-magnitude runs -> flagged (t_start, t_end) pairs
-    first, last = _runs(np.flatnonzero(mag < floor))
-    gaps = list(zip(t[first], t[last]))
-
-    # 2.4-4.7 ms per 250 k-sample D window, against 8.5-16 ms for np.unwrap
-    phase = traj.reference_frequency * t - _unwrapped_angle(b)
-    dphi = np.diff(phase)
-    slips = np.flatnonzero(dphi <= 0)
-    # median(dphi) <= 0 unless more than half the steps advance (0.1 ms per
-    # D window, np.median 3.8-5.3 ms); np.median decides only an exact tie
-    if 2 * len(slips) > len(dphi) or (
-            2 * len(slips) == len(dphi) and np.median(dphi) <= 0):
-        raise TickExtractionError(
-            "oscillator phase is not advancing; envelope evolves faster "
-            "than the carrier, tick extraction is ill-defined")
-    if len(slips):
-        # isolated phase slips (envelope swung past the origin): flag the
-        # affected intervals as gaps, then clamp so crossings stay defined
-        first, last = _runs(slips)
-        gaps.extend(zip(t[first], t[last + 1]))
-        gaps.sort()
-        phase = np.maximum.accumulate(phase)
-    m0 = math.floor(phase[0] / (2 * np.pi)) + 1  # first crossing after t=0
-    m1 = math.floor(phase[-1] / (2 * np.pi))
-    if m1 - m0 + 1 < 10:
-        raise TickExtractionError(
-            "trajectory too short: fewer than 10 ticks")
-    targets = 2 * np.pi * np.arange(m0, m1 + 1)
-    hi = np.clip(np.searchsorted(phase, targets), 1, len(phase) - 1)
-    lo = hi - 1
-    span = phase[hi] - phase[lo]
-    frac = np.divide(targets - phase[lo], span, where=span > 0,
-                     out=np.zeros_like(span))
-    ticks = t[lo] + frac * (t[hi] - t[lo])
-    return TickSeries(tick_times=ticks, periods=np.diff(ticks),
-                      gaps=tuple(gaps))
-
-
-def _clean_periods(ticks: TickSeries) -> np.ndarray:
-    """Periods not overlapping a flagged gap (phase-undefined stretch)."""
-    if not ticks.gaps:
-        return ticks.periods
-    gaps = np.array(ticks.gaps, dtype=float)
-    gaps = gaps[np.argsort(gaps[:, 0])]
-    # reach[k]: latest end among the first k gaps by start (-inf for none)
-    reach = np.concatenate([[-np.inf], np.maximum.accumulate(gaps[:, 1])])
-    starts, ends = ticks.tick_times[:-1], ticks.tick_times[1:]
-    # a period overlaps a gap iff some gap starting at or before the
-    # period's end ends at or after its start
-    n_started = np.searchsorted(gaps[:, 0], ends, side="right")
-    return ticks.periods[reach[n_started] < starts]
-
-
-def _window_samples(dt: float) -> int:
-    return max(int(round(D_WINDOW_SECONDS / dt)), 1000)
-
-
-def min_tick_samples(dt: float) -> int:
-    """Fewest samples of spacing dt that make a counted D window."""
-    return min(_window_samples(dt), 10000)
-
-
-def windows(blocks, size: int, min_tail: int = 1):
-    """Cut a stream of (m, 2) sample blocks into (size, 2) windows.
+def windows(blocks, size: int, min_tail: int = 1, overlap: int = 0):
+    """Cut a stream of (m, 2) sample blocks into (size, 2) windows, each
+    starting with the last ``overlap`` samples of the one before.
 
     Windows are copied into one reused buffer, so block boundaries never
-    show: window j always holds samples j size .. (j + 1) size - 1 of the
-    stream.  A trailing partial window is yielded only if it holds
-    min_tail samples.
+    show: window j always holds samples j (size - overlap) ..
+    j (size - overlap) + size - 1 of the stream.  A trailing partial
+    window is yielded only if it holds min_tail samples past the overlap.
     """
     window, filled = np.empty((size, 2), dtype=complex), 0
     for block in blocks:
@@ -254,28 +138,38 @@ def windows(blocks, size: int, min_tail: int = 1):
             filled += take
             if filled == size:
                 yield window
-                filled = 0
-    if filled >= min_tail:
+                window[:overlap] = window[size - overlap:]
+                filled = overlap
+    if filled >= overlap + min_tail:
         yield window[:filled]
 
 
-def d_windows(blocks, dt: float):
-    """The D windows of a stream of (m, 2) sample blocks of spacing dt:
-    D_WINDOW_SECONDS each (at least 1000 samples), and a trailing partial
-    window only if it holds min_tick_samples(dt)."""
-    return windows(blocks, _window_samples(dt), min_tick_samples(dt))
+def _periods_in(seconds: float, period: float) -> int:
+    """Whole nominal periods in ``seconds``, rounded as a record's step
+    count is, and at least 2 (var(tau) needs two)."""
+    return max(int(round(seconds / period)), 2)
+
+
+def d_windows(states, period: float):
+    """The D windows of a stream of (m, 2) states one nominal period
+    apart: the end states of D_WINDOW_SECONDS of periods each, so
+    consecutive windows share a state, and a trailing partial window only
+    if it spans MIN_TICK_SECONDS."""
+    return windows(states, _periods_in(D_WINDOW_SECONDS, period) + 1,
+                   _periods_in(MIN_TICK_SECONDS, period), overlap=1)
 
 
 class TickStats:
     """Streaming deviation D and accuracies N of one clock pair.
 
-    ``update`` takes the two tick trains of one D window, paired by index.
+    ``update`` takes the two clocks' periods of one D window, paired by
+    index, and for each clock a mask of the periods that count for N.
     tau_k, the accumulated period difference, is the offset of the clock
     readings after k ticks; its frequency-mismatch ramp dominates
     unsynchronized clocks.  D is the mean over windows of var(tau) over
-    the squared mean period.  N_i = mean(t_i)^2 / var(t_i) uses period
-    moments over all windows, centred on the nominal period, without the
-    periods that overlap flagged gaps; zero variance gives +inf.
+    the squared mean period.  N_i = mean(t_i)^2 / var(t_i) uses the
+    moments of the masked periods over all windows, centred on the
+    nominal period; zero variance gives +inf.
     """
 
     def __init__(self, nominal_period: float):
@@ -285,18 +179,16 @@ class TickStats:
         self.period_sum = 0.0
         self.period_count = 0
 
-    def update(self, ticks1: TickSeries, ticks2: TickSeries):
-        for i, tk in enumerate((ticks1, ticks2)):
-            p = _clean_periods(tk) - self.t0
+    def update(self, p1, p2, keep1, keep2):
+        for i, (p, keep) in enumerate(((p1, keep1), (p2, keep2))):
+            p = p[keep] - self.t0
             self.n[i] += len(p)
             self.s1[i] += p.sum()
             self.s2[i] += (p * p).sum()
-        p1, p2 = ticks1.periods, ticks2.periods
-        m = min(len(p1), len(p2))
-        tau = np.cumsum(p2[:m] - p1[:m])
+        tau = np.cumsum(p2 - p1)
         self.d_vars.append(float(np.var(tau, ddof=1)))
-        self.period_sum += float(np.sum(0.5 * (p1[:m] + p2[:m])))
-        self.period_count += m
+        self.period_sum += float(np.sum(0.5 * (p1 + p2)))
+        self.period_count += len(p1)
 
     def result(self) -> SyncMetrics:
         if self.period_count < 10:

@@ -88,7 +88,7 @@ def displacements(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def _recentered(dyn: LinearDynamics) -> tuple[np.ndarray, float]:
+def recentered(dyn: LinearDynamics) -> tuple[np.ndarray, float]:
     """Shift the common rotation into the carrier.
 
     Returns (drift', carrier) with drift' = drift + i c I and
@@ -202,7 +202,7 @@ def _banded_blocks(F, R, z, n_steps, rngs):
 
 def _build_exact_map(dyn: LinearDynamics, dt: float):
     """One-step map (F, S), carrier and stationary covariance V_inf."""
-    drift_r, carrier = _recentered(dyn)
+    drift_r, carrier = recentered(dyn)
     # V_inf is invariant under the recentering (i c I drops from A V + V A^H)
     Vinf = solve_lyapunov(drift_r, dyn.diffusion)
     F = sla.expm(drift_r * dt)

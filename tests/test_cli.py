@@ -6,9 +6,11 @@ import pytest
 
 from conftest import read_csv, run_python
 
-from clocksync import paper_preset, run_ensemble
+from clocksync import (normal_modes_numeric, paper_preset, run_ensemble,
+                       sweep_coupling)
 from clocksync.cli import run
-from clocksync.experiments import operating_point, sync_degree, tick_stats
+from clocksync.experiments import operating_point, sync_degree
+from clocksync.model import TWO_PI
 from clocksync.output import write_csv, write_svg
 
 
@@ -208,7 +210,7 @@ class TestConfig:
                     str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv", [
-        ["trajectory", "--g-over-kappa", "0.04", "--duration", "0.05"],
+        ["trajectory", "--g-over-kappa", "0.04", "--duration", "0.005"],
         ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "1e-5",
          "--dt", "1e-5", "--tick-duration", "0.05"],
         ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.2",
@@ -275,6 +277,18 @@ class TestConfig:
             assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 3
             assert error in capsys.readouterr().err
             assert not list(out.glob("*.csv"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_unallocatable_tick_record_exits_2(self, tmp_path, capsys):
+        # a finite model whose tick record would need about 1e100 steps of
+        # its carrier period: a typed error before any step or table
+        cfg, out = tmp_path / "c.json", tmp_path / "o"
+        cfg.write_text(json.dumps({"params": {"omega1_hz": 1e100}}))
+        assert run(["trajectory", "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "steps" in err
+        assert not list(out.glob("*.csv"))
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         target = tmp_path / "blocked"
@@ -355,9 +369,9 @@ class TestCommands:
 
     def test_trajectory_summary_uses_the_sweep_reducers(self, tmp_path,
                                                         capsys):
-        # C, D and N of the whole record, which starts in the NESS and is
-        # member 0 of the seed's ensemble, through the same functions a
-        # sweep point's streams go through
+        # C of the whole record, which starts in the NESS and is member 0
+        # of the seed's ensemble, through the function a sweep point's
+        # stream goes through
         out = tmp_path / "o"
         assert run(["trajectory", "--duration", "0.4", "--seed", "13",
                     "--out", str(out)]) == 0
@@ -366,13 +380,45 @@ class TestCommands:
         [traj] = run_ensemble(dyn, 1, 0.4, master_seed=13, quench=False)
         record = np.stack([traj.b1, traj.b2], axis=-1)
         carrier = traj.reference_frequency
-        ticks = tick_stats([record], carrier, traj.dt)
         assert summary["C"] == sync_degree([record], carrier, traj.dt)
-        assert [summary[k] for k in ("D", "N1", "N2")] == [
-            ticks.D, ticks.N1, ticks.N2]
         _, rows = read_csv(out / "trajectory.csv")
         assert len(rows) == len(record)
         assert rows[0] == [0.0, *record[0].view(float)]
+
+    @pytest.mark.parametrize("duration", ["0.3", "7"])
+    def test_trajectory_d_and_n_equal_the_sweep_row(self, tmp_path, capsys,
+                                                    duration):
+        # D and N of sweep point 0's tick record at the same coupling and
+        # seed, over min(duration, 6 s), whatever --dt
+        g, seed = 0.03, 5
+        out = tmp_path / "o"
+        assert run(["trajectory", "--g-over-kappa", str(g), "--duration",
+                    duration, "--dt", "1e-3", "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        summary = json.loads((out / "trajectory_summary.json").read_text())
+        [row] = sweep_coupling(paper_preset(), grid=[g], protocol="both",
+                               master_seed=seed, duration=0.01, dt=1e-4,
+                               tick_duration=min(float(duration), 6.0))
+        assert [summary[k] for k in ("D", "N1", "N2")] == [
+            row.D, row.N1, row.N2]
+
+    def test_spectrum_on_the_physical_axis(self, tmp_path, capsys):
+        # below threshold each clock's envelope peaks at its own mode:
+        # clock 1 about 200 Hz above clock 2, both on the lab axis
+        out = tmp_path / "o"
+        assert run(["trajectory", "--g-over-kappa", "0.002", "--duration",
+                    "2", "--seed", "3", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "spectrum.csv")
+        f, psd1, psd2 = np.array(rows).T
+        assert np.all(np.diff(f) > 0)
+        dyn, _ = operating_point(paper_preset(), 0.002)
+        nm = normal_modes_numeric(dyn)
+        lab = np.sort([dyn.reference_frequency + nm.omega_plus,
+                       dyn.reference_frequency + nm.omega_minus]) / TWO_PI
+        df = f[1] - f[0]
+        peaks = f[np.argmax(psd2)], f[np.argmax(psd1)]
+        assert np.all(np.abs(np.subtract(peaks, lab)) <= 2 * df)
+        assert 160.0 <= peaks[1] - peaks[0] <= 240.0
 
     def test_transient_csv(self, tmp_path, capsys):
         out = tmp_path / "o"

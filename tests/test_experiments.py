@@ -8,15 +8,15 @@ import pytest
 from conftest import chunk_steps, moments_of, quench_record
 
 from clocksync import (ConfigError, EnsembleError, SweepRow, ThresholdError,
-                       TurningPointError, find_threshold, find_turning_point,
-                       sweep_coupling, transient_experiment)
+                       TickExtractionError, TurningPointError, find_threshold,
+                       find_turning_point, sweep_coupling,
+                       transient_experiment)
 from clocksync import experiments, trajectory
-from clocksync.experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DT,
+from clocksync.experiments import (MAX_TICK_STEPS, SWEEP_CSV_HEADER,
                                    TICK_SEED_BASE, analytic_point,
                                    operating_point, operating_points,
-                                   sync_degree, tick_stats)
+                                   sync_degree, tick_metrics, tick_period)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
-from clocksync.model import reduced_drift_matrix
 from clocksync.trajectory import derived_seed, stored_states
 
 
@@ -277,18 +277,76 @@ class TestSweepMonteCarlo:
         # short-record estimate still tracks the analytic curve loosely
         assert abs(rows_a[1].C - rows_a[1].analytic_C) < 0.2
 
-    def test_trajectory_and_sweep_share_tick_statistics(self, paper):
-        # a 0.27 s tick record: one full 0.25 s window plus a counted tail;
-        # the sweep streams it, the trajectory command passes its stored
-        # record as one block
-        g, seed, duration = 0.03, 5, 0.27
-        [row] = sweep_coupling(paper, grid=[g], protocol="both",
-                               master_seed=seed, duration=0.2,
-                               tick_duration=duration)
-        carrier, _, parts = stored_states(
-            reduced_drift_matrix(paper.with_coupling(g)),
-            [derived_seed(seed, TICK_SEED_BASE)], duration, TICK_RECORD_DT,
-            quench=False)
-        record = np.concatenate(list(parts), axis=1)[0]
-        single = tick_stats([record[1:]], carrier, TICK_RECORD_DT)
-        assert (single.D, single.N1, single.N2) == (row.D, row.N1, row.N2)
+    @pytest.mark.parametrize("steps_per_chunk", [1000, 4099])
+    def test_d_and_n_do_not_depend_on_chunks(self, paper, monkeypatch,
+                                             steps_per_chunk):
+        # a 0.3 s tick record: a full D window, a counted tail and chunk
+        # boundaries inside both
+        kw = dict(grid=[0.0, 0.03], protocol="both", master_seed=4,
+                  duration=0.01, dt=1e-4, tick_duration=0.3)
+        ref = [(r.D, r.N1, r.N2) for r in sweep_coupling(paper, **kw)]
+        chunk_steps(monkeypatch, steps_per_chunk, 1)
+        assert [(r.D, r.N1, r.N2) for r in sweep_coupling(paper, **kw)] == ref
+
+    def test_tick_record_is_keyed_and_stepped_at_the_carrier(self, paper):
+        # point i's tick record: key 2^32 + i, stepped at its own T0
+        rows = sweep_coupling(paper, grid=[0.0, 0.03], protocol="both",
+                              master_seed=9, duration=0.01, dt=1e-4,
+                              tick_duration=0.05)
+        dyn, _ = operating_point(paper, 0.03)
+        t0 = tick_period(dyn, 0.05)
+        _, carrier = trajectory.recentered(dyn)
+        assert t0 == 2 * np.pi / carrier
+        m = tick_metrics(dyn, derived_seed(9, TICK_SEED_BASE + 1), 0.05, t0)
+        assert (m.D, m.N1, m.N2) == (rows[1].D, rows[1].N1, rows[1].N2)
+
+
+def no_stepping(*args, **kwargs):
+    raise AssertionError("stepped a record that its guard rejects")
+
+
+class TestTickGuards:
+    # each guard fires before any record is stepped
+
+    def test_record_steps_bounded(self, paper, monkeypatch):
+        # omega1 = 1e100 Hz: a finite model whose tick record would need
+        # about 1e100 steps; its envelope also turns too fast, and the
+        # step bound is checked first
+        monkeypatch.setattr(experiments, "stored_states", no_stepping)
+        fast = dataclasses.replace(paper, omega1=2 * np.pi * 1e100)
+        dyn, _ = operating_point(fast, 0.02)
+        with pytest.raises(ConfigError, match="steps"):
+            tick_period(dyn, 0.2)
+        with pytest.raises(ConfigError, match="steps"):
+            sweep_coupling(fast, grid=[0.0, 0.02], protocol="both",
+                           duration=0.2)
+
+    def test_window_steps_bounded(self, paper, monkeypatch):
+        # a 1 GHz carrier: a 0.01 s record is 1e7 steps, but one 0.25 s D
+        # window would be 2.5e8
+        monkeypatch.setattr(experiments, "stored_states", no_stepping)
+        fast = dataclasses.replace(paper, omega1=2 * np.pi * 1e9,
+                                   omega2=2 * np.pi * 1e9)
+        dyn, _ = operating_point(fast, 0.02)
+        assert 0.01 * 1e9 < MAX_TICK_STEPS < 0.25 * 1e9
+        with pytest.raises(ConfigError, match="steps"):
+            tick_period(dyn, 0.01)
+
+    @pytest.mark.parametrize("params, g", [
+        # envelopes relax faster than the 105 Hz carrier turns
+        ({"omega1": 2 * np.pi * 110, "omega2": 2 * np.pi * 100,
+          "gamma1": 2 * np.pi * 1e5, "gamma2": 2 * np.pi * 1e5}, 0.0),
+        # the optical spring pulls the carrier below zero
+        ({}, 1.0),
+    ], ids=["overdamped", "negative-carrier"])
+    def test_fast_envelope_rejected(self, paper, monkeypatch, params, g):
+        monkeypatch.setattr(experiments, "stored_states", no_stepping)
+        dyn, _ = operating_point(dataclasses.replace(paper, **params), g)
+        with pytest.raises(TickExtractionError, match="carrier"):
+            tick_period(dyn, 0.05)
+
+    def test_minimum_length_in_seconds(self, paper):
+        dyn, _ = operating_point(paper, 0.02)
+        assert tick_period(dyn, 0.01) == tick_period(dyn, 6.0)
+        with pytest.raises(ConfigError, match="at least 0.01 s"):
+            tick_period(dyn, 0.0099)

@@ -11,8 +11,8 @@ from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
 from clocksync.model import PhysicalParams
 from clocksync.experiments import operating_point
 from clocksync.trajectory import (_build_exact_map, _iterate_blocks,
-                                  _psd_sqrt, _recentered, derived_seed,
-                                  displacements, record_states, stored_states)
+                                  _psd_sqrt, derived_seed, displacements,
+                                  recentered, record_states, stored_states)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -164,7 +164,7 @@ class TestDeterministicLimits:
         dyn = toy_dyn(nth=0.0)
         dyn0 = dataclasses.replace(dyn, diffusion=np.zeros((2, 2), complex))
         traj = propagate_exact(dyn0, duration=0.5, dt=0.05, seed=0)
-        drift_r, _ = _recentered(dyn0)
+        drift_r, _ = recentered(dyn0)
         z = np.array([traj.b1[0], traj.b2[0]])  # the drawn thermal start
         assert np.all(z != 0)
         for k, t in enumerate(traj.times):
@@ -201,7 +201,7 @@ class TestStatistics:
 
     def test_exact_single_step_reaches_ness(self):
         dyn = toy_dyn(nth=3.0)
-        drift_r, _ = _recentered(dyn)
+        drift_r, _ = recentered(dyn)
         Vinf = solve_lyapunov(drift_r, dyn.diffusion)
         # one enormous step from a quenched start: distribution must be NESS
         ens = run_ensemble(dyn, 4000, duration=1e4, dt=1e4, master_seed=2)
