@@ -186,7 +186,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
     """Single-point NESS report: occupations and entropy rates."""
     params = _params_from_config(preset, config_path)
     os.makedirs(out, exist_ok=True)
-    pt, dyn, _, cov = analytic_point(params, g_over_kappa)
+    pt, cov = analytic_point(params, g_over_kappa)
     header = ["g_over_kappa", "n_b1_eff", "n_b2_eff", "n_a_eff",
               "n_cross_eff", "mu_b1", "mu_b2", "mu_a", "pi_s", "analytic_C",
               "gamma_plus", "gamma_minus"]
@@ -194,7 +194,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
            cov.n_cross_eff, pt.mu_b1, pt.mu_b2, pt.mu_a, pt.pi_s,
            pt.analytic_C, pt.gamma_plus, pt.gamma_minus]
     path = _write_table(out, "ness", header, [row], svg)
-    _echo_config(out, dyn.params)
+    _echo_config(out, params.with_coupling(g_over_kappa))
     click.echo(f"wrote {path}")
 
 

@@ -19,18 +19,21 @@ whole run is kept, so memory stays bounded by one engine chunk (at most
 the record length, the number of sweep points or the number of
 trajectories.
 
-Every operating point (coupling, normal modes, reduced dynamics) is built
-by ``operating_points``, which rejects one that overflows a float.
-``analytic_points`` is the one analytic path: it adds the NESS
-covariances and entropy rates, solving ANALYTIC_SLICE couplings per
-stacked Lyapunov call.  ``operating_point`` and ``analytic_point`` are
-their one-point cases; sweeps, quenches and every command start there.
+Operating points (couplings, reduced dynamics, normal modes) are built
+as arrays, a list of couplings at a time, by the model's own functions,
+and one that overflows a float is rejected.  ``analytic_points`` is the
+one analytic path: it adds the NESS covariances and entropy rates,
+ANALYTIC_SLICE couplings per array pass and stacked Lyapunov call.
+``operating_points`` makes per-point dynamics and normal modes of the
+same arrays, for the callers that step or report a point.
+``operating_point`` and ``analytic_point`` are their one-point cases;
+sweeps, quenches and every command start there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -40,10 +43,11 @@ from .metrics import (D_WINDOW_SECONDS, MAGNITUDE_FLOOR_FRACTION,
                       MIN_FLUX_ENSEMBLE, MIN_TICK_SECONDS, EnsembleMoments,
                       PearsonStats, SyncMetrics, TickStats, TransientResult,
                       d_windows, transient_time, windows)
-from .model import (TWO_PI, NormalModes, PhysicalParams, effective_coupling,
-                    normal_modes_closed_form, reduced_drift_matrix)
-from .steadystate import (analytic_sync_degree, entropy_rates, occupations,
-                          solve_lyapunov)
+from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
+                    PhysicalParams, coupling_pair, effective_coupling,
+                    normal_modes_closed_form, reduced_matrices)
+from .steadystate import (CovarianceState, analytic_sync_degree,
+                          entropy_rates, reduced_occupations, solve_lyapunov)
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
                          derived_seed, displacements, recentered,
                          stored_states)
@@ -73,10 +77,11 @@ MAX_ENVELOPE_TURN = np.pi / 4
 # The Monte Carlo C merges Pearson sums over windows of this many samples
 # of global step index, so it does not depend on how the engine chunks.
 C_WINDOW_SAMPLES = 2 ** 12
-# The analytic path solves the NESS of this many couplings per stacked
-# Lyapunov call.  It bounds the dynamics held at once: a 10001-point sweep
-# peaked at 69.4 MB RSS with 256, 71.0 MB with 1024 and 78.0 MB with every
-# point in one call, at the same wall time.  No result depends on it.
+# The analytic path builds and solves this many couplings per array pass
+# and stacked Lyapunov call.  It bounds the arrays held at once: a
+# 10001-point sweep peaked at 42.4 MB RSS with 256, 43.2 MB with 1024 and
+# 45.3 MB with every point in one pass, at the same wall time within the
+# noise (0.40-0.56 s).  No result depends on it.
 ANALYTIC_SLICE = 256
 
 
@@ -196,32 +201,41 @@ def check_record_length(duration: float, minimum: float, what: str):
 TICK_SEED_BASE = 2 ** 32
 
 
-def operating_points(params: PhysicalParams, grid):
-    """(points, drifts, diffusions) of a list of |G|/kappa: per g, the
-    dynamics for params.with_coupling(g) and its normal modes (no NESS, so
-    unstable couplings are served too), then the stacked drifts and
-    diffusions.  ConfigError names the first g whose drift, diffusion or
-    normal modes overflow a float."""
-    points = []
+def _model_arrays(params: PhysicalParams, grid):
+    """(G1, G2, drifts, diffusions, normal modes) of a list of |G|/kappa,
+    as arrays with one entry per g: the reduced model of
+    params.with_coupling(g) (no NESS, so unstable couplings are served
+    too).  ConfigError names the first g whose drift, diffusion or normal
+    modes overflow a float."""
     with np.errstate(all="ignore"):  # what numpy warns of fails below
-        for g in grid:
-            try:  # huge x ** 2: OverflowError; infinite G: ValueError
-                p = params.with_coupling(g)
-                c = effective_coupling(p)
-                modes = normal_modes_closed_form(p.delta_omega, p.gamma1,
-                                                 p.gamma2, c)
-                points.append((reduced_drift_matrix(p, c), modes))
-            except (OverflowError, ValueError):
-                break  # grid[len(points)] fails below
-    A = np.array([dyn.drift for dyn, _ in points]).reshape(-1, 2, 2)
-    D = np.array([dyn.diffusion for dyn, _ in points]).reshape(-1, 2, 2)
-    lam = np.reshape([(m.lambda_plus, m.lambda_minus) for _, m in points],
-                     (-1, 1, 2))
-    finite = np.isfinite(np.hstack([A, D, lam])).all(axis=(1, 2))
-    ok = np.append(finite, len(points) == len(grid))
+        G1, G2 = coupling_pair(params, np.asarray(grid, dtype=float))
+        try:  # a huge |chi_a| ** 2: OverflowError, for every g alike
+            c = effective_coupling(params, G1, G2)
+            A, D = reduced_matrices(params, c, G1, G2)
+            modes = normal_modes_closed_form(params.delta_omega, params.gamma1,
+                                             params.gamma2, c)
+            lam = np.stack([modes.lambda_plus, modes.lambda_minus], axis=-1)
+            ok = np.isfinite(np.hstack([A, D, lam[:, None]])).all(axis=(1, 2))
+        except OverflowError:
+            ok = np.zeros(len(grid), dtype=bool)
     if not ok.all():
         raise ConfigError(
             f"|G|/kappa = {grid[np.argmin(ok)]!r} overflows the model")
+    return G1, G2, A, D, modes
+
+
+def operating_points(params: PhysicalParams, grid):
+    """(points, drifts, diffusions) of a list of |G|/kappa: per g, the
+    dynamics for params.with_coupling(g) and its normal modes, then the
+    stacked drifts and diffusions, from ``_model_arrays``."""
+    _, _, A, D, modes = _model_arrays(params, grid)
+    points = [(LinearDynamics(frame=FRAME_REDUCED, drift=a, diffusion=d,
+                              reference_frequency=params.omega2,
+                              params=params.with_coupling(g)),
+               NormalModes(lambda_plus=lp, lambda_minus=lm))
+              for g, a, d, lp, lm in zip(grid, A, D,
+                                         modes.lambda_plus.tolist(),
+                                         modes.lambda_minus.tolist())]
     return points, A, D
 
 
@@ -231,34 +245,30 @@ def operating_point(params: PhysicalParams, g: float):
 
 
 def analytic_points(params: PhysicalParams, grid):
-    """Yield (row, dynamics, normal modes, NESS covariance) per |G|/kappa
-    of grid, in grid order.
-
-    row is the analytic sweep row, its Monte Carlo fields nan.  The grid
-    is taken ANALYTIC_SLICE couplings at a time: their drifts and
-    diffusions are stacked for one ``solve_lyapunov`` call, whose
-    covariances are bit-identical to those of one solve per point.
-    """
+    """Yield (rows, NESS occupations) per ANALYTIC_SLICE couplings of grid,
+    in grid order: their analytic sweep rows, Monte Carlo fields nan, and
+    a state of arrays, one entry per row.  A slice is built as arrays by
+    the model functions, and its drifts and diffusions are stacked for one
+    ``solve_lyapunov`` call, whose covariances are bit-identical to those
+    of one solve per point: no value depends on the slicing."""
+    nan = math.nan
     for start in range(0, len(grid), ANALYTIC_SLICE):
         gs = [float(g) for g in grid[start:start + ANALYTIC_SLICE]]
-        points, A, D = operating_points(params, gs)
-        V = solve_lyapunov(A, D)
-        for g, (dyn, modes), v in zip(gs, points, V):
-            cov = occupations(v, dyn)
-            rates = entropy_rates(cov, dyn.params)
-            row = SweepRow(g_over_kappa=g, C=math.nan, D=math.nan,
-                           N1=math.nan, N2=math.nan,
-                           gamma_plus=modes.gamma_plus,
-                           gamma_minus=modes.gamma_minus, ratio=modes.ratio,
-                           mu_b1=rates.mu_b1, mu_b2=rates.mu_b2,
-                           mu_a=rates.mu_a, pi_s=rates.Pi_s,
-                           analytic_C=analytic_sync_degree(cov))
-            yield row, dyn, modes, cov
+        G1, G2, A, D, modes = _model_arrays(params, gs)
+        cov = reduced_occupations(solve_lyapunov(A, D), params, G1, G2)
+        rates = entropy_rates(cov, params)
+        columns = (modes.gamma_plus, modes.gamma_minus, modes.ratio,
+                   rates.mu_b1, rates.mu_b2, rates.mu_a, rates.Pi_s,
+                   analytic_sync_degree(cov))
+        yield ([SweepRow(g, nan, nan, nan, nan, *values) for g, *values
+                in zip(gs, *(col.tolist() for col in columns))], cov)
 
 
 def analytic_point(params: PhysicalParams, g: float):
-    """``analytic_points`` of the one-point grid [g]."""
-    return next(analytic_points(params, [g]))
+    """(row, NESS occupations) of ``analytic_points`` at the one coupling
+    g."""
+    (row,), cov = next(analytic_points(params, [g]))
+    return row, CovarianceState(*(x.item() for x in astuple(cov)))
 
 
 def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
@@ -283,20 +293,21 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     if np.any(grid < 0):
         raise ValueError("grid values must be >= 0")
 
-    if protocol == "analytic":  # keeps no dynamics past their slice
-        return [pt[0] for pt in analytic_points(params, grid)]
-    points = [pt[:2] for pt in analytic_points(params, grid)]
+    rows = [row for part, _ in analytic_points(params, grid) for row in part]
+    if protocol == "analytic":
+        return rows
     check_record_length(duration, 2 * dt, "correlation record")
-    periods = [tick_period(dyn, tick_duration) for _, dyn in points]
-    rows = []
-    for i, ((row, dyn), t0) in enumerate(zip(points, periods)):
+    dyns = [dyn for dyn, _ in operating_points(params, grid.tolist())[0]]
+    periods = [tick_period(dyn, tick_duration) for dyn in dyns]
+    mc_rows = []
+    for i, (row, dyn, t0) in enumerate(zip(rows, dyns, periods)):
         carrier, _, parts = stored_states(
             dyn, [derived_seed(master_seed, i)], duration, dt, quench=False)
         C = sync_degree((p[0] for p in parts), carrier, dt)
         key = derived_seed(master_seed, TICK_SEED_BASE + i)
         ticks = tick_metrics(dyn, key, tick_duration, t0)
-        rows.append(replace(row, C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2))
-    return rows
+        mc_rows.append(replace(row, C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2))
+    return mc_rows
 
 
 def find_threshold(rows: list[SweepRow]) -> float:

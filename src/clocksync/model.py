@@ -106,10 +106,17 @@ class PhysicalParams:
         The sign pattern of (G1, G2) is kept; if both couplings are zero
         the opposite-sign pattern (+, -) is used.
         """
-        s1 = np.sign(self.G1) if self.G1 != 0 else 1.0
-        s2 = np.sign(self.G2) if self.G2 != 0 else -1.0
-        g = g_over_kappa * self.kappa
-        return replace(self, G1=s1 * g, G2=s2 * g)
+        G1, G2 = coupling_pair(self, g_over_kappa)
+        return replace(self, G1=G1, G2=G2)
+
+
+def coupling_pair(params: PhysicalParams, g_over_kappa):
+    """(G1, G2) of ``params.with_coupling(g_over_kappa)``; an array of
+    couplings gives arrays."""
+    s1 = np.sign(params.G1) if params.G1 != 0 else 1.0
+    s2 = np.sign(params.G2) if params.G2 != 0 else -1.0
+    g = g_over_kappa * params.kappa
+    return s1 * g, s2 * g
 
 
 def paper_preset() -> PhysicalParams:
@@ -174,7 +181,8 @@ class NormalModes:
 
     Branch labels: gamma_plus <= gamma_minus (the "+" mode is the
     long-lived one that dominates after the transient); ties broken by
-    Re(lambda) descending.
+    Re(lambda) descending.  The analytic sweep holds one complex array
+    per branch, a mode pair per coupling, and reads the same properties.
     """
 
     lambda_plus: complex
@@ -198,17 +206,38 @@ class NormalModes:
 
     @property
     def ratio(self) -> float:
-        """gamma_plus / gamma_minus, nan when gamma_minus is 0."""
-        if self.gamma_minus == 0:
-            return np.nan
-        return self.gamma_plus / self.gamma_minus
+        """gamma_plus / gamma_minus, nan where gamma_minus is 0."""
+        gm = self.gamma_minus
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(self.gamma_plus, gm)
+        return unstacked(np.where(gm == 0, np.nan, ratio))
 
     @classmethod
-    def from_pair(cls, l1: complex, l2: complex) -> "NormalModes":
-        g1, g2 = -2.0 * l1.imag, -2.0 * l2.imag
-        if g1 > g2 or (g1 == g2 and l1.real < l2.real):
-            l1, l2 = l2, l1
-        return cls(lambda_plus=complex(l1), lambda_minus=complex(l2))
+    def from_pair(cls, l1, l2) -> "NormalModes":
+        """The pair l1, l2 in branch order; arrays of pairs give arrays,
+        and single eigenvalues Python complex numbers."""
+        g1, g2 = -2.0 * np.imag(l1), -2.0 * np.imag(l2)
+        swap = (g1 > g2) | ((g1 == g2) & (np.real(l1) < np.real(l2)))
+        return cls(lambda_plus=unstacked(np.where(swap, l2, l1)),
+                   lambda_minus=unstacked(np.where(swap, l1, l2)))
+
+
+def unstacked(x):
+    """x as a Python scalar when it holds one value; arrays pass as they
+    are.  The model functions return a value per coupling this way."""
+    return x if np.ndim(x) else np.asarray(x).item()
+
+
+def _csquare(z):
+    """z ** 2 of a complex scalar or array, rounded as CPython squares one
+    complex number: each part of z z is one sum of two rounded products.
+    numpy's array product may fuse a product into the sum and round
+    otherwise.  (CPython then multiplies by 1 + 0j, which changes no part
+    but the sign of a zero.)"""
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real = z.real * z.real - z.imag * z.imag
+    out.imag = z.real * z.imag + z.imag * z.real
+    return out
 
 
 def cavity_susceptibility(omega: float, params: PhysicalParams) -> complex:
@@ -219,20 +248,25 @@ def cavity_susceptibility(omega: float, params: PhysicalParams) -> complex:
     return 1.0 / (params.kappa - 1j * (params.detuning + omega))
 
 
-def effective_coupling(params: PhysicalParams) -> EffectiveCoupling:
+def effective_coupling(params: PhysicalParams, G1=None,
+                       G2=None) -> EffectiveCoupling:
     """Effective phonon-phonon coupling after adiabatic cavity elimination.
 
     chi_c(wb) = -i [chi_a(wb) - chi_a*(-wb)] combines the cavity response
     at the upper and lower motional sidebands of the mid mechanical
     frequency wb = omega_mid; Lambda = G1*G2*chi_c.  The modes are nearly
     degenerate, so the choice of wb matters less than other tolerances.
+    G1 and G2 default to params'; arrays of them give arrays Lambda,
+    delta and Gamma, one entry per pair.
     """
+    G1 = params.G1 if G1 is None else G1
+    G2 = params.G2 if G2 is None else G2
     chi_p = cavity_susceptibility(params.omega_mid, params)
     chi_m = cavity_susceptibility(-params.omega_mid, params)
     chi_c = -1j * (chi_p - np.conj(chi_m))
-    Lam = params.G1 * params.G2 * chi_c
-    return EffectiveCoupling(chi_c=complex(chi_c), Lambda=complex(Lam),
-                             delta=float(Lam.real), Gamma=float(Lam.imag))
+    Lam = unstacked(G1 * G2 * chi_c)
+    return EffectiveCoupling(chi_c=complex(chi_c), Lambda=Lam,
+                             delta=Lam.real, Gamma=Lam.imag)
 
 
 def sideband_weight(params: PhysicalParams) -> float:
@@ -257,12 +291,13 @@ def normal_modes_closed_form(delta_omega: float, gamma1: float, gamma2: float,
     in the frame rotating at omega2 (Re lambda are offsets from omega2).
     The common optical-spring shift is not included here; numeric
     eigenvalues of the reduced drift match these up to a uniform real
-    offset.
+    offset.  A coupling of arrays gives the mode pair of each entry.
     """
     d, G = coupling.delta, coupling.Gamma
     centre = 0.5 * delta_omega - 0.25j * (gamma1 + gamma2 + 4.0 * G)
+    # + 0j makes each zero part +0.0, whatever the sign _csquare gave it
     root = np.sqrt(0.25 * (delta_omega - 0.5j * (gamma1 - gamma2)) ** 2
-                   + (d + 1j * G) ** 2 + 0j)
+                   + _csquare(d + 1j * G) + 0j)
     return NormalModes.from_pair(centre + root, centre - root)
 
 
@@ -285,24 +320,35 @@ def reduced_drift_matrix(params: PhysicalParams,
     """
     if coupling is None:
         coupling = effective_coupling(params)
-    chi_c = coupling.chi_c
-    dw = params.delta_omega
-    s1 = (params.G1 ** 2) * chi_c
-    s2 = (params.G2 ** 2) * chi_c
-    H = np.array([
-        [dw + s1.real - 1j * (0.5 * params.gamma1 - s1.imag), coupling.Lambda],
-        [coupling.Lambda, s2.real - 1j * (0.5 * params.gamma2 - s2.imag)],
-    ], dtype=complex)
-    drift = -1j * H
-
-    diffusion = np.diag([params.gamma1 * (params.nth1 + 0.5),
-                         params.gamma2 * (params.nth2 + 0.5)]).astype(complex)
-    g_vec = np.array([params.G1, params.G2])
-    diffusion += (2.0 * params.kappa * (params.na_in + 0.5)
-                  * sideband_weight(params) * np.outer(g_vec, g_vec))
+    drift, diffusion = reduced_matrices(params, coupling, params.G1,
+                                        params.G2)
     return LinearDynamics(frame=FRAME_REDUCED, drift=drift,
                           diffusion=diffusion,
                           reference_frequency=params.omega2, params=params)
+
+
+def reduced_matrices(params: PhysicalParams, coupling: EffectiveCoupling,
+                     G1, G2):
+    """(drift, diffusion) of ``reduced_drift_matrix`` at the couplings G1,
+    G2 in place of params'; a coupling of arrays (and arrays G1, G2) gives
+    stacks (..., 2, 2), a matrix per entry."""
+    chi_c = coupling.chi_c
+    # G ** 2 as pow() takes it, which for some G rounds off G * G
+    s1 = np.float_power(G1, 2) * chi_c
+    s2 = np.float_power(G2, 2) * chi_c
+    H = np.empty(np.shape(coupling.Lambda) + (2, 2), dtype=complex)
+    H[..., 0, 0] = (params.delta_omega + s1.real
+                    - 1j * (0.5 * params.gamma1 - s1.imag))
+    H[..., 0, 1] = H[..., 1, 0] = coupling.Lambda
+    H[..., 1, 1] = s2.real - 1j * (0.5 * params.gamma2 - s2.imag)
+    drift = -1j * H
+
+    g = np.stack([G1, G2], axis=-1)
+    diffusion = (np.diag([params.gamma1 * (params.nth1 + 0.5),
+                          params.gamma2 * (params.nth2 + 0.5)]).astype(complex)
+                 + 2.0 * params.kappa * (params.na_in + 0.5)
+                 * sideband_weight(params) * (g[..., :, None] * g[..., None, :]))
+    return drift, diffusion
 
 
 def full_drift_and_diffusion(params: PhysicalParams) -> LinearDynamics:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FrameMismatchError, LyapunovSolveError, StabilityError
 from .model import (FRAME_FULL, FRAME_REDUCED, LinearDynamics, PhysicalParams,
-                    sideband_weight)
+                    sideband_weight, unstacked)
 
 LYAPUNOV_RTOL = 1e-8
 
@@ -144,14 +144,31 @@ def occupations(V: np.ndarray, dyn: LinearDynamics) -> CovarianceState:
     elif dyn.frame == FRAME_REDUCED:
         if V.shape != (2, 2):
             raise FrameMismatchError("reduced-model covariance must be 2x2")
-        n1 = V[0, 0].real - 0.5
-        n2 = V[1, 1].real - 0.5
-        ncr = V[0, 1].real
-        na = bath_fluxes(dyn.params, n1, n2, ncr)[0]
+        return reduced_occupations(V, dyn.params, dyn.params.G1,
+                                   dyn.params.G2)
     else:
         raise FrameMismatchError(f"unknown frame {dyn.frame!r}")
     return CovarianceState(n_b1_eff=float(n1), n_b2_eff=float(n2),
                            n_a_eff=float(na), n_cross_eff=float(ncr))
+
+
+def reduced_occupations(V: np.ndarray, params: PhysicalParams, G1,
+                        G2) -> CovarianceState:
+    """``occupations`` of reduced covariances V, (2, 2) or a stack
+    (..., 2, 2) with arrays G1, G2 of the couplings in place of params';
+    a stack gives a state of arrays, one entry per covariance."""
+    n1 = V[..., 0, 0].real - 0.5
+    n2 = V[..., 1, 1].real - 0.5
+    ncr = V[..., 0, 1].real
+    na = _photon_number(params, G1, G2, n1, n2, ncr)
+    return CovarianceState(*map(unstacked, (n1, n2, na, ncr)))
+
+
+def _photon_number(params: PhysicalParams, G1, G2, n1, n2, ncr):
+    # G ** 2 as pow() takes it, which for some G rounds off G * G
+    return sideband_weight(params) * (np.float_power(G1, 2) * n1
+                                      + np.float_power(G2, 2) * n2
+                                      + 2.0 * G1 * G2 * ncr)
 
 
 def bath_fluxes(params: PhysicalParams, n1, n2, ncr, na=None):
@@ -164,22 +181,20 @@ def bath_fluxes(params: PhysicalParams, n1, n2, ncr, na=None):
     undercount n_a).  Takes scalars or arrays (one entry per time).
     """
     if na is None:
-        na = sideband_weight(params) * (params.G1 ** 2 * n1
-                                        + params.G2 ** 2 * n2
-                                        + 2.0 * params.G1 * params.G2 * ncr)
+        na = _photon_number(params, params.G1, params.G2, n1, n2, ncr)
     mu1 = params.gamma1 * ((n1 + 0.5) / (params.nth1 + 0.5) - 1.0)
     mu2 = params.gamma2 * ((n2 + 0.5) / (params.nth2 + 0.5) - 1.0)
     return na, mu1, mu2, 2.0 * params.kappa * na
 
 
 def entropy_rates(cov: CovarianceState, params: PhysicalParams) -> EntropyRates:
-    """Entropy flux decomposition evaluated on effective occupations."""
+    """Entropy flux decomposition evaluated on effective occupations; a
+    state of arrays gives rates of arrays."""
     if not np.isfinite([cov.n_b1_eff, cov.n_b2_eff, cov.n_a_eff]).all():
         raise ValueError("occupations must be finite")
     _, mu1, mu2, mua = bath_fluxes(params, cov.n_b1_eff, cov.n_b2_eff,
                                    cov.n_cross_eff, cov.n_a_eff)
-    return EntropyRates(mu_b1=float(mu1), mu_b2=float(mu2), mu_a=float(mua),
-                        Pi_s=float(mu1 + mu2 + mua))
+    return EntropyRates(*map(unstacked, (mu1, mu2, mua, mu1 + mu2 + mua)))
 
 
 def steady_state(dyn: LinearDynamics) -> CovarianceState:
@@ -191,8 +206,9 @@ def analytic_sync_degree(cov: CovarianceState) -> float:
     """Carrier-averaged Pearson degree of synchronization from the NESS.
 
     C = Re<b1† b2> / sqrt(<|b1|^2><|b2|^2>); equals the long-window
-    Pearson correlation of the two displacement records.
+    Pearson correlation of the two displacement records.  A state of
+    arrays gives an array.
     """
     v1 = cov.n_b1_eff + 0.5
     v2 = cov.n_b2_eff + 0.5
-    return float(np.clip(cov.n_cross_eff / np.sqrt(v1 * v2), -1.0, 1.0))
+    return unstacked(np.clip(cov.n_cross_eff / np.sqrt(v1 * v2), -1.0, 1.0))

@@ -49,8 +49,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import ztbtrs
 
 from .errors import FrameMismatchError, StabilityError
 from .model import FRAME_REDUCED, LinearDynamics
@@ -165,6 +163,7 @@ def _banded_blocks(F, R, z, n_steps, rngs):
     allocated once, the states afresh per chunk, since the yielded block
     is a view of them.
     """
+    from scipy.linalg.lapack import ztbtrs  # slow to import; deferred
     B = len(rngs)
     chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // B))
     # band row r, column j: the coefficient of state j in row j + r.
@@ -202,6 +201,7 @@ def _banded_blocks(F, R, z, n_steps, rngs):
 
 def _build_exact_map(dyn: LinearDynamics, dt: float):
     """One-step map (F, S), carrier and stationary covariance V_inf."""
+    import scipy.linalg as sla  # slow to import; deferred
     drift_r, carrier = recentered(dyn)
     # V_inf is invariant under the recentering (i c I drops from A V + V A^H)
     Vinf = solve_lyapunov(drift_r, dyn.diffusion)

@@ -103,6 +103,31 @@ def test_cli_import_leaves_scipy_signal_out():
     assert run_python(code) == "[]\n[]\n"
 
 
+def test_commands_that_step_nothing_leave_scipy_out(tmp_path):
+    # scipy.linalg takes about a third of a second to import, and only a
+    # command that steps a record uses it (for the one-step map), so the
+    # analytic commands never load any of SciPy
+    code = (
+        "import contextlib, io, sys\n"
+        "from clocksync.cli import run\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy())\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['--version'], ['sweep', '--protocol', 'analytic',\n"
+        "             '--points', '300', '--out', out], ['modes', '--out', out],\n"
+        "             ['ness', '--out', out]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "print(scipy())\n"
+        "from clocksync.experiments import operating_point\n"
+        "from clocksync.model import paper_preset\n"
+        "from clocksync.trajectory import stored_states\n"
+        "stored_states(operating_point(paper_preset(), 0.02)[0], [1], 1e-3, 1e-4)\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    assert run_python(code) == "[]\n[]\nTrue\n"
+
+
 class TestConfig:
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["sweep", "--bogus-flag"]) == 2

@@ -340,6 +340,40 @@ class TestPowerSpectrum:
         fwhm = f[hi] - f[lo]
         assert fwhm == pytest.approx(nm.gamma_plus / TWO_PI, rel=0.20)
 
+    @pytest.mark.parametrize("g", [0.002, 0.04])
+    def test_envelope_spectrum_is_the_ou_spectrum(self, paper, g):
+        # trajectory's Welch spectrum of each clock, on a record keyed as
+        # its own, against S_ii(nu) = [(i nu - A')^-1 D (i nu - A')^-H]_ii
+        # of the recentred drift A' over |f| < 500 Hz.  Each bin is S times
+        # chi2_nu / nu, nu = 2K / (1 + 2 rho) for K Hann segments at 50%
+        # overlap (Welch 1967).  dt = 2e-5 keeps the 2.9 kHz wide fast
+        # mode at g = 0.04 from aliasing into the band.
+        from scipy.stats import chi2
+        from clocksync.trajectory import (record_states, recentered,
+                                          stored_states)
+        dt = 2e-5
+        dyn, _ = operating_point(paper, g)
+        _, (record,) = record_states(stored_states(
+            dyn, [derived_seed(3, 0)], 8.0, dt, quench=False))
+        A, _ = recentered(dyn)
+        n = len(record)
+        nperseg = 2 ** int(np.log2(n // 8))
+        K = len(range(0, n - nperseg + 1, nperseg // 2))
+        w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(nperseg) / nperseg)
+        rho = (w[nperseg // 2:] @ w[:nperseg // 2] / (w @ w)) ** 2
+        nu = 2 * K / (1 + 2 * rho)
+        for i in (0, 1):
+            f, psd = power_spectrum(record[:, i], dt)
+            f, psd = f[np.abs(f) < 500.0], psd[np.abs(f) < 500.0]
+            M = np.linalg.inv(2j * np.pi * f[:, None, None] * np.eye(2) - A)
+            S = (M @ dyn.diffusion @ M.conj().swapaxes(1, 2))[:, i, i].real
+            r = psd / S
+            assert r.mean() == pytest.approx(1.0, abs=0.05)
+            for p, most in ((0.01, 0.03), (0.05, 0.10)):
+                lo, hi = chi2.ppf([p / 2, 1 - p / 2], nu) / nu
+                assert np.mean((r < lo) | (r > hi)) <= most
+            assert np.std(r) == pytest.approx(np.sqrt(2 / nu), rel=0.2)
+
 
 class TestTransientCorrelation:
     def test_perfectly_correlated_clocks(self):
