@@ -29,10 +29,11 @@ import numpy as np
 from . import __version__
 from .errors import ClockSyncError, ConfigError
 from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
-                          TICK_SEED_BASE, analytic_point, check_record_length,
-                          find_threshold, find_turning_point, operating_point,
-                          operating_points, sweep_coupling, sync_degree,
-                          tick_metrics, tick_period, transient_experiment)
+                          TICK_SEED_BASE, _model_arrays, analytic_point,
+                          check_record_length, find_threshold,
+                          find_turning_point, operating_point, sweep_coupling,
+                          sync_degree, tick_metrics, tick_period,
+                          transient_experiment)
 from .metrics import D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, power_spectrum
 from .model import TWO_PI, PhysicalParams, paper_preset
 from .output import write_csv, write_json, write_svg
@@ -141,11 +142,11 @@ _shared = [
                  default=None, help="JSON config overriding the preset."),
     click.option("--out", default="out", show_default=True,
                  help="Output directory."),
-    click.option("--seed", default=0, show_default=True,
-                 type=click.IntRange(0, 2 ** 64 - 1),
-                 help="Master seed for all stochastic paths."),
     click.option("--svg", is_flag=True, help="Also write SVG quick-look plots."),
 ]
+seed_option = click.option("--seed", default=0, show_default=True,
+                           type=click.IntRange(0, 2 ** 64 - 1),
+                           help="Master seed for all stochastic paths.")
 
 
 def shared_options(fn):
@@ -164,16 +165,16 @@ def cli():
 @shared_options
 @click.option("--g-max", default=0.05, show_default=True, type=_GE_ZERO)
 @click.option("--points", default=26, show_default=True, type=_GE_ONE)
-def modes(preset, config_path, out, seed, svg, g_max, points):
+def modes(preset, config_path, out, svg, g_max, points):
     """Normal-mode table over a coupling grid."""
     params = _params_from_config(preset, config_path)
     os.makedirs(out, exist_ok=True)
     header = ["g_over_kappa", "omega_plus", "omega_minus", "gamma_plus",
               "gamma_minus", "ratio"]
-    grid = [float(g) for g in np.linspace(0.0, g_max, points)]
-    rows = [[g, nm.omega_plus, nm.omega_minus, nm.gamma_plus,
-             nm.gamma_minus, nm.ratio]
-            for g, (_, nm) in zip(grid, operating_points(params, grid)[0])]
+    grid = np.linspace(0.0, g_max, points).tolist()
+    *_, nm = _model_arrays(params, grid)
+    rows = np.column_stack([grid, nm.omega_plus, nm.omega_minus,
+                            nm.gamma_plus, nm.gamma_minus, nm.ratio])
     path = _write_table(out, "modes", header, rows, svg)
     _echo_config(out, params)
     click.echo(f"wrote {path}")
@@ -182,7 +183,7 @@ def modes(preset, config_path, out, seed, svg, g_max, points):
 @cli.command()
 @shared_options
 @click.option("--g-over-kappa", default=0.02, show_default=True, type=_GE_ZERO)
-def ness(preset, config_path, out, seed, svg, g_over_kappa):
+def ness(preset, config_path, out, svg, g_over_kappa):
     """Single-point NESS report: occupations and entropy rates."""
     params = _params_from_config(preset, config_path)
     os.makedirs(out, exist_ok=True)
@@ -200,6 +201,7 @@ def ness(preset, config_path, out, seed, svg, g_over_kappa):
 
 @cli.command()
 @shared_options
+@seed_option
 @click.option("--g-max", default=0.05, show_default=True, type=_GE_ZERO)
 @click.option("--points", default=26, show_default=True, type=_GE_ONE)
 @click.option("--protocol", default="both", show_default=True,
@@ -219,8 +221,10 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
     rows = sweep_coupling(params, grid, protocol=protocol, master_seed=seed,
                           duration=duration, dt=dt,
                           tick_duration=tick_duration)
+    # getattr, not dataclasses.astuple: that deep-copies every field
     path = _write_table(out, "sweep", SWEEP_CSV_HEADER,
-                        [r.as_list() for r in rows], svg)
+                        [[getattr(r, k) for k in SWEEP_CSV_HEADER]
+                         for r in rows], svg)
 
     summary = {}
     for name, fn in [("threshold_g_over_kappa", find_threshold),
@@ -237,6 +241,7 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
 
 @cli.command()
 @shared_options
+@seed_option
 @click.option("--g-over-kappa", default=0.02, show_default=True, type=_GE_ZERO)
 @click.option("--duration", default=DEFAULT_DURATION, show_default=True,
               type=_GT_ZERO)
@@ -282,6 +287,7 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
 
 @cli.command()
 @shared_options
+@seed_option
 @click.option("--g-over-kappa", default=0.04, show_default=True, type=_GE_ZERO)
 @click.option("--n-traj", default=600, show_default=True,
               type=click.IntRange(min=MIN_FLUX_ENSEMBLE))

@@ -20,14 +20,12 @@ the record length, the number of sweep points or the number of
 trajectories.
 
 Operating points (couplings, reduced dynamics, normal modes) are built
-as arrays, a list of couplings at a time, by the model's own functions,
-and one that overflows a float is rejected.  ``analytic_points`` is the
-one analytic path: it adds the NESS covariances and entropy rates,
-ANALYTIC_SLICE couplings per array pass and stacked Lyapunov call.
-``operating_points`` makes per-point dynamics and normal modes of the
-same arrays, for the callers that step or report a point.
-``operating_point`` and ``analytic_point`` are their one-point cases;
-sweeps, quenches and every command start there.
+as arrays, a list of couplings at a time, by the model's own functions
+(``_model_arrays``), and one that overflows a float is rejected.
+``analytic_points`` is the one analytic path: it adds the NESS
+covariances and entropy rates, ANALYTIC_SLICE couplings per array pass
+and stacked Lyapunov call.  ``operating_point`` (what a command steps)
+and ``analytic_point`` are their one-point views.
 """
 
 from __future__ import annotations
@@ -48,9 +46,8 @@ from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
                     normal_modes_closed_form, reduced_matrices)
 from .steadystate import (CovarianceState, analytic_sync_degree,
                           entropy_rates, reduced_occupations, solve_lyapunov)
-from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
-                         derived_seed, displacements, recentered,
-                         stored_states)
+from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, derived_seed,
+                         recentered, stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -102,9 +99,6 @@ class SweepRow:
     mu_a: float
     pi_s: float
     analytic_C: float
-
-    def as_list(self):
-        return [getattr(self, k) for k in SWEEP_CSV_HEADER]
 
 
 SWEEP_CSV_HEADER = [f.name for f in fields(SweepRow)]
@@ -178,14 +172,13 @@ def sync_degree(parts, carrier: float, dt: float) -> float:
     """Pearson C of one member's stream of (m, 2) sample blocks, every
     sample counted.  The sums are taken per C window (C_WINDOW_SAMPLES
     of global sample index) and merged by ``PearsonStats``."""
-    stats = PearsonStats()
-    k = 0
+    stats, k = PearsonStats(), 0
     for window in windows(parts, C_WINDOW_SAMPLES):
-        w = len(window)
-        traj = Trajectory(times=dt * np.arange(k, k + w), b1=window[:, 0],
-                          b2=window[:, 1], dt=dt, reference_frequency=carrier)
-        stats.update(*displacements(traj))
-        k += w
+        # x_i = sqrt(2) Re[b_i e^{-i carrier t}], as in ``displacements``
+        phase = np.exp(-1j * carrier * (dt * np.arange(k, k + len(window))))
+        stats.update(*(np.sqrt(2.0) * np.real(window[:, i] * phase)
+                       for i in (0, 1)))
+        k += len(window)
     return stats.result()
 
 
@@ -224,24 +217,14 @@ def _model_arrays(params: PhysicalParams, grid):
     return G1, G2, A, D, modes
 
 
-def operating_points(params: PhysicalParams, grid):
-    """(points, drifts, diffusions) of a list of |G|/kappa: per g, the
-    dynamics for params.with_coupling(g) and its normal modes, then the
-    stacked drifts and diffusions, from ``_model_arrays``."""
-    _, _, A, D, modes = _model_arrays(params, grid)
-    points = [(LinearDynamics(frame=FRAME_REDUCED, drift=a, diffusion=d,
-                              reference_frequency=params.omega2,
-                              params=params.with_coupling(g)),
-               NormalModes(lambda_plus=lp, lambda_minus=lm))
-              for g, a, d, lp, lm in zip(grid, A, D,
-                                         modes.lambda_plus.tolist(),
-                                         modes.lambda_minus.tolist())]
-    return points, A, D
-
-
 def operating_point(params: PhysicalParams, g: float):
-    """``operating_points`` of the one coupling g: (dynamics, modes)."""
-    return operating_points(params, [g])[0][0]
+    """(dynamics, normal modes) of params.with_coupling(g): the one-point
+    view of ``_model_arrays``."""
+    _, _, A, D, modes = _model_arrays(params, [g])
+    return (LinearDynamics(frame=FRAME_REDUCED, drift=A[0], diffusion=D[0],
+                           reference_frequency=params.omega2,
+                           params=params.with_coupling(g)),
+            NormalModes(modes.lambda_plus.item(), modes.lambda_minus.item()))
 
 
 def analytic_points(params: PhysicalParams, grid):
@@ -265,8 +248,7 @@ def analytic_points(params: PhysicalParams, grid):
 
 
 def analytic_point(params: PhysicalParams, g: float):
-    """(row, NESS occupations) of ``analytic_points`` at the one coupling
-    g."""
+    """(row, NESS occupations) of ``analytic_points`` at one coupling g."""
     (row,), cov = next(analytic_points(params, [g]))
     return row, CovarianceState(*(x.item() for x in astuple(cov)))
 
@@ -297,7 +279,7 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     if protocol == "analytic":
         return rows
     check_record_length(duration, 2 * dt, "correlation record")
-    dyns = [dyn for dyn, _ in operating_points(params, grid.tolist())[0]]
+    dyns = [operating_point(params, g)[0] for g in grid.tolist()]
     periods = [tick_period(dyn, tick_duration) for dyn in dyns]
     mc_rows = []
     for i, (row, dyn, t0) in enumerate(zip(rows, dyns, periods)):
@@ -311,9 +293,9 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
 
 
 def find_threshold(rows: list[SweepRow]) -> float:
-    """|G_c|/kappa where the analytic C first crosses 0.5 (interpolated)."""
+    """|G_c|/kappa where the analytic |C| first crosses 0.5 (interpolated)."""
     g = np.array([r.g_over_kappa for r in rows])
-    c = np.array([r.analytic_C for r in rows])
+    c = np.abs([r.analytic_C for r in rows])
     above = np.flatnonzero(c >= THRESHOLD_LEVEL)
     if len(above) == 0 or above[0] == 0:
         raise ThresholdError(

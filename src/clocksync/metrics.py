@@ -207,36 +207,30 @@ class TickStats:
 
 
 def power_spectrum(x, dt: float):
-    """Welch PSD (Hann window, 50% overlap, density normalization) over
-    segments of 2^floor(log2(n/8)) samples, at least 2.
+    """Two-sided Welch PSD (Hann window, 50% overlap, density
+    normalization) over segments of 2^floor(log2(n/8)) samples, at least 2.
 
     Each segment has its mean removed, is windowed and transformed; the
     periodograms are averaged and scaled by dt / sum(window^2) (Welch,
     IEEE Trans. Audio Electroacoust. 15, 70, 1967).  Trailing samples
-    that fill no segment are dropped.  Real input gives a one-sided
-    spectrum; complex input (envelopes) a two-sided one with frequencies
-    relative to the carrier, sorted ascending.  For broadband signals
-    sum(psd)*df reproduces the series variance; line features narrower
-    than a bin are resolution limited.
+    that fill no segment are dropped.  Frequencies are sorted ascending;
+    for an envelope they are offsets from its carrier.  For broadband
+    signals sum(psd)*df reproduces the series variance; line features
+    narrower than a bin are resolution limited.
     """
     x = np.asarray(x)
     n = len(x)
     nperseg = 2 ** int(np.log2(max(n // 8, 2)))
     if n < 2 * nperseg:
         raise ValueError("series shorter than two Welch segments")
-    onesided = not np.iscomplexobj(x)
     # periodic Hann window
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(nperseg) / nperseg)
     starts = range(0, n - nperseg + 1, nperseg // 2)
-    fft = np.fft.rfft if onesided else np.fft.fft
     psd = 0.0  # summed in segment order, one segment in memory at a time
     for s in starts:
         segment = x[s:s + nperseg]
-        psd += np.abs(fft((segment - segment.mean()) * window)) ** 2
+        psd += np.abs(np.fft.fft((segment - segment.mean()) * window)) ** 2
     psd = psd / len(starts) * (dt / np.sum(window ** 2))
-    if onesided:
-        psd[1:-1] *= 2  # all but DC and Nyquist (nperseg is even)
-        return np.fft.rfftfreq(nperseg, dt), psd
     return np.fft.fftshift(np.fft.fftfreq(nperseg, dt)), np.fft.fftshift(psd)
 
 
@@ -306,12 +300,15 @@ def transient_time(times, R) -> float:
     R is smoothed with a moving median of width SMOOTH_FRAC * len(R).
     The last PLATEAU_FRAC of the window must be stationary (spread below
     PLATEAU_TOL of the overall range), otherwise PlateauError suggests a
-    longer window.  The crossing is linearly interpolated.
+    longer window.  The crossing is linearly interpolated.  A plateau
+    below zero (anti-phase locking) is read on -R.
     """
     times = np.asarray(times, dtype=float)
     R = np.asarray(R, dtype=float)
     if len(R) != len(times) or len(R) < 10:
         raise ValueError("need matching series of length >= 10")
+    if np.mean(R[int((1.0 - PLATEAU_FRAC) * len(R)):]) < 0:
+        R = -R
     w = max(1, int(round(SMOOTH_FRAC * len(R))))
     from scipy.ndimage import median_filter  # slow to import; deferred
     smoothed = median_filter(R, size=w, mode="nearest") if w > 1 else R

@@ -285,16 +285,20 @@ def normal_modes_closed_form(delta_omega: float, gamma1: float, gamma2: float,
                              coupling: EffectiveCoupling) -> NormalModes:
     """Closed-form eigenvalues of the coupled phononic system.
 
-    lambda_pm = (dw/2 - i(g1+g2+4*Gamma)/4)
+    lambda_pm = (dw/2 - i(g1+g2+4*Gs)/4)
                 +- sqrt((dw - i(g1-g2)/2)^2/4 + (delta + i*Gamma)^2)
 
-    in the frame rotating at omega2 (Re lambda are offsets from omega2).
+    in the frame rotating at omega2 (Re lambda are offsets from omega2),
+    for |G1| = |G2|.  Each mode's cavity damping Gs = -Im(|G1 G2| chi_c)
+    is Gamma, or -Gamma where Re(Lambda chi_c*) = G1 G2 |chi_c|^2 > 0.
     The common optical-spring shift is not included here; numeric
     eigenvalues of the reduced drift match these up to a uniform real
     offset.  A coupling of arrays gives the mode pair of each entry.
     """
     d, G = coupling.delta, coupling.Gamma
-    centre = 0.5 * delta_omega - 0.25j * (gamma1 + gamma2 + 4.0 * G)
+    Gs = unstacked(np.where(
+        np.real(coupling.Lambda * np.conj(coupling.chi_c)) > 0, -G, G))
+    centre = 0.5 * delta_omega - 0.25j * (gamma1 + gamma2 + 4.0 * Gs)
     # + 0j makes each zero part +0.0, whatever the sign _csquare gave it
     root = np.sqrt(0.25 * (delta_omega - 0.5j * (gamma1 - gamma2)) ** 2
                    + _csquare(d + 1j * G) + 0j)
@@ -314,7 +318,8 @@ def reduced_drift_matrix(params: PhysicalParams,
 
     with per-mode self energies S_i = Re(G_i^2 chi_c) (optical spring)
     and Gs_i = -Im(G_i^2 chi_c) (cavity-induced damping); drift = -i*H.
-    For |G1| = |G2| both self terms reduce to S = -delta and Gs = Gamma.
+    For |G1| = |G2| both modes share S and Gs: S = -delta and Gs = Gamma
+    for G1 = -G2, S = delta and Gs = -Gamma for G1 = G2.
     Diffusion combines the thermal drives gamma_i*(nth_i + 1/2) with the
     rank-one cavity backaction shared by the two modes.
     """

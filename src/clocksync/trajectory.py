@@ -116,11 +116,6 @@ def derived_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) << 64) + int(index)
 
 
-def _gaussian_initial(L: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw b(0) = L zeta with covariance L L^H (4 normals)."""
-    return L @ (rng.standard_normal(4).view(complex) / np.sqrt(2.0))
-
-
 def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
                     n_steps: int, rngs: list):
     """Propagate z <- F z + S zeta; returns a generator of state blocks.
@@ -231,7 +226,8 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     p = dyn.params
     L = (np.diag(np.sqrt([p.nth1 + 0.5, p.nth2 + 0.5])) if quench
          else _psd_sqrt(Vinf))
-    z0 = np.stack([_gaussian_initial(L, r) for r in rngs])
+    z0 = np.stack([L @ (r.standard_normal(4).view(complex) / np.sqrt(2.0))
+                   for r in rngs])
     n_steps = int(round(duration / dt))
     blocks = _iterate_blocks(F, S, z0, n_steps, rngs)
     return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)

@@ -4,8 +4,10 @@ The model builds a slice of couplings as arrays with the same functions
 that serve one point.  The oracle below is a test-only copy of the
 per-point construction those functions replaced (``model.py`` and
 ``steadystate.py`` at commit 2b545ca): one coupling at a time, in Python
-complex and float arithmetic.  Every drift, diffusion, normal mode and
-sweep row must match it bit for bit, signed zeros included.
+complex and float arithmetic.  Its normal modes take each mode's cavity
+damping as -Gamma for equal-sign couplings, as ``normal_modes_closed_form``
+does.  Every drift, diffusion, normal mode and sweep row must match it
+bit for bit, signed zeros included.
 """
 
 import dataclasses
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 
 from clocksync import ClockSyncError, PhysicalParams, paper_preset
 from clocksync import experiments
-from clocksync.experiments import operating_points, sweep_coupling
-from clocksync.model import TWO_PI
+from clocksync.experiments import (_model_arrays, operating_point,
+                                   sweep_coupling)
+from clocksync.model import TWO_PI, NormalModes
 from clocksync.steadystate import solve_lyapunov
 
 
@@ -41,7 +44,8 @@ def oracle_point(params, g):
     chi_c, lam = complex(chi_c), complex(lam)
 
     dw = p.delta_omega
-    centre = 0.5 * dw - 0.25j * (p.gamma1 + p.gamma2 + 4.0 * G)
+    Gs = -G if (lam * chi_c.conjugate()).real > 0 else G  # G1 G2 > 0
+    centre = 0.5 * dw - 0.25j * (p.gamma1 + p.gamma2 + 4.0 * Gs)
     root = np.sqrt(0.25 * (dw - 0.5j * (p.gamma1 - p.gamma2)) ** 2
                    + (d + 1j * G) ** 2 + 0j)
     l1, l2 = centre + root, centre - root
@@ -83,16 +87,18 @@ def oracle_row(params, g):
 
 
 def check_against_oracle(params, grid):
-    """Operating points and analytic rows of grid equal the oracle's bits."""
+    """Model arrays, operating points and analytic rows of grid equal the
+    oracle's bits."""
     want = [oracle_point(params, g) for g in grid]
-    points, A, D = operating_points(params, grid)
+    G1, G2, A, D, modes = _model_arrays(params, grid)
     assert A.tobytes() == np.array([w[1] for w in want]).tobytes()
     assert D.tobytes() == np.array([w[2] for w in want]).tobytes()
-    lam = np.array([(m.lambda_plus, m.lambda_minus) for _, m in points])
+    lam = np.stack([modes.lambda_plus, modes.lambda_minus], axis=-1)
     assert lam.tobytes() == np.array([w[3:5] for w in want]).tobytes()
-    G = [(dyn.params.G1, dyn.params.G2) for dyn, _ in points]
-    assert np.array(G).tobytes() == \
+    assert np.stack([G1, G2], axis=-1).tobytes() == \
         np.array([(w[0].G1, w[0].G2) for w in want]).tobytes()
+    dyn, nm = operating_point(params, grid[0])
+    assert (dyn.params, nm) == (want[0][0], NormalModes(*want[0][3:5]))
     try:
         rows = [oracle_row(params, g) for g in grid]
     except ClockSyncError as exc:  # the first failing point in grid order
@@ -100,7 +106,7 @@ def check_against_oracle(params, grid):
             sweep_coupling(params, grid=grid, protocol="analytic")
         return
     got = sweep_coupling(params, grid=grid, protocol="analytic")
-    assert np.array([r.as_list() for r in got]).tobytes() == \
+    assert np.array([dataclasses.astuple(r) for r in got]).tobytes() == \
         np.array(rows).tobytes()
 
 

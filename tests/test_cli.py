@@ -330,7 +330,54 @@ class TestCommands:
                           "gamma_plus", "gamma_minus", "ratio"]
         assert len(rows) == 5
         resolved = json.loads((out / "resolved_config.json").read_text())
-        assert set(resolved["options"]) == {"g_max", "points", "seed"}
+        assert set(resolved["options"]) == {"g_max", "points"}
+
+    @pytest.mark.parametrize("command", ["modes", "ness"])
+    def test_analytic_commands_take_no_seed(self, tmp_path, capsys, command):
+        # they draw no noise, so a seed would be an option nothing reads
+        out = tmp_path / "o"
+        assert run([command, "--seed", "1", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_modes_columns_are_the_sweep_columns(self, tmp_path, capsys):
+        # the same normal modes, written through the same floats
+        assert run(["modes", "--points", "301", "--g-max", "0.06", "--out",
+                    str(tmp_path / "m")]) == 0
+        assert run(["sweep", "--protocol", "analytic", "--points", "301",
+                    "--g-max", "0.06", "--out", str(tmp_path / "s")]) == 0
+
+        def columns(path, names):
+            header, *lines = path.read_text().splitlines()
+            idx = [header.split(",").index(n) for n in names]
+            return [[line.split(",")[i] for i in idx] for line in lines]
+
+        names = ["g_over_kappa", "gamma_plus", "gamma_minus", "ratio"]
+        assert (columns(tmp_path / "m" / "modes.csv", names)
+                == columns(tmp_path / "s" / "sweep.csv", names))
+
+    def test_equal_sign_couplings_lock_in_anti_phase(self, tmp_path, capsys):
+        # G1 G2 > 0: the same linewidths and threshold as the paper's
+        # G1 = -G2, with C < 0, and a quench that settles at R < 0
+        cfg = tmp_path / "plus.json"
+        cfg.write_text(json.dumps({"params": {"G1_rad": 1, "G2_rad": 1}}))
+        out = tmp_path / "o"
+        assert run(["sweep", "--protocol", "analytic", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        header, rows = read_csv(out / "sweep.csv")
+        col = dict(zip(header, np.array(rows).T))
+        assert np.all(col["gamma_plus"] > 0)
+        assert col["analytic_C"][-1] < -0.95
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["threshold_g_over_kappa"] == pytest.approx(0.0086,
+                                                                  rel=0.01)
+        assert run(["transient", "--config", str(cfg), "--g-over-kappa",
+                    "0.04", "--n-traj", "50", "--seed", "2", "--out",
+                    str(out)]) == 0
+        _, rows = read_csv(out / "transient.csv")
+        assert np.mean([r[1] for r in rows[-100:]]) < -0.9
+        summary = json.loads((out / "transient_summary.json").read_text())
+        assert 0 < summary["transient_time_s"] < 1e-3
 
     def test_modes_at_unstable_coupling(self, tmp_path, capsys):
         # blue detuning anti-damps the long-lived mode: the table still
@@ -355,7 +402,7 @@ class TestCommands:
                               "n_a_eff", "n_cross_eff"]
         assert rows[0][9] > 0.9  # analytic_C above threshold
         resolved = json.loads((out / "resolved_config.json").read_text())
-        assert set(resolved["options"]) == {"g_over_kappa", "seed"}
+        assert set(resolved["options"]) == {"g_over_kappa"}
 
     def test_sweep_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -13,8 +13,8 @@ from clocksync import (ConfigError, EnsembleError, SweepRow, ThresholdError,
                        transient_experiment)
 from clocksync import experiments, trajectory
 from clocksync.experiments import (MAX_TICK_STEPS, SWEEP_CSV_HEADER,
-                                   TICK_SEED_BASE, analytic_point,
-                                   operating_point, operating_points,
+                                   TICK_SEED_BASE, _model_arrays,
+                                   analytic_point, operating_point,
                                    sync_degree, tick_metrics, tick_period)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.trajectory import derived_seed, stored_states
@@ -48,8 +48,8 @@ class TestSweepAnalytic:
         assert c[-1] > 0.95
 
     def test_row_column_contract(self, rows):
-        assert len(rows[0].as_list()) == len(SWEEP_CSV_HEADER)
-        assert rows[0].as_list()[0] == rows[0].g_over_kappa
+        assert len(dataclasses.astuple(rows[0])) == len(SWEEP_CSV_HEADER)
+        assert dataclasses.astuple(rows[0])[0] == rows[0].g_over_kappa
 
     def test_grid_validation(self, paper):
         with pytest.raises(ValueError):
@@ -63,18 +63,48 @@ class TestSweepAnalytic:
         # at 1e100 only the closed-form normal modes overflow (to nan); at
         # 1e200 G ** 2 raises OverflowError.  The first one is named.
         with pytest.raises(ConfigError, match=r"= 1e\+100 "):
-            operating_points(paper, [0.0, 0.02, 1e100, 1e200])
+            _model_arrays(paper, [0.0, 0.02, 1e100, 1e200])
         with pytest.raises(ConfigError, match=r"= 1e\+200 "):
             sweep_coupling(paper, grid=[0.0, 1e200], protocol="analytic")
-        points, A, D = operating_points(paper, [0.0, 0.02])
-        dyn, modes = operating_point(paper, 0.02)
-        assert points[1][1] == modes
-        assert A[1].tobytes() == dyn.drift.tobytes()
-        assert D[1].tobytes() == dyn.diffusion.tobytes()
+        with pytest.raises(ConfigError, match=r"= 1e\+100 "):
+            operating_point(paper, 1e100)
+
+    @pytest.mark.parametrize("signs", [(0.0, -0.0), (-1.0, -1.0), (1.0, 1.0),
+                                       (-1.0, 1.0)])
+    def test_operating_point_is_an_entry_of_the_arrays(self, paper, signs):
+        # bit for bit, whatever the other couplings of the grid
+        params = dataclasses.replace(paper, G1=signs[0], G2=signs[1],
+                                     na_in=0.3)
+        grid = np.linspace(0.0, 0.05, 11).tolist()
+        G1, G2, A, D, modes = _model_arrays(params, grid)
+        for i, g in enumerate(grid):
+            dyn, nm = operating_point(params, g)
+            assert dyn.drift.tobytes() == A[i].tobytes()
+            assert dyn.diffusion.tobytes() == D[i].tobytes()
+            assert (dyn.params.G1, dyn.params.G2) == (G1[i], G2[i])
+            assert dyn.params == params.with_coupling(g)
+            assert dyn.reference_frequency == params.omega2
+            assert (np.array([nm.lambda_plus, nm.lambda_minus]).tobytes()
+                    == np.array([modes.lambda_plus[i],
+                                 modes.lambda_minus[i]]).tobytes())
+
+    def test_equal_signs_mirror_opposite_signs(self, paper):
+        # b2 -> -b2 maps the (+, +) model onto the (+, -) one: every
+        # column agrees, and C changes sign (anti-phase locking)
+        grid = np.linspace(0.0, 0.05, 101)
+        opposite = sweep_coupling(paper, grid=grid, protocol="analytic")
+        equal = sweep_coupling(dataclasses.replace(paper, G1=1.0, G2=1.0),
+                               grid=grid, protocol="analytic")
+        mirrored = [dataclasses.replace(r, analytic_C=-r.analytic_C)
+                    for r in opposite]
+        np.testing.assert_array_equal([dataclasses.astuple(r) for r in equal],
+                                      [dataclasses.astuple(r) for r in mirrored])
+        assert find_threshold(equal) == find_threshold(opposite)
+        assert all(r.gamma_plus > 0 for r in equal)
 
 
 def row_bits(rows):
-    return np.array([r.as_list() for r in rows]).tobytes()
+    return np.array([dataclasses.astuple(r) for r in rows]).tobytes()
 
 
 class TestAnalyticSlices:

@@ -270,12 +270,12 @@ class TestPowerSpectrum:
     def test_sinusoid_peak_location(self):
         fs, f0 = 1000.0, 123.0
         t = np.arange(0, 20, 1 / fs)
-        f, psd = power_spectrum(np.sin(2 * np.pi * f0 * t), 1 / fs)
+        f, psd = power_spectrum(np.exp(2j * np.pi * f0 * t), 1 / fs)
         assert f[np.argmax(psd)] == pytest.approx(f0, abs=f[1] - f[0])
 
     def test_white_noise_parseval(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal(2 ** 17)
+        x = rng.standard_normal(2 ** 17) + 1j * rng.standard_normal(2 ** 17)
         f, psd = power_spectrum(x, 1e-3)
         df = f[1] - f[0]
         assert np.sum(psd) * df == pytest.approx(np.var(x), rel=0.01)
@@ -310,6 +310,7 @@ class TestPowerSpectrum:
     @pytest.mark.parametrize("n", [4, 1000, 4097])
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_matches_scipy_welch(self, n, complex_valued):
+        # the spectrum is two-sided, of a real series too
         from scipy.signal import welch
         rng = np.random.default_rng(n)
         x = 2.0 + rng.standard_normal(n)
@@ -318,8 +319,7 @@ class TestPowerSpectrum:
         nperseg = 2 ** int(np.log2(max(n // 8, 2)))
         want_f, want = welch(x, fs=1e3, window="hann", nperseg=nperseg,
                              noverlap=nperseg // 2, detrend="constant",
-                             return_onesided=not complex_valued,
-                             scaling="density")
+                             return_onesided=False, scaling="density")
         order = np.argsort(want_f)
         f, psd = power_spectrum(x, 1e-3)
         assert np.array_equal(f, want_f[order])
@@ -460,6 +460,14 @@ class TestTransientTime:
         t = np.linspace(0, 1, 500)
         with pytest.raises(PlateauError):
             transient_time(t, t.copy())
+
+    @pytest.mark.parametrize("n", [1000, 1020])  # median widths 50 and 51
+    def test_anti_phase_plateau(self, n):
+        # equal-sign couplings lock the clocks in anti-phase, R -> -1
+        rng = np.random.default_rng(n)
+        t = np.linspace(0, 1, n)
+        R = 1.0 - np.exp(-t / 0.05) + 0.02 * rng.standard_normal(n)
+        assert transient_time(t, -R) == transient_time(t, R) > 0.1
 
 
 class TestTransientFlux:

@@ -123,6 +123,21 @@ class TestClosedForm:
             worst = max(worst, d / scale)
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("signs", [(1, -1), (-1, 1), (1, 1), (-1, -1)])
+    def test_linewidths_match_numeric_on_every_sign_pattern(self, signs):
+        # the cavity damping of each mode is -Im(|G1 G2| chi_c): +Gamma
+        # for opposite signs, -Gamma for equal ones
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            p = random_params(rng)
+            g = abs(p.G1)
+            p = dataclasses.replace(p, G1=signs[0] * g, G2=signs[1] * g)
+            cf = normal_modes_closed_form(p.delta_omega, p.gamma1, p.gamma2,
+                                          effective_coupling(p))
+            num = normal_modes_numeric(reduced_drift_matrix(p))
+            assert cf.gamma_plus == pytest.approx(num.gamma_plus, rel=1e-9)
+            assert cf.gamma_minus == pytest.approx(num.gamma_minus, rel=1e-9)
+
     def test_linewidth_ratio_collapses(self, paper):
         grid = np.linspace(0.0, 0.05, 26)
         ratios = []
