@@ -34,11 +34,11 @@ from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
                           find_turning_point, operating_point, sweep_coupling,
                           sync_degree, tick_metrics, tick_period,
                           transient_experiment)
-from .metrics import D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, power_spectrum
+from .metrics import D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, power_spectra
 from .model import TWO_PI, PhysicalParams, paper_preset
-from .output import write_csv, write_json, write_svg
+from .output import csv_table, write_csv, write_json, write_svg
 from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, derived_seed,
-                         record_states, stored_states)
+                         stored_states)
 
 _PRESETS = {"paper": paper_preset}
 
@@ -260,24 +260,35 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     # the Welch spectrum needs two segments of at least 2 samples
     check_record_length(duration, 4 * dt, "trajectory")
     os.makedirs(out, exist_ok=True)
-    # C, D and N before any file, so a record they reject writes none; the
-    # streamed tick record first, so its memory and the record's never add
+
+    def record():
+        return stored_states(dyn, [derived_seed(seed, 0)], duration, dt,
+                             quench=False)
+
+    # C, D and N before any file, so a record they reject writes none.
+    # No record is held: the engine steps it once for C, and again, to
+    # the same states, for the CSV and the spectra
     m = tick_metrics(dyn, derived_seed(seed, TICK_SEED_BASE), tick_duration,
                      t0)
-    carrier, (record,) = record_states(stored_states(
-        dyn, [derived_seed(seed, 0)], duration, dt, quench=False))
-    C = sync_degree([record], carrier, dt)
+    carrier, n_stored, parts = record()
+    C = sync_degree((p[0] for p in parts), carrier, dt)
 
-    header = ["t", "re_b1", "im_b1", "re_b2", "im_b2"]
-    path = _write_table(out, "trajectory", header, np.column_stack(
-        [dt * np.arange(len(record)), record.view(float)]))
-    f, p1 = power_spectrum(record[:, 0], dt)
-    _, p2 = power_spectrum(record[:, 1], dt)
+    path = os.path.join(out, "trajectory.csv")
+    with csv_table(path, ["t", "re_b1", "im_b1", "re_b2", "im_b2"]) as append:
+        def written(parts):
+            """The states, each block written to the CSV as it passes."""
+            k = 0
+            for (b,) in parts:
+                append(np.column_stack([dt * np.arange(k, k + len(b)),
+                                        b.view(float)]))
+                k += len(b)
+                yield b
+        f, psd = power_spectra(written(record()[2]), n_stored, dt)
     carrier_hz = carrier / TWO_PI
     # an envelope component e^{i nu t} moves x_i at carrier - nu; rows
     # reversed, so the physical axis ascends
     _write_table(out, "spectrum", ["f_hz", "psd_b1", "psd_b2"],
-                 np.column_stack([carrier_hz - f, p1, p2])[::-1], svg)
+                 np.column_stack([carrier_hz - f, psd])[::-1], svg)
     write_json(os.path.join(out, "trajectory_summary.json"),
                {"C": C, "D": m.D, "N1": m.N1, "N2": m.N2,
                 "carrier_hz": carrier_hz})

@@ -1,11 +1,12 @@
 """Observables: synchronization degree, tick statistics, spectra, transients.
 
-All metrics are pure functions over immutable series, except three
+All metrics are pure functions over immutable series, except the
 streaming reducers that consume a stream of sample blocks piece by piece:
 ``TickStats`` turns the clock periods of each D window (``d_windows``)
 into D and N, ``PearsonStats`` merges the Pearson sums of consecutive
-pieces into C, and ``EnsembleMoments`` reduces (members, times, 2) blocks
-of a quench ensemble into the per-time moments behind R(t) and the fluxes.
+pieces into C, ``EnsembleMoments`` reduces (members, times, 2) blocks
+of a quench ensemble into the per-time moments behind R(t) and the fluxes,
+and ``power_spectra`` sums the periodograms of each Welch segment.
 Their memory is bounded by one piece, not by the record.  Ensemble sums
 run in member order and every sum has a fixed order, so results are
 reproducible bit for bit and do not depend on how a record is split into
@@ -42,6 +43,8 @@ SMOOTH_FRAC = 0.05
 PLATEAU_FRAC = 0.2
 PLATEAU_TOL = 0.1
 LEVEL = 0.95
+# moving_median selects over this many copied window elements at a time
+MEDIAN_SLICE_ELEMENTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -121,16 +124,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def windows(blocks, size: int, min_tail: int = 1, overlap: int = 0):
-    """Cut a stream of (m, 2) sample blocks into (size, 2) windows, each
+    """Cut a stream of (m, k) sample blocks into (size, k) windows, each
     starting with the last ``overlap`` samples of the one before.
 
-    Windows are copied into one reused buffer, so block boundaries never
-    show: window j always holds samples j (size - overlap) ..
-    j (size - overlap) + size - 1 of the stream.  A trailing partial
-    window is yielded only if it holds min_tail samples past the overlap.
+    Windows are copied into one reused buffer, of the first block's
+    dtype, so block boundaries never show: window j always holds samples
+    j (size - overlap) .. j (size - overlap) + size - 1 of the stream.  A
+    trailing partial window is yielded only if it holds min_tail samples
+    past the overlap.
     """
-    window, filled = np.empty((size, 2), dtype=complex), 0
+    window, filled = None, 0
     for block in blocks:
+        if window is None:
+            window = np.empty((size, block.shape[1]), dtype=block.dtype)
         while len(block):
             take = min(size - filled, len(block))
             window[filled:filled + take] = block[:take]
@@ -140,7 +146,7 @@ def windows(blocks, size: int, min_tail: int = 1, overlap: int = 0):
                 yield window
                 window[:overlap] = window[size - overlap:]
                 filled = overlap
-    if filled >= overlap + min_tail:
+    if window is not None and filled >= overlap + min_tail:
         yield window[:filled]
 
 
@@ -206,32 +212,45 @@ class TickStats:
         return SyncMetrics(D=D, N1=N[0], N2=N[1])
 
 
-def power_spectrum(x, dt: float):
-    """Two-sided Welch PSD (Hann window, 50% overlap, density
-    normalization) over segments of 2^floor(log2(n/8)) samples, at least 2.
+def power_spectra(blocks, n: int, dt: float):
+    """(f, psd): the two-sided Welch PSD (Hann window, 50% overlap,
+    density normalization) of each column of a stream of (m, k) sample
+    blocks, n samples in all, over segments of 2^floor(log2(n/8))
+    samples, at least 2; psd is (segment, k).
 
     Each segment has its mean removed, is windowed and transformed; the
     periodograms are averaged and scaled by dt / sum(window^2) (Welch,
-    IEEE Trans. Audio Electroacoust. 15, 70, 1967).  Trailing samples
-    that fill no segment are dropped.  Frequencies are sorted ascending;
-    for an envelope they are offsets from its carrier.  For broadband
-    signals sum(psd)*df reproduces the series variance; line features
-    narrower than a bin are resolution limited.
+    IEEE Trans. Audio Electroacoust. 15, 70, 1967).  Segments are the
+    ``windows`` of the stream, one in memory at a time, so the record
+    need not be; trailing samples that fill no segment are dropped.
+    Frequencies are sorted ascending; for an envelope they are offsets
+    from its carrier.  For broadband signals sum(psd)*df reproduces the
+    series variance; line features narrower than a bin are resolution
+    limited.
     """
-    x = np.asarray(x)
-    n = len(x)
     nperseg = 2 ** int(np.log2(max(n // 8, 2)))
     if n < 2 * nperseg:
         raise ValueError("series shorter than two Welch segments")
     # periodic Hann window
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(nperseg) / nperseg)
-    starts = range(0, n - nperseg + 1, nperseg // 2)
-    psd = 0.0  # summed in segment order, one segment in memory at a time
-    for s in starts:
-        segment = x[s:s + nperseg]
-        psd += np.abs(np.fft.fft((segment - segment.mean()) * window)) ** 2
-    psd = psd / len(starts) * (dt / np.sum(window ** 2))
-    return np.fft.fftshift(np.fft.fftfreq(nperseg, dt)), np.fft.fftshift(psd)
+    half = nperseg // 2
+    psd, count = 0.0, 0  # summed in segment order
+    for segments in windows(blocks, nperseg, nperseg - half, overlap=half):
+        # a column at a time: its mean is numpy's pairwise sum
+        psd += np.column_stack([
+            np.abs(np.fft.fft((col - col.mean()) * window)) ** 2
+            for col in segments.T])
+        count += 1
+    psd = psd / count * (dt / np.sum(window ** 2))
+    return (np.fft.fftshift(np.fft.fftfreq(nperseg, dt)),
+            np.fft.fftshift(psd, axes=0))
+
+
+def power_spectrum(x, dt: float):
+    """(f, psd) of ``power_spectra`` for one series x."""
+    x = np.asarray(x)
+    f, psd = power_spectra([x[:, None]], len(x), dt)
+    return f, psd[:, 0]
 
 
 class EnsembleMoments:
@@ -294,6 +313,23 @@ class EnsembleMoments:
         return bath_fluxes(params, v1 / n - 0.5, v2 / n - 0.5, ncr)[1:]
 
 
+def moving_median(x, w: int) -> np.ndarray:
+    """Moving median of width w with the ends extended by their edge
+    values: ``scipy.ndimage.median_filter(x, size=w, mode="nearest")``.
+    Output k takes the element of rank w // 2 (the upper median for even
+    w) of x[k - w // 2 .. k - w // 2 + w - 1], selected over a slice of
+    rows at a time, so at most about MEDIAN_SLICE_ELEMENTS are copied."""
+    x = np.asarray(x, dtype=float)
+    rows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, (w // 2, w - 1 - w // 2), mode="edge"), w)
+    out = np.empty(len(x))
+    step = max(1, MEDIAN_SLICE_ELEMENTS // w)
+    for s in range(0, len(x), step):
+        out[s:s + step] = np.partition(rows[s:s + step], w // 2,
+                                       axis=1)[:, w // 2]
+    return out
+
+
 def transient_time(times, R) -> float:
     """First time the smoothed R reaches LEVEL of its maximum.
 
@@ -310,8 +346,7 @@ def transient_time(times, R) -> float:
     if np.mean(R[int((1.0 - PLATEAU_FRAC) * len(R)):]) < 0:
         R = -R
     w = max(1, int(round(SMOOTH_FRAC * len(R))))
-    from scipy.ndimage import median_filter  # slow to import; deferred
-    smoothed = median_filter(R, size=w, mode="nearest") if w > 1 else R
+    smoothed = moving_median(R, w) if w > 1 else R
 
     tail = smoothed[int((1.0 - PLATEAU_FRAC) * len(R)):]
     span = smoothed.max() - smoothed.min()

@@ -7,6 +7,7 @@ files and a re-read reproduces the values exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -28,14 +29,28 @@ def _table(header, rows):
     return table
 
 
-def write_csv(path, header, rows):
-    """Write a table of numbers under a fixed header."""
-    table = _table(header, rows)
+@contextlib.contextmanager
+def csv_table(path, header):
+    """Open a CSV table under a fixed header; yields a function that
+    appends rows (taken as ``write_csv`` takes them), so a table can be
+    written block by block as its rows are made."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(table), _CSV_SLICE_ROWS):
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in
-                          table[i:i + _CSV_SLICE_ROWS].tolist())
+
+        def append(rows):
+            table = _table(header, rows)
+            for i in range(0, len(table), _CSV_SLICE_ROWS):
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in
+                              table[i:i + _CSV_SLICE_ROWS].tolist())
+        yield append
+
+
+def write_csv(path, header, rows):
+    """Write a table of numbers under a fixed header; no file is made if
+    the table is rejected."""
+    table = _table(header, rows)
+    with csv_table(path, header) as append:
+        append(table)
 
 
 def write_json(path, payload):

@@ -17,15 +17,17 @@ the entries of -F and whose right-hand side is the noise S zeta written
 after the carry state (z1_0, z2_0), the previous chunk's last state.
 One LAPACK banded triangular solve (``ztbtrs``) steps every member of
 the chunk, each a right-hand side, so chunk boundaries go through the
-same arithmetic as every other step.  A chunk holds at most
-``_CHUNK_MEMBER_STEPS`` member-steps, and always at least one step.
+same arithmetic as every other step.  A chunk of B members runs
+``_CHUNK_MEMBER_STEPS // (B + 4)`` steps, and always at least one.
 
 ``stored_states`` hands the stream of states to a consumer block by
 block.  ``record_states`` collects it into one (members, times, 2)
 array, a row per seed, and ``propagate_exact`` and ``run_ensemble`` into
 ``Trajectory`` views of that array.  A consumer that reduces each block
-as it comes (a sweep point's C, D and N, a quench's R(t) and fluxes)
-needs memory for about one chunk, not for the record.
+as it comes (a sweep point's C, D and N, a quench's R(t) and fluxes, the
+``trajectory`` command's CSV and spectra) needs memory for about one
+chunk, not for the record.  Stepping the same dynamics and keys again
+gives the same states, so a consumer that needs two passes steps twice.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -56,9 +58,10 @@ from .steadystate import solve_lyapunov
 
 DEFAULT_DT = 1e-5
 DEFAULT_DURATION = 10.0
-# A chunk of B members runs _CHUNK_MEMBER_STEPS // B steps, so its noise,
-# its solved states and the band (4 x 2(m+1) entries, m steps) stay at a
-# few MB whatever the batch.
+# A chunk of B members runs _CHUNK_MEMBER_STEPS // (B + 4) steps, so its
+# noise, its solved states and the band stay at 1-3 MB whatever the
+# batch: per step the band (4 x 2 entries) costs as much as 4 members'
+# states.  One member steps 6553 steps per chunk, 600 members 54.
 _CHUNK_MEMBER_STEPS = 2 ** 15
 
 
@@ -160,7 +163,7 @@ def _banded_blocks(F, R, z, n_steps, rngs):
     """
     from scipy.linalg.lapack import ztbtrs  # slow to import; deferred
     B = len(rngs)
-    chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // B))
+    chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // (B + 4)))
     # band row r, column j: the coefficient of state j in row j + r.
     # z1_n (even j) enters the rows of z1_{n+1} and z2_{n+1} at r = 2, 3,
     # z2_n (odd j) at r = 1, 2

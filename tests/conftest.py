@@ -37,7 +37,8 @@ def run_python(code, **env):
 def chunk_steps(monkeypatch, steps, members):
     """Make the engine step ``members`` trajectories ``steps`` at a time."""
     from clocksync import trajectory
-    monkeypatch.setattr(trajectory, "_CHUNK_MEMBER_STEPS", steps * members)
+    monkeypatch.setattr(trajectory, "_CHUNK_MEMBER_STEPS",
+                        steps * (members + 4))
 
 
 def quench_record(dyn, n, duration, dt, master_seed):

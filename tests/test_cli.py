@@ -1,13 +1,14 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import read_csv, run_python
 
-from clocksync import (normal_modes_numeric, paper_preset, run_ensemble,
-                       sweep_coupling)
+from clocksync import (normal_modes_numeric, paper_preset, power_spectrum,
+                       run_ensemble, sweep_coupling)
 from clocksync.cli import run
 from clocksync.experiments import operating_point, sync_degree
 from clocksync.model import TWO_PI
@@ -84,8 +85,8 @@ class TestOutputs:
 
 def test_cli_import_leaves_scipy_signal_out():
     # scipy.signal, which loads scipy.stats, takes most of a second to
-    # import and scipy.ndimage about 0.1 s; no command needs the first,
-    # only a transient time the second
+    # import and scipy.ndimage about 0.1 s; no command needs either: a
+    # transient time takes its moving median from numpy
     code = (
         "import sys, clocksync.cli\n"
         "import numpy as np\n"
@@ -99,7 +100,7 @@ def test_cli_import_leaves_scipy_signal_out():
         "duration=0.2, dt=1e-4, tick_duration=0.01)\n"
         "power_spectrum(np.arange(64.0), 1.0)\n"
         "power_spectrum(np.arange(64.0) * 1j, 1.0)\n"
-        "print([m for m in slow[:2] if m in sys.modules])\n")
+        "print([m for m in slow if m in sys.modules])\n")
     assert run_python(code) == "[]\n[]\n"
 
 
@@ -456,6 +457,36 @@ class TestCommands:
         _, rows = read_csv(out / "trajectory.csv")
         assert len(rows) == len(record)
         assert rows[0] == [0.0, *record[0].view(float)]
+
+    def test_trajectory_streams_its_record(self, tmp_path, capsys):
+        # the record is stepped twice and never held: 10x the samples (at
+        # a 10x finer --dt, the same tick record) leave the peak of traced
+        # memory where it was, and the CSV and the spectra are those of
+        # the stored record
+        argv = ["trajectory", "--g-over-kappa", "0.04", "--duration", "0.1",
+                "--seed", "2"]
+        assert run([*argv, "--out", str(tmp_path / "warm")]) == 0  # imports
+        peaks = []
+        for dt in ("1e-5", "1e-6"):
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--dt", dt,
+                            "--out", str(tmp_path / dt)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+        dyn, _ = operating_point(paper_preset(), 0.04)
+        [traj] = run_ensemble(dyn, 1, 0.1, master_seed=2, quench=False)
+        _, rows = read_csv(tmp_path / "1e-5" / "trajectory.csv")
+        assert np.array_equal(rows, np.column_stack(
+            [traj.times, np.stack([traj.b1, traj.b2], -1).view(float)]))
+        _, rows = read_csv(tmp_path / "1e-5" / "spectrum.csv")
+        f, psd1 = power_spectrum(traj.b1, traj.dt)
+        _, psd2 = power_spectrum(traj.b2, traj.dt)
+        carrier_hz = traj.reference_frequency / TWO_PI
+        assert np.array_equal(rows, np.column_stack(
+            [carrier_hz - f, psd1, psd2])[::-1])
 
     @pytest.mark.parametrize("duration", ["0.3", "7"])
     def test_trajectory_d_and_n_equal_the_sweep_row(self, tmp_path, capsys,

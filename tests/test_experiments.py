@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -274,6 +275,49 @@ class TestSweepMonteCarlo:
         record = np.concatenate(list(parts), axis=1)[0]
         assert rows[1].C == sync_degree([record], carrier, dt)
 
+    def test_pooled_rows_equal_serial_rows(self, paper, monkeypatch):
+        # points in flight on two threads, or one after another, give the
+        # same rows bit for bit, in grid order
+        kw = dict(grid=[0.0, 0.01, 0.02, 0.03, 0.04], protocol="both",
+                  master_seed=5, duration=0.05, dt=1e-4, tick_duration=0.05)
+        rows = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+            rows[cpus] = [dataclasses.astuple(r)
+                          for r in sweep_coupling(paper, **kw)]
+        assert [r[0] for r in rows[2]] == kw["grid"]
+        assert rows[1] == rows[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_point_raises_the_first_error_in_grid_order(
+            self, paper, monkeypatch, cpus):
+        # points 1 and 3 fail, and 3 fails first in time: the pool raises
+        # point 1's own error, as a plain loop does, and starts no point
+        # that is queued when it raises
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+        errors, started = {}, []
+        real = experiments.tick_metrics
+
+        def failing(dyn, key, duration, t0):
+            i = key - derived_seed(8, TICK_SEED_BASE)
+            started.append(i)
+            if i == 1:
+                time.sleep(0.3)
+            if i in (1, 3):
+                errors[i] = TickExtractionError(f"point {i}")
+                raise errors[i]
+            if i > 3:
+                time.sleep(0.05)
+            return real(dyn, key, duration, t0)
+
+        monkeypatch.setattr(experiments, "tick_metrics", failing)
+        grid = np.linspace(0.0, 0.05, 30)
+        with pytest.raises(TickExtractionError) as exc:
+            sweep_coupling(paper, grid=grid, protocol="both", master_seed=8,
+                           duration=0.01, dt=1e-4, tick_duration=0.01)
+        assert exc.value is errors[1]
+        assert len(started) < len(grid)
+
     def test_row_depends_only_on_its_coupling_and_index(self, paper):
         kw = dict(protocol="both", master_seed=3, duration=0.2, dt=1e-4,
                   tick_duration=0.01)
@@ -282,7 +326,8 @@ class TestSweepMonteCarlo:
 
     def test_memory_flat_in_grid_size(self, paper):
         # every point is propagated and reduced on its own, so the peak is
-        # one point's: its tick record of one full D window dominates it
+        # that of the points in flight: their tick records of one full D
+        # window dominate it
         kw = dict(protocol="both", master_seed=1, duration=0.2,
                   dt=1e-4, tick_duration=0.25)
         peaks = []

@@ -13,11 +13,11 @@ from conftest import moments_of, quench_record, run_python
 from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
                        TickStats, power_spectrum, reduced_drift_matrix,
                        transient_time)
-from clocksync import experiments
+from clocksync import experiments, metrics
 from clocksync.experiments import (TICK_SEED_BASE, operating_point,
                                    tick_metrics, tick_period, tick_stats)
 from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, EnsembleMoments,
-                               PearsonStats)
+                               PearsonStats, moving_median, power_spectra)
 from clocksync.model import TWO_PI
 from clocksync.trajectory import derived_seed
 
@@ -166,6 +166,42 @@ class TestTicks:
         monkeypatch.setattr(experiments, "MAGNITUDE_FLOOR_FRACTION", 0.0)
         assert math.isfinite(tick_stats([b], self.carrier).N1)
 
+    @pytest.mark.parametrize("slice_periods", [1, 7, 33])
+    def test_periods_do_not_depend_on_the_slice(self, window_periods,
+                                                monkeypatch, slice_periods):
+        # a full D window and a counted tail, reduced TICK_SLICE periods
+        # at a time, give the same periods bit for bit at any slice
+        rng = np.random.default_rng(3)
+        phase = np.cumsum(0.3 * rng.standard_normal((1101, 2)), axis=0)
+        b = (1.0 + 0.5 * rng.standard_normal((1101, 2))) * np.exp(1j * phase)
+        tick_stats([b], self.carrier)
+        ref = [w[:2] for w in window_periods]
+        window_periods.clear()
+        monkeypatch.setattr(experiments, "TICK_SLICE", slice_periods)
+        tick_stats([b], self.carrier)
+        assert len(window_periods) == len(ref) == 5
+        for (p1, p2, *_), want in zip(window_periods, ref):
+            assert np.array_equal(p1, want[0]) and np.array_equal(p2, want[1])
+
+    def test_periods_do_not_depend_on_the_window_size(self, window_periods):
+        # a 2 us carrier: D windows of 125 000 periods (4 MB of states),
+        # against a copied 6000-period stretch of one as a record of its
+        # own (a counted tail of 190 kB).  numpy computes a product in
+        # place of a temporary only past 256 kB, which once rounded the
+        # periods of long windows differently
+        carrier = TWO_PI / 2e-6
+        rng = np.random.default_rng(5)
+        phase = np.cumsum(0.05 * rng.standard_normal((125_001, 2)), axis=0)
+        b = (1.0 + 0.3 * rng.standard_normal((125_001, 2))) * np.exp(
+            1j * phase)
+        tick_stats([b], carrier)
+        [(p1, p2, *_)] = window_periods
+        window_periods.clear()
+        tick_stats([b[40_000:46_001].copy()], carrier)
+        [(q1, q2, *_)] = window_periods
+        assert np.array_equal(q1, p1[40_000:46_000])
+        assert np.array_equal(q2, p2[40_000:46_000])
+
     def test_stochastic_period_mean_matches_mode(self, paper, window_periods):
         from clocksync import normal_modes_numeric
         p = paper.with_coupling(0.02)
@@ -306,6 +342,31 @@ class TestPowerSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 8 * segment_bytes
+
+    @pytest.mark.parametrize("cuts", [[], [1, 700, 701, 4096], [2500]])
+    def test_streamed_columns_are_the_series_spectra(self, cuts):
+        # a stream of blocks cut anywhere gives each column the spectrum
+        # of a plain loop over the whole series' segments, bit for bit
+        def welch(x, dt):
+            nperseg = 2 ** int(np.log2(max(len(x) // 8, 2)))
+            w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(nperseg) / nperseg)
+            starts = range(0, len(x) - nperseg + 1, nperseg // 2)
+            psd = 0.0
+            for s in starts:
+                seg = x[s:s + nperseg]
+                psd += np.abs(np.fft.fft((seg - seg.mean()) * w)) ** 2
+            psd = psd / len(starts) * (dt / np.sum(w ** 2))
+            return (np.fft.fftshift(np.fft.fftfreq(nperseg, dt)),
+                    np.fft.fftshift(psd))
+
+        rng = np.random.default_rng(7)
+        z = 2.0 + rng.standard_normal((5000, 4)).view(complex)
+        f, psd = power_spectra(np.split(z, cuts), len(z), 1e-3)
+        assert psd.shape == (512, 2)
+        for i in (0, 1):
+            want_f, want = welch(z[:, i], 1e-3)
+            assert np.array_equal(f, want_f)
+            assert np.array_equal(psd[:, i], want)
 
     @pytest.mark.parametrize("n", [4, 1000, 4097])
     @pytest.mark.parametrize("complex_valued", [False, True])
@@ -468,6 +529,21 @@ class TestTransientTime:
         t = np.linspace(0, 1, n)
         R = 1.0 - np.exp(-t / 0.05) + 0.02 * rng.standard_normal(n)
         assert transient_time(t, -R) == transient_time(t, R) > 0.1
+
+
+class TestMovingMedian:
+    @pytest.mark.parametrize("n, w", [(1000, 50), (1000, 51), (31, 2),
+                                      (31, 3), (5, 8), (5, 9), (4000, 1558)])
+    def test_is_scipys_median_filter(self, monkeypatch, n, w):
+        # odd and even widths, wider than the series too, with ties, and
+        # a few rows per selection slice
+        from scipy.ndimage import median_filter
+        rng = np.random.default_rng(n + w)
+        x = np.round(rng.standard_normal(n), 1)
+        want = median_filter(x, size=w, mode="nearest")
+        assert np.array_equal(moving_median(x, w), want)
+        monkeypatch.setattr(metrics, "MEDIAN_SLICE_ELEMENTS", 3 * w)
+        assert np.array_equal(moving_median(x, w), want)
 
 
 class TestTransientFlux:

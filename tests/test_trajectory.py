@@ -93,15 +93,16 @@ class TestEngine:
 
     def test_chunks_are_sized_in_member_steps(self):
         # a long one-member pass is cut into chunks too, and a wide batch
-        # into proportionally shorter ones
+        # into proportionally shorter ones; the band counts as 4 members
         cap = trajectory._CHUNK_MEMBER_STEPS
-        for members, n_steps in ((1, 10 ** 6), (600, 3 * (cap // 600) + 5)):
+        for members, n_steps, chunk in ((1, 10 ** 6, 6553),
+                                        (600, 3 * 54 + 5, 54)):
+            assert cap // (members + 4) == chunk
             seeds = [derived_seed(8, j) for j in range(members)]
             _, _, parts = stored_states(self.DYN, seeds, n_steps * 1e-3, 1e-3)
             next(parts)  # the initial state
-            full, tail = divmod(n_steps, cap // members)
-            assert ([p.shape[1] for p in parts]
-                    == [cap // members] * full + [tail])
+            full, tail = divmod(n_steps, chunk)
+            assert [p.shape[1] for p in parts] == [chunk] * full + [tail]
 
     def test_member_states_do_not_depend_on_the_batch(self):
         batch = states(self.DYN, self.SEEDS)
