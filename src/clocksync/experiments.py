@@ -13,12 +13,15 @@ once per nominal carrier period, whatever the ``dt`` of the command.
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
 sweep point's C per C window, its D and N per D window, and a quench's
-R(t) and fluxes per block of every member's states.  No record of a
-whole run is kept, so memory stays bounded by one engine chunk (about
-``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a window per record
-in flight, whatever the record length, the number of sweep points or the
-number of trajectories.  A sweep steps at most MAX_POINTS_IN_FLIGHT
-points at once, each on its own thread.
+R(t) and fluxes per block of a group's states.  A quench steps its
+members in groups of ENSEMBLE_GROUP, each reduced to per-time moments
+of its own, and merges the groups in group order.  No record of a whole
+run is kept, so memory stays bounded by one engine chunk (about
+``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a window or a
+group's moments per record in flight, whatever the record length, the
+number of sweep points or the number of trajectories.  Sweep points and
+quench groups run through ``in_grid_order``: at most MAX_POINTS_IN_FLIGHT
+at once, each on its own thread, their results taken in index order.
 
 Operating points (couplings, reduced dynamics, normal modes) are built
 as arrays, a list of couplings at a time, by the model's own functions
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -48,8 +52,8 @@ from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
                     normal_modes_closed_form, reduced_matrices)
 from .steadystate import (CovarianceState, analytic_sync_degree,
                           entropy_rates, reduced_occupations, solve_lyapunov)
-from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, derived_seed,
-                         recentered, stored_states)
+from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, _build_exact_map,
+                         derived_seed, recentered, stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -90,6 +94,12 @@ ANALYTIC_SLICE = 256
 # point in flight holds its engine chunk and its D window, and two on two
 # CPUs cut a 26-point sweep's wall time by about a quarter.
 MAX_POINTS_IN_FLIGHT = 2
+# A quench is stepped and reduced in groups of this many consecutive
+# members, merged in group order: R(t) and the fluxes depend on it, as C
+# on C_WINDOW_SAMPLES.  A group steps 160-481 steps per chunk, so a noise
+# draw (which releases the GIL) fills 640-1924 normals, against 216 for
+# a 600-member block; up to 64 members are one block.
+ENSEMBLE_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -316,7 +326,7 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
         ticks = tick_metrics(dyns[i], key, tick_duration, periods[i])
         return replace(rows[i], C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2)
 
-    return in_grid_order(point, len(rows))
+    return list(in_grid_order(point, len(rows)))
 
 
 def usable_cpus() -> int:
@@ -328,29 +338,39 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def in_grid_order(fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)] on min(MAX_POINTS_IN_FLIGHT, usable CPUs)
-    threads, or as a plain loop on one CPU.
+def in_flight(n: int) -> int:
+    """Calls ``in_grid_order`` runs at once for n calls: MAX_POINTS_IN_FLIGHT,
+    at most one per usable CPU and one per call."""
+    return min(MAX_POINTS_IN_FLIGHT, usable_cpus(), n)
+
+
+def in_grid_order(fn, n: int):
+    """Yield fn(0), ..., fn(n - 1) in index order, ``in_flight(n)`` calls
+    at a time on threads, or as a plain loop when that is one.
 
     Noise draws and numpy's array passes release the GIL (the engine's
-    banded solve holds it), so two points in flight overlap most of their
-    work.  Results are
-    taken in index order: the first call to fail in that order, the one
-    a plain loop would meet, is re-raised as it was raised, and calls not
-    yet started are cancelled.
+    banded solve holds it), so two calls in flight overlap most of their
+    work.  One call more than the threads waits in the queue, so a
+    thread that finishes while an earlier call still runs starts the
+    next at once; the call after it is submitted when the consumer asks
+    for the next result, so at most ``in_flight(n) + 1`` results are
+    held, and none once yielded.  The first call to fail in index order,
+    the one a plain loop would meet, is re-raised as it was raised, and
+    no call is submitted once a submitted one has failed.
     """
-    workers = min(MAX_POINTS_IN_FLIGHT, usable_cpus())
-    if workers == 1:
-        return [fn(i) for i in range(n)]
-    # with logging, 6 ms of start-up that only a pooled sweep needs
+    workers = in_flight(n)
+    if workers <= 1:
+        yield from map(fn, range(n))
+        return
+    # with logging, 6 ms of start-up that only a pool needs
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(fn, i) for i in range(n)]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        ahead = min(n, workers + 1)
+        pending = deque(pool.submit(fn, i) for i in range(ahead))
+        for i in range(ahead, n + ahead):
+            yield pending.popleft().result()
+            if i < n and not any(f.done() and f.exception() for f in pending):
+                pending.append(pool.submit(fn, i))
 
 
 def find_threshold(rows: list[SweepRow]) -> float:
@@ -394,9 +414,14 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     gamma_plus) and the slow flux relaxation (set by gamma_plus).  The
     transient time is evaluated on the front segment of R(t) that contains
     the transient and its plateau, so the moving median window tracks the
-    physical timescale rather than the record length.  The ensemble is
-    reduced block by block as the engine steps it (``EnsembleMoments``);
-    only the per-time moments of its states, t = 0 and every step, are kept.
+    physical timescale rather than the record length.
+
+    Group j, members j ENSEMBLE_GROUP onwards, is stepped over the whole
+    record and reduced block by block into per-time moments of its own
+    (``EnsembleMoments``, t = 0 and every step), which are merged into
+    the total in group order as soon as the group is next.  Groups run
+    two at a time where two CPUs are usable (``in_grid_order``), with one
+    exact map, so the result depends only on the seeds and ENSEMBLE_GROUP.
     Ensembles below MIN_FLUX_ENSEMBLE members raise EnsembleError, and a
     window too short for ``transient_time`` ConfigError, before any work.
     """
@@ -411,11 +436,32 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     window = duration if gap <= 0 else min(duration, 40.0 / gap)
     # transient_time needs 10 samples of R(t) in the window
     check_record_length(window, 10 * dt, "transient R(t) window")
-    seeds = [derived_seed(master_seed, i) for i in range(n_traj)]
-    _, n_stored, parts = stored_states(dyn, seeds, duration, dt)
-    moments = EnsembleMoments(n_stored)
-    for part in parts:
-        moments.update(part)
+    starts = range(0, n_traj, ENSEMBLE_GROUP)
+    # Every group in flight also holds its per-time moments and numpy's
+    # iterator buffers, as do the total and a finished group waiting for
+    # its turn, so w > 1 groups in flight step with a (w + 1)-th of the
+    # chunk budget each: then 200 members in four groups peak at
+    # 0.86-0.99 of the traced memory of 50 members stepped alone.
+    workers = in_flight(len(starts))
+    share = workers + 1 if workers > 1 else 1
+    step_map = _build_exact_map(dyn, dt)  # one map for every group
+
+    def group(j):
+        seeds = [derived_seed(master_seed, i) for i in
+                 range(starts[j], min(starts[j] + ENSEMBLE_GROUP, n_traj))]
+        _, n_stored, parts = stored_states(dyn, seeds, duration, dt,
+                                           share=share, exact_map=step_map)
+        moments = EnsembleMoments(n_stored)
+        for part in parts:
+            moments.update(part)
+        return moments
+
+    groups = in_grid_order(group, len(starts))
+    moments = next(groups)
+    for part in groups:
+        moments.merge(part)
+        del part  # freed before the next group starts
+    n_stored = len(moments.var)
     times = dt * np.arange(n_stored)
     R = moments.correlation()
     sel = times <= window

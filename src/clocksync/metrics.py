@@ -5,12 +5,13 @@ streaming reducers that consume a stream of sample blocks piece by piece:
 ``TickStats`` turns the clock periods of each D window (``d_windows``)
 into D and N, ``PearsonStats`` merges the Pearson sums of consecutive
 pieces into C, ``EnsembleMoments`` reduces (members, times, 2) blocks
-of a quench ensemble into the per-time moments behind R(t) and the fluxes,
-and ``power_spectra`` sums the periodograms of each Welch segment.
-Their memory is bounded by one piece, not by the record.  Ensemble sums
-run in member order and every sum has a fixed order, so results are
-reproducible bit for bit and do not depend on how a record is split into
-blocks.
+of a group of quench members into the per-time moments behind R(t) and
+the fluxes and merges the moments of groups, and ``power_spectra`` sums
+the periodograms of each Welch segment.  Their memory is bounded by one
+piece, not by the record.  Ensemble sums run in member order, groups
+merge in the order they are given, and every sum has a fixed order, so
+results are reproducible bit for bit and do not depend on how a record
+is split into blocks.
 """
 
 from __future__ import annotations
@@ -258,20 +259,26 @@ class EnsembleMoments:
 
     ``update`` takes (B, m, 2) blocks that hold every member's (b1, b2)
     at m consecutive times, removes the across-member mean at each time
-    and writes sum_j db1 db2*, sum_j |db1|^2 and sum_j |db2|^2 into
-    length-T arrays.  Every sum runs over a (B, k, 2) array along the
-    member axis, which numpy adds row by row, in member order, whatever
-    k: without the trailing pair axis a one-time block would switch it to
-    pairwise summation.  So the moments do not depend on how the times
-    are split into blocks.  Each block is reduced in one pass, with
-    temporaries a few times its size; fed the engine's chunks, memory is
-    O(T + B x chunk) rather than O(B x T).
+    and writes that mean, Re sum_j db1 db2*, sum_j |db1|^2 and
+    sum_j |db2|^2 into length-T arrays.  Every sum runs over a (B, k, 2)
+    array along the member axis, which numpy adds row by row, in member
+    order, whatever k: without the trailing pair axis a one-time block
+    would switch it to pairwise summation.  So the moments do not depend
+    on how the times are split into blocks.  Each block is reduced in one
+    pass, with temporaries about twice its size; fed the engine's chunks,
+    memory is O(T + B x chunk) rather than O(B x T).
+
+    ``merge`` folds in the moments of other members over the same times,
+    per time with the pairwise update of Chan, Golub & LeVeque (1983),
+    as ``PearsonStats`` merges its pieces: a quench reduces each group of
+    members on its own and merges the groups in a fixed order.
     """
 
     def __init__(self, n_times: int):
         self.members = 0
         self.filled = 0
-        self.cross = np.empty(n_times, dtype=complex)
+        self.mean = np.empty((n_times, 2), dtype=complex)
+        self.cross = np.empty(n_times)
         self.var = np.empty((n_times, 2))
 
     def update(self, block):
@@ -279,13 +286,44 @@ class EnsembleMoments:
         if self.members not in (0, n):
             raise EnsembleError("every block must hold the same members")
         self.members = n
-        d = block - np.add.reduce(block, axis=0) / n
         t = slice(self.filled, self.filled + block.shape[1])
+        self.mean[t] = np.add.reduce(block, axis=0) / n
+        d = block.copy()  # numpy de-means a contiguous copy fastest
+        d -= self.mean[t]
+        # Re of the summed (re, im) pairs of db1 db2*, a product written
+        # to memory of its own (see ``trajectory._banded_blocks``)
         cross = (d[..., 0] * np.conj(d[..., 1])).view(float)
-        self.cross[t] = np.add.reduce(
-            cross.reshape(block.shape), axis=0).view(complex)[:, 0]
-        self.var[t] = np.add.reduce(np.abs(d) ** 2, axis=0)
+        self.cross[t] = np.add.reduce(cross.reshape(block.shape), axis=0)[:, 0]
+        del cross
+        sq = np.abs(d)
+        del d
+        self.var[t] = np.add.reduce(np.square(sq, out=sq), axis=0)
         self.filled = t.stop
+
+    def merge(self, other: "EnsembleMoments") -> "EnsembleMoments":
+        """Fold in other's members, in place, and return self.  With
+        delta = other's mean - self's mean and w = n_a n_b / (n_a + n_b),
+        each time gains w |delta_i|^2 in sum |db_i|^2 and
+        w Re(delta_1 delta_2*) in Re sum db1 db2*.  EnsembleError unless
+        both have members over the same times."""
+        if (other.filled != self.filled or len(other.var) != len(self.var)
+                or not (self.members and other.members)):
+            raise EnsembleError("merged moments must hold members over the "
+                                "same times")
+        na, nb = self.members, other.members
+        n = na + nb
+        delta = other.mean - self.mean
+        part = delta.view(float).reshape(-1, 2, 2)  # (time, clock, re/im)
+        w = na * nb / n
+        self.var += other.var
+        self.var += w * (part[..., 0] ** 2 + part[..., 1] ** 2)
+        self.cross += other.cross
+        self.cross += w * (part[:, 0, 0] * part[:, 1, 0]
+                           + part[:, 0, 1] * part[:, 1, 1])
+        delta *= nb / n
+        self.mean += delta
+        self.members = n
+        return self
 
     def correlation(self) -> np.ndarray:
         """R(t) = Re sum db1 db2* / sqrt(sum|db1|^2 sum|db2|^2), the
@@ -293,7 +331,7 @@ class EnsembleMoments:
         nan where either variance vanishes."""
         if self.members < 2:
             raise EnsembleError("need at least 2 trajectories")
-        num = np.real(self.cross)
+        num = self.cross
         v1, v2 = self.var.T
         denom = np.sqrt(v1 * v2)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -309,7 +347,7 @@ class EnsembleMoments:
                 f"got {self.members}")
         n = self.members
         v1, v2 = self.var.T
-        ncr = np.real(self.cross / n)
+        ncr = self.cross * (1 / n)  # the bits numpy gives Re(complex sum / n)
         return bath_fluxes(params, v1 / n - 0.5, v2 / n - 0.5, ncr)[1:]
 
 

@@ -18,16 +18,18 @@ after the carry state (z1_0, z2_0), the previous chunk's last state.
 One LAPACK banded triangular solve (``ztbtrs``) steps every member of
 the chunk, each a right-hand side, so chunk boundaries go through the
 same arithmetic as every other step.  A chunk of B members runs
-``_CHUNK_MEMBER_STEPS // (B + 4)`` steps, and always at least one.
+``_CHUNK_MEMBER_STEPS // (B + 4)`` steps, and always at least one, or a
+``share``-th of that when calls stepping at once divide the budget.
 
 ``stored_states`` hands the stream of states to a consumer block by
 block.  ``record_states`` collects it into one (members, times, 2)
 array, a row per seed, and ``propagate_exact`` and ``run_ensemble`` into
 ``Trajectory`` views of that array.  A consumer that reduces each block
-as it comes (a sweep point's C, D and N, a quench's R(t) and fluxes, the
-``trajectory`` command's CSV and spectra) needs memory for about one
-chunk, not for the record.  Stepping the same dynamics and keys again
-gives the same states, so a consumer that needs two passes steps twice.
+as it comes (a sweep point's C, D and N, the R(t) and fluxes of each
+member group of a quench, the ``trajectory`` command's CSV and spectra)
+needs memory for about one chunk, not for the record.  Stepping the
+same dynamics and keys again gives the same states, so a consumer that
+needs two passes steps twice.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -61,7 +63,8 @@ DEFAULT_DURATION = 10.0
 # A chunk of B members runs _CHUNK_MEMBER_STEPS // (B + 4) steps, so its
 # noise, its solved states and the band stay at 1-3 MB whatever the
 # batch: per step the band (4 x 2 entries) costs as much as 4 members'
-# states.  One member steps 6553 steps per chunk, 600 members 54.
+# states.  One member steps 6553 steps per chunk and 64 members 481, or
+# 160 with a third of the budget each (a quench's two groups in flight).
 _CHUNK_MEMBER_STEPS = 2 ** 15
 
 
@@ -120,7 +123,7 @@ def derived_seed(master_seed: int, index: int) -> int:
 
 
 def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
-                    n_steps: int, rngs: list):
+                    n_steps: int, rngs: list, share: int = 1):
     """Propagate z <- F z + S zeta; returns a generator of state blocks.
 
     Every member steps under the same (2, 2) map.  Over a chunk of m
@@ -146,12 +149,13 @@ def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
     if not radius < 1.0:
         raise StabilityError(f"one-step map is expansive: spectral radius "
                              f"{radius:.17g} >= 1")
-    return _banded_blocks(F, S / np.sqrt(2.0), z0, n_steps, rngs)
+    return _banded_blocks(F, S / np.sqrt(2.0), z0, n_steps, rngs, share)
 
 
-def _banded_blocks(F, R, z, n_steps, rngs):
+def _banded_blocks(F, R, z, n_steps, rngs, share):
     """The chunk loop of ``_iterate_blocks``; R = S/sqrt(2) maps the
-    complex view of 4 normals to the noise u.
+    complex view of 4 normals to the noise u, and chunks take a
+    share-th of the chunk budget.
 
     No complex product writes into memory that one of its operands
     occupies: numpy computes such a product in a scalar loop that rounds
@@ -163,7 +167,7 @@ def _banded_blocks(F, R, z, n_steps, rngs):
     """
     from scipy.linalg.lapack import ztbtrs  # slow to import; deferred
     B = len(rngs)
-    chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // (B + 4)))
+    chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // share // (B + 4)))
     # band row r, column j: the coefficient of state j in row j + r.
     # z1_n (even j) enters the rows of z1_{n+1} and z2_{n+1} at r = 2, 3,
     # z2_n (odd j) at r = 1, 2
@@ -210,9 +214,14 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
 
 
 def stored_states(dyn: LinearDynamics, seeds, duration: float,
-                  dt: float = DEFAULT_DT, quench: bool = True):
+                  dt: float = DEFAULT_DT, quench: bool = True,
+                  share: int = 1, exact_map=None):
     """Members j = 0..B-1 of one dynamics, member j keyed seeds[j], over
-    round(duration / dt) steps.
+    round(duration / dt) steps, in chunks of a share-th of the chunk
+    budget.  exact_map is ``_build_exact_map(dyn, dt)`` when the caller
+    steps dyn at dt more than once: besides its own time, scipy's expm
+    wakes OpenBLAS's worker threads, which then spin for about 0.1 s of
+    CPU on the cores the stepping needs.
 
     Each member starts at z0 = L zeta, zeta from its first 4 normals.
     With ``quench`` the start is the uncoupled thermal state, which is
@@ -224,7 +233,7 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     after each step.  Blocks from step chunks are views, so a consumer
     that reduces them as they come holds one chunk at a time.
     """
-    F, S, carrier, Vinf = _build_exact_map(dyn, dt)
+    F, S, carrier, Vinf = exact_map or _build_exact_map(dyn, dt)
     rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
     p = dyn.params
     L = (np.diag(np.sqrt([p.nth1 + 0.5, p.nth2 + 0.5])) if quench
@@ -232,7 +241,7 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     z0 = np.stack([L @ (r.standard_normal(4).view(complex) / np.sqrt(2.0))
                    for r in rngs])
     n_steps = int(round(duration / dt))
-    blocks = _iterate_blocks(F, S, z0, n_steps, rngs)
+    blocks = _iterate_blocks(F, S, z0, n_steps, rngs, share)
     return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)
 
 

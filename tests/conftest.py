@@ -41,12 +41,13 @@ def chunk_steps(monkeypatch, steps, members):
                         steps * (members + 4))
 
 
-def quench_record(dyn, n, duration, dt, master_seed):
-    """(n, n_stored, 2) states of a seeded quench ensemble, members keyed
-    as in ``run_ensemble``, stored by ``record_states``."""
+def quench_record(dyn, n, duration, dt, master_seed, first=0):
+    """(n, n_stored, 2) states of members first .. first + n - 1 of a
+    seeded quench ensemble, keyed as in ``run_ensemble``, stored by
+    ``record_states``."""
     from clocksync.trajectory import (derived_seed, record_states,
                                       stored_states)
-    seeds = [derived_seed(master_seed, i) for i in range(n)]
+    seeds = [derived_seed(master_seed, i) for i in range(first, first + n)]
     return record_states(stored_states(dyn, seeds, duration, dt))[1]
 
 

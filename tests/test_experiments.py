@@ -13,9 +13,10 @@ from clocksync import (ConfigError, EnsembleError, SweepRow, ThresholdError,
                        find_turning_point, sweep_coupling,
                        transient_experiment)
 from clocksync import experiments, trajectory
-from clocksync.experiments import (MAX_TICK_STEPS, SWEEP_CSV_HEADER,
-                                   TICK_SEED_BASE, _model_arrays,
-                                   analytic_point, operating_point,
+from clocksync.experiments import (ENSEMBLE_GROUP, MAX_TICK_STEPS,
+                                   SWEEP_CSV_HEADER, TICK_SEED_BASE,
+                                   _model_arrays, analytic_point,
+                                   in_grid_order, operating_point,
                                    sync_degree, tick_metrics, tick_period)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.trajectory import derived_seed, stored_states
@@ -248,6 +249,116 @@ class TestTransientExperiment:
         rc = np.argsort(np.argsort(rates))
         rho = np.corrcoef(rt, rc)[0, 1]
         assert rho < 0
+
+
+class TestEnsembleGroups:
+    # 129 members: groups of 64, 64 and 1
+    G, N, DURATION, DT, SEED = 0.02, 2 * ENSEMBLE_GROUP + 1, 0.02, 1e-4, 4
+
+    def run(self, paper):
+        return transient_experiment(paper, self.G, n_traj=self.N,
+                                    master_seed=self.SEED,
+                                    duration=self.DURATION, dt=self.DT)
+
+    @staticmethod
+    def columns(res):
+        return (res.R, res.mu_b1_t, res.mu_b2_t, res.mu_a_t)
+
+    def assert_same(self, a, b):
+        for x, y in zip(self.columns(a), self.columns(b)):
+            assert np.array_equal(x, y, equal_nan=True)
+        assert a.transient_time == b.transient_time
+
+    def test_pooled_equals_serial(self, paper, monkeypatch):
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+            results.append(self.run(paper))
+        self.assert_same(*results)
+
+    @pytest.mark.parametrize("steps_per_chunk", [1, 7, 33])
+    def test_chunks_never_show(self, paper, monkeypatch, steps_per_chunk):
+        ref = self.run(paper)
+        chunk_steps(monkeypatch, steps_per_chunk, ENSEMBLE_GROUP)
+        self.assert_same(self.run(paper), ref)
+
+    def test_groups_merged_in_group_order(self, paper):
+        # each group is the one-block reduction of its members, and the
+        # groups are merged in group order
+        dyn, _ = operating_point(paper, self.G)
+        moments = None
+        for first in range(0, self.N, ENSEMBLE_GROUP):
+            n = min(ENSEMBLE_GROUP, self.N - first)
+            part = moments_of(quench_record(dyn, n, self.DURATION, self.DT,
+                                            self.SEED, first=first))
+            moments = part if moments is None else moments.merge(part)
+        res = self.run(paper)
+        assert np.array_equal(res.R, moments.correlation(), equal_nan=True)
+        for got, want in zip(self.columns(res)[1:],
+                             moments.fluxes(dyn.params)):
+            assert np.array_equal(got, want)
+
+    def test_close_to_one_block(self, paper):
+        dyn, _ = operating_point(paper, self.G)
+        whole = moments_of(quench_record(dyn, self.N, self.DURATION, self.DT,
+                                         self.SEED))
+        res = self.run(paper)
+        assert np.max(np.abs(res.R - whole.correlation())) <= 1e-14
+        for got, want in zip(self.columns(res)[1:],
+                             whole.fluxes(dyn.params)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_group_raises_its_error(self, paper, monkeypatch, cpus):
+        # group 1 of 4 fails: its own error is raised, as a plain loop
+        # raises it, and group 3 is never stepped
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+        real, started, error = experiments.stored_states, [], EnsembleError()
+
+        def failing(dyn, seeds, *args, **kwargs):
+            j = (seeds[0] - derived_seed(self.SEED, 0)) // ENSEMBLE_GROUP
+            started.append(j)
+            if j == 0:
+                time.sleep(0.2)  # group 1 fails while group 0 runs
+            if j == 1:
+                raise error
+            return real(dyn, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "stored_states", failing)
+        with pytest.raises(EnsembleError) as exc:
+            transient_experiment(paper, self.G, n_traj=4 * ENSEMBLE_GROUP,
+                                 master_seed=self.SEED,
+                                 duration=self.DURATION, dt=self.DT)
+        assert exc.value is error
+        assert 3 not in started
+
+
+class TestInGridOrder:
+    def test_bounded_and_in_order(self, monkeypatch):
+        # two threads and one queued call: call 3 is submitted only when
+        # the result after call 0's is asked for
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        started = []
+
+        def call(i):
+            started.append(i)
+            return i * i
+
+        results = in_grid_order(call, 6)
+        assert next(results) == 0
+        assert set(started) <= {0, 1, 2}
+        assert list(results) == [1, 4, 9, 16, 25]
+        assert sorted(started) == [0, 1, 2, 3, 4, 5]
+
+    def test_one_call_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool for one call")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        assert list(in_grid_order(lambda i: i + 1, 1)) == [1]
 
 
 class TestSweepMonteCarlo:

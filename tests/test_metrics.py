@@ -504,6 +504,31 @@ class TestEnsembleMoments:
         with pytest.raises(EnsembleError):
             moments.update(np.zeros((4, 2, 2), dtype=complex))
 
+    @staticmethod
+    def assert_close(got, want):
+        assert got.members == want.members
+        for x, y in ((got.mean, want.mean), (got.cross, want.cross),
+                     (got.var, want.var)):
+            assert np.allclose(x, y, rtol=1e-13, atol=1e-13 * np.abs(y).max())
+
+    @pytest.mark.parametrize("split", [1, 120, 299])
+    def test_merge_is_the_whole_block(self, split):
+        # groups of split and 300 - split members, one of a single member
+        # when split is 299, against the one-block reduction
+        rng = np.random.default_rng(10)
+        states = (rng.standard_normal((300, 40, 4)) + [3, -1, 0.5, 2]).view(
+            complex)
+        merged = moments_of(states[:split]).merge(moments_of(states[split:]))
+        self.assert_close(merged, moments_of(states))
+
+    def test_merge_needs_the_same_times(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((2, 5, 7, 4)).view(complex)
+        with pytest.raises(EnsembleError):
+            moments_of(a).merge(moments_of(b[:, :6]))
+        with pytest.raises(EnsembleError):
+            moments_of(a).merge(EnsembleMoments(7))
+
 
 class TestTransientTime:
     def test_step_function(self):
