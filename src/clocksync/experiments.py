@@ -52,8 +52,9 @@ from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
                     normal_modes_closed_form, reduced_matrices)
 from .steadystate import (CovarianceState, analytic_sync_degree,
                           entropy_rates, reduced_occupations, solve_lyapunov)
-from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, _build_exact_map,
-                         derived_seed, recentered, stored_states)
+from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
+                         derived_seed, displacements, recentered,
+                         stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -207,10 +208,9 @@ def sync_degree(parts, carrier: float, dt: float) -> float:
     of global sample index) and merged by ``PearsonStats``."""
     stats, k = PearsonStats(), 0
     for window in windows(parts, C_WINDOW_SAMPLES):
-        # x_i = sqrt(2) Re[b_i e^{-i carrier t}], as in ``displacements``
-        phase = np.exp(-1j * carrier * (dt * np.arange(k, k + len(window))))
-        stats.update(*(np.sqrt(2.0) * np.real(window[:, i] * phase)
-                       for i in (0, 1)))
+        times = dt * np.arange(k, k + len(window))
+        stats.update(*displacements(Trajectory(times, window[:, 0],
+                                               window[:, 1], dt, carrier)))
         k += len(window)
     return stats.result()
 
@@ -420,8 +420,8 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     record and reduced block by block into per-time moments of its own
     (``EnsembleMoments``, t = 0 and every step), which are merged into
     the total in group order as soon as the group is next.  Groups run
-    two at a time where two CPUs are usable (``in_grid_order``), with one
-    exact map, so the result depends only on the seeds and ENSEMBLE_GROUP.
+    two at a time where two CPUs are usable (``in_grid_order``), so the
+    result depends only on the seeds and ENSEMBLE_GROUP.
     Ensembles below MIN_FLUX_ENSEMBLE members raise EnsembleError, and a
     window too short for ``transient_time`` ConfigError, before any work.
     """
@@ -444,13 +444,12 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     # 0.86-0.99 of the traced memory of 50 members stepped alone.
     workers = in_flight(len(starts))
     share = workers + 1 if workers > 1 else 1
-    step_map = _build_exact_map(dyn, dt)  # one map for every group
 
     def group(j):
         seeds = [derived_seed(master_seed, i) for i in
                  range(starts[j], min(starts[j] + ENSEMBLE_GROUP, n_traj))]
         _, n_stored, parts = stored_states(dyn, seeds, duration, dt,
-                                           share=share, exact_map=step_map)
+                                           share=share)
         moments = EnsembleMoments(n_stored)
         for part in parts:
             moments.update(part)

@@ -7,9 +7,11 @@ ever exercised through Lyapunov algebra, never time stepped.
 
 One engine, ``stored_states``, steps a batch of members side by side
 with the exact OU discretization (Gillespie, Phys. Rev. E 54, 2084,
-1996): z <- F z + S zeta with F = expm(A dt) and
-S S^H = V_inf - F V_inf F^H, statistically exact for any dt.  The
-members share one dynamics, each with its own Philox key.  No Python
+1996): z <- F z + S zeta with F = e^(A dt) and
+S S^H = V_inf - F V_inf F^H, statistically exact for any dt, F in
+closed form (``_expm2``).  A map that is not finite is a ConfigError,
+one of spectral radius >= 1 a StabilityError, before any noise is drawn.
+The members share one dynamics, each with its own Philox key.  No Python
 loop runs per time step: over a chunk of m steps, one member's states
 interleaved as (z1_0, z2_0, z1_1, z2_1, ...) solve a unit
 lower-triangular banded system of bandwidth 3, whose subdiagonals hold
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatchError, StabilityError
+from .errors import ConfigError, FrameMismatchError, StabilityError
 from .model import FRAME_REDUCED, LinearDynamics
 from .steadystate import solve_lyapunov
 
@@ -122,40 +124,17 @@ def derived_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) << 64) + int(index)
 
 
-def _iterate_blocks(F: np.ndarray, S: np.ndarray, z0: np.ndarray,
-                    n_steps: int, rngs: list, share: int = 1):
-    """Propagate z <- F z + S zeta; returns a generator of state blocks.
-
-    Every member steps under the same (2, 2) map.  Over a chunk of m
-    steps one member's states, interleaved as (z1_0, z2_0, z1_1, z2_1,
-    ...) with the carry state (z1_0, z2_0) first, solve one unit
-    lower-triangular system of bandwidth 3: the row of z1_n reads
-    z1_n - F00 z1_{n-1} - F01 z2_{n-1} = u1_{n-1}, the row of z2_n
-    z2_n - F10 z1_{n-1} - F11 z2_{n-1} = u2_{n-1}, with u = S zeta, and
-    the carry rows are identities.  One banded triangular solve
-    (``ztbtrs``) steps every member of the chunk, each a right-hand side.
-    Raises StabilityError on the call, before any noise is drawn, when
-    the spectral radius of F is >= 1.
-
-    The generator yields the states after each step in (B, m, 2) blocks,
-    in time order (the initial state is not yielded).  Noise is drawn per
-    member in chunks of steps; chunked draws from one generator are
-    bit-identical to a single large draw, every step (the first of a
-    chunk included) takes the same arithmetic, and the members are
-    independent right-hand sides of each solve, so states depend neither
-    on the chunk size nor on the rest of the batch.
-    """
-    radius = float(np.max(np.abs(np.linalg.eigvals(F))))
-    if not radius < 1.0:
-        raise StabilityError(f"one-step map is expansive: spectral radius "
-                             f"{radius:.17g} >= 1")
-    return _banded_blocks(F, S / np.sqrt(2.0), z0, n_steps, rngs, share)
-
-
 def _banded_blocks(F, R, z, n_steps, rngs, share):
-    """The chunk loop of ``_iterate_blocks``; R = S/sqrt(2) maps the
-    complex view of 4 normals to the noise u, and chunks take a
-    share-th of the chunk budget.
+    """Step z <- F z + R zeta (R = S / sqrt(2), zeta the complex view of
+    4 normals per member and step) in chunks of a share-th of the chunk
+    budget; yields the states after each step in (B, m, 2) blocks.  In a
+    chunk's banded system the row of z1_n reads
+    z1_n - F00 z1_{n-1} - F01 z2_{n-1} = u1_{n-1}, that of z2_n
+    z2_n - F10 z1_{n-1} - F11 z2_{n-1} = u2_{n-1}, with u = R zeta, and
+    the carry rows are identities.  Chunked draws from one generator are
+    bit-identical to one large draw, every step takes the same arithmetic
+    and members are independent right-hand sides, so states depend
+    neither on the chunk size nor on the rest of the batch.
 
     No complex product writes into memory that one of its operands
     occupies: numpy computes such a product in a scalar loop that rounds
@@ -201,13 +180,35 @@ def _banded_blocks(F, R, z, n_steps, rngs, share):
         yield block
 
 
+def _expm2(M: np.ndarray) -> np.ndarray:
+    """e^M of a 2x2 matrix: with m = tr M / 2, N = M - m I and
+    s = sqrt(N00^2 + N01 N10), Re s >= 0, e^m [cosh(s) I + sinh(s)/s N]
+    written as e^(m+s) [(1 - d/2) I + d/(2s) N], d = 1 - e^(-2s), whose
+    bracket stays finite where e^m cosh(s) of a long, stable step is
+    0 x inf.  d/(2s) is 1 at s = 0 (coalesced eigenvalues)."""
+    m = (M[0, 0] + M[1, 1]) / 2
+    N = M - m * np.eye(2)
+    s = np.sqrt(N[0, 0] ** 2 + N[0, 1] * N[1, 0])
+    d = -np.expm1(-2 * s)
+    return np.exp(m + s) * ((1 - d / 2) * np.eye(2)
+                            + (d / (2 * s) if s else 1.0) * N)
+
+
 def _build_exact_map(dyn: LinearDynamics, dt: float):
-    """One-step map (F, S), carrier and stationary covariance V_inf."""
-    import scipy.linalg as sla  # slow to import; deferred
+    """One-step map (F, S), carrier and stationary covariance V_inf;
+    ConfigError if F is not finite, StabilityError if its spectral
+    radius is >= 1."""
     drift_r, carrier = recentered(dyn)
     # V_inf is invariant under the recentering (i c I drops from A V + V A^H)
     Vinf = solve_lyapunov(drift_r, dyn.diffusion)
-    F = sla.expm(drift_r * dt)
+    with np.errstate(all="ignore"):  # a map that overflows fails below
+        F = _expm2(drift_r * dt)
+    if not np.all(np.isfinite(F)):
+        raise ConfigError(f"one-step map of dt = {dt:g} s is not finite")
+    radius = float(np.max(np.abs(np.linalg.eigvals(F))))
+    if not radius < 1.0:
+        raise StabilityError(f"one-step map is expansive: spectral radius "
+                             f"{radius:.17g} >= 1")
     Q = Vinf - F @ Vinf @ F.conj().T
     S = _psd_sqrt(Q)
     return F, S, carrier, Vinf
@@ -215,13 +216,9 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
 
 def stored_states(dyn: LinearDynamics, seeds, duration: float,
                   dt: float = DEFAULT_DT, quench: bool = True,
-                  share: int = 1, exact_map=None):
+                  share: int = 1):
     """Members j = 0..B-1 of one dynamics, member j keyed seeds[j], over
-    round(duration / dt) steps, in chunks of a share-th of the chunk
-    budget.  exact_map is ``_build_exact_map(dyn, dt)`` when the caller
-    steps dyn at dt more than once: besides its own time, scipy's expm
-    wakes OpenBLAS's worker threads, which then spin for about 0.1 s of
-    CPU on the cores the stepping needs.
+    round(duration / dt) steps, in chunks of 1/share of the budget.
 
     Each member starts at z0 = L zeta, zeta from its first 4 normals.
     With ``quench`` the start is the uncoupled thermal state, which is
@@ -233,7 +230,7 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     after each step.  Blocks from step chunks are views, so a consumer
     that reduces them as they come holds one chunk at a time.
     """
-    F, S, carrier, Vinf = exact_map or _build_exact_map(dyn, dt)
+    F, S, carrier, Vinf = _build_exact_map(dyn, dt)
     rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
     p = dyn.params
     L = (np.diag(np.sqrt([p.nth1 + 0.5, p.nth2 + 0.5])) if quench
@@ -241,7 +238,7 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     z0 = np.stack([L @ (r.standard_normal(4).view(complex) / np.sqrt(2.0))
                    for r in rngs])
     n_steps = int(round(duration / dt))
-    blocks = _iterate_blocks(F, S, z0, n_steps, rngs, share)
+    blocks = _banded_blocks(F, S / np.sqrt(2.0), z0, n_steps, rngs, share)
     return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)
 
 
@@ -272,7 +269,7 @@ def propagate_exact(dyn: LinearDynamics, duration: float, dt: float = DEFAULT_DT
                     seed: int = 0) -> Trajectory:
     """Exact discrete-time OU update, statistically exact for any dt.
 
-    state <- expm(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H,
+    state <- e^(A dt) state + xi with cov(xi) = V_inf - F V_inf F^H,
     from a quench start z0 = diag(sqrt(nth_i + 1/2)) zeta.  With zero
     diffusion this reduces to the matrix-exponential flow from z0.
     """

@@ -106,8 +106,8 @@ def test_cli_import_leaves_scipy_signal_out():
 
 def test_commands_that_step_nothing_leave_scipy_out(tmp_path):
     # scipy.linalg takes about a third of a second to import, and only a
-    # command that steps a record uses it (for the one-step map), so the
-    # analytic commands never load any of SciPy
+    # command that steps a record uses it (for the banded solve of its
+    # first chunk), so the analytic commands never load any of SciPy
     code = (
         "import contextlib, io, sys\n"
         "from clocksync.cli import run\n"
@@ -124,9 +124,13 @@ def test_commands_that_step_nothing_leave_scipy_out(tmp_path):
         "from clocksync.experiments import operating_point\n"
         "from clocksync.model import paper_preset\n"
         "from clocksync.trajectory import stored_states\n"
-        "stored_states(operating_point(paper_preset(), 0.02)[0], [1], 1e-3, 1e-4)\n"
+        "parts = stored_states(operating_point(paper_preset(), 0.02)[0], [1],\n"
+        "                      1e-3, 1e-4)[2]\n"
+        "next(parts)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "next(parts)\n"
         "print('scipy.linalg' in sys.modules)\n")
-    assert run_python(code) == "[]\n[]\nTrue\n"
+    assert run_python(code) == "[]\n[]\nFalse\nTrue\n"
 
 
 class TestConfig:
@@ -282,6 +286,21 @@ class TestConfig:
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "|G|/kappa = " in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--duration", "1e301", "--dt", "1e300"],
+        ["sweep", "--points", "2", "--duration", "1e301", "--dt", "1e300",
+         "--tick-duration", "0.05"],
+    ], ids=["trajectory", "sweep"])
+    def test_non_finite_map_exits_2(self, tmp_path, capsys, argv):
+        # a step so long that e^(A dt) overflows: a config error naming
+        # the step, before any noise is drawn
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dt = 1e+300" in err
         assert "Traceback" not in err
         assert not list(out.glob("*.csv"))
 

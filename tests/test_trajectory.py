@@ -9,10 +9,10 @@ from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
                        reduced_drift_matrix, run_ensemble, solve_lyapunov,
                        trajectory)
 from clocksync.model import PhysicalParams
-from clocksync.experiments import operating_point
-from clocksync.trajectory import (_build_exact_map, _iterate_blocks,
-                                  _psd_sqrt, derived_seed, displacements,
-                                  recentered, record_states, stored_states)
+from clocksync.experiments import operating_point, tick_period
+from clocksync.trajectory import (_build_exact_map, _expm2, _psd_sqrt,
+                                  derived_seed, displacements, recentered,
+                                  record_states, stored_states)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -145,18 +145,53 @@ class TestEngine:
             rows = {r.tobytes() for r in record}
             assert len(rows) == len(seeds)
 
-    def test_expansive_map_rejected_before_any_noise(self):
+    def test_expansive_map_rejected_before_any_noise(self, monkeypatch):
         # the second map's diagonal entries are both below 1, but its
-        # eigenvalues 0.5 +- sqrt(0.27) reach 1.0196
+        # eigenvalues 0.5 +- sqrt(0.27) reach 1.0196; the call raises
+        # before it keys a generator from the seeds
         for F, radius in (([[1.01, 0.3], [0.0, 0.5]], "1.01"),
                           ([[0.5, 0.3], [0.9, 0.5]], "1.0196")):
-            rng, fresh = (np.random.Generator(np.random.Philox(key=1))
-                          for _ in range(2))
+            monkeypatch.setattr(trajectory, "_expm2",
+                                lambda M, F=F: np.array(F, dtype=complex))
+            seeds = iter([1])
             with pytest.raises(StabilityError, match=radius):
-                _iterate_blocks(np.array(F, dtype=complex), np.eye(2),
-                                np.zeros(2), 10, [rng])
-            assert np.array_equal(rng.standard_normal(4),
-                                  fresh.standard_normal(4))
+                stored_states(self.DYN, seeds, 0.01, 1e-3)
+            assert next(seeds) == 1
+
+
+class TestClosedFormMap:
+    # _expm2 against scipy's Pade expm
+
+    @staticmethod
+    def assert_close(M, rtol):
+        import scipy.linalg as sla
+        expect = sla.expm(M)
+        got = _expm2(M)
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(got - expect) <= rtol * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("dt", [1e-6, 1e-5, 1e-4, "T0"])
+    def test_paper_grid(self, paper, dt):
+        for g in np.linspace(0.0, 0.05, 201):
+            dyn = operating_point(paper, g)[0]
+            step = tick_period(dyn, 1.0) if dt == "T0" else dt
+            self.assert_close(recentered(dyn)[0] * step, 1e-14)
+
+    @pytest.mark.parametrize("split", [0.0, 1e-9])
+    def test_coalesced_eigenvalues(self, split):
+        # a Jordan block has s = 0 exactly; split = 1e-9 gives s = 1e-9
+        M = np.array([[-1.0 + split, 1.0], [0.0, -1.0 - split]], complex)
+        self.assert_close(M, 1e-15)
+
+    @pytest.mark.parametrize("g", [0.02, 0.04])
+    def test_one_second_step_of_the_paper_model(self, paper, g):
+        # e^m cosh(s) is 0 x inf here, so the textbook form gives nan
+        self.assert_close(recentered(operating_point(paper, g)[0])[0], 1e-11)
+
+    def test_long_step_of_the_toy_model_is_zero(self):
+        import scipy.linalg as sla
+        M = recentered(toy_dyn(nth=3.0))[0] * 1e4
+        assert not np.any(sla.expm(M)) and not np.any(_expm2(M))
 
 
 class TestDeterministicLimits:
