@@ -29,11 +29,9 @@ import numpy as np
 from . import __version__
 from .errors import ClockSyncError, ConfigError
 from .experiments import (SWEEP_CSV_HEADER, TICK_RECORD_DURATION,
-                          TICK_SEED_BASE, _model_arrays, analytic_point,
-                          check_record_length, find_threshold,
-                          find_turning_point, operating_point, sweep_coupling,
-                          sync_degree, tick_metrics, tick_period,
-                          transient_experiment)
+                          _model_arrays, analytic_point, check_record_length,
+                          find_threshold, find_turning_point, operating_point,
+                          sweep_coupling, transient_experiment)
 from .metrics import D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, power_spectra
 from .model import TWO_PI, PhysicalParams, paper_preset
 from .output import csv_table, write_csv, write_json, write_svg
@@ -248,30 +246,24 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
 @click.option("--dt", default=DEFAULT_DT, show_default=True, type=_GT_ZERO)
 def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
                dt):
-    """One NESS trajectory: raw envelopes, spectra and C of a record that
+    """One NESS trajectory: raw envelopes and spectra of a record that
     starts in the NESS, keyed as member 0 of the seed
-    (``run_ensemble(..., master_seed=seed, quench=False)``), and D and N
-    of the tick record that sweep point 0 would step over
-    min(duration, TICK_RECORD_DURATION)."""
-    dyn, _ = operating_point(_params_from_config(preset, config_path),
-                             g_over_kappa)
-    tick_duration = min(duration, TICK_RECORD_DURATION)
-    t0 = tick_period(dyn, tick_duration)
+    (``run_ensemble(..., master_seed=seed, quench=False)``), and the C,
+    D and N of sweep point 0 at the same coupling, seed and record, its
+    tick record min(duration, TICK_RECORD_DURATION) long."""
+    params = _params_from_config(preset, config_path)
     # the Welch spectrum needs two segments of at least 2 samples
     check_record_length(duration, 4 * dt, "trajectory")
-    os.makedirs(out, exist_ok=True)
-
-    def record():
-        return stored_states(dyn, [derived_seed(seed, 0)], duration, dt,
-                             quench=False)
-
     # C, D and N before any file, so a record they reject writes none.
-    # No record is held: the engine steps it once for C, and again, to
-    # the same states, for the CSV and the spectra
-    m = tick_metrics(dyn, derived_seed(seed, TICK_SEED_BASE), tick_duration,
-                     t0)
-    carrier, n_stored, parts = record()
-    C = sync_degree((p[0] for p in parts), carrier, dt)
+    # No record is held: the sweep steps it once for C, and the engine
+    # steps it again, to the same states, for the CSV and the spectra
+    [row] = sweep_coupling(params, [g_over_kappa], protocol="both",
+                           master_seed=seed, duration=duration, dt=dt,
+                           tick_duration=min(duration, TICK_RECORD_DURATION))
+    dyn, _ = operating_point(params, g_over_kappa)
+    os.makedirs(out, exist_ok=True)
+    carrier, n_stored, parts = stored_states(dyn, [derived_seed(seed, 0)],
+                                             duration, dt, quench=False)
 
     path = os.path.join(out, "trajectory.csv")
     with csv_table(path, ["t", "re_b1", "im_b1", "re_b2", "im_b2"]) as append:
@@ -283,14 +275,14 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
                                         b.view(float)]))
                 k += len(b)
                 yield b
-        f, psd = power_spectra(written(record()[2]), n_stored, dt)
+        f, psd = power_spectra(written(parts), n_stored, dt)
     carrier_hz = carrier / TWO_PI
     # an envelope component e^{i nu t} moves x_i at carrier - nu; rows
     # reversed, so the physical axis ascends
     _write_table(out, "spectrum", ["f_hz", "psd_b1", "psd_b2"],
                  np.column_stack([carrier_hz - f, psd])[::-1], svg)
     write_json(os.path.join(out, "trajectory_summary.json"),
-               {"C": C, "D": m.D, "N1": m.N1, "N2": m.N2,
+               {"C": row.C, "D": row.D, "N1": row.N1, "N2": row.N2,
                 "carrier_hz": carrier_hz})
     _echo_config(out, dyn.params)
     click.echo(f"wrote {path}")

@@ -12,16 +12,16 @@ D and N come from a tick record of their own (``tick_metrics``), stepped
 once per nominal carrier period, whatever the ``dt`` of the command.
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
-sweep point's C per C window, its D and N per D window, and a quench's
-R(t) and fluxes per block of a group's states.  A quench steps its
-members in groups of ENSEMBLE_GROUP, each reduced to per-time moments
-of its own, and merges the groups in group order.  No record of a whole
-run is kept, so memory stays bounded by one engine chunk (about
+sweep point's C per C window, its D and N per D window, and a quench
+group of ENSEMBLE_GROUP members per block into per-time plain sums,
+which are added in group order.  No record of a whole run is kept, so
+memory stays bounded by one engine chunk (about
 ``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a window or a
-group's moments per record in flight, whatever the record length, the
-number of sweep points or the number of trajectories.  Sweep points and
-quench groups run through ``in_grid_order``: at most MAX_POINTS_IN_FLIGHT
-at once, each on its own thread, their results taken in index order.
+group's sums per record in flight: whatever the number of points or
+trajectories, and except for the sums (up to MAX_QUENCH_TIMES times)
+whatever the record length.  Sweep points and quench groups run through
+``in_grid_order``: at most MAX_POINTS_IN_FLIGHT at once, each on its own
+thread, their results taken in index order.
 
 Operating points (couplings, reduced dynamics, normal modes) are built
 as arrays, a list of couplings at a time, by the model's own functions
@@ -72,6 +72,9 @@ TICK_RECORD_DURATION = 6.0
 # Past this bound a record is a ConfigError, not a MemoryError or a run
 # of hours (omega1_hz = 1e100 would ask for 1e100 steps).
 MAX_TICK_STEPS = 2 ** 25
+# A quench's per-time sums and results took about 153 bytes of peak RSS
+# per stored time (128 members), 2.6 GB at this bound; past it, ConfigError.
+MAX_QUENCH_TIMES = 2 ** 24
 # The envelope may turn at most this far per nominal period T0, read as
 # the largest |eigenvalue| of the recentred drift times T0.  The period
 # T0 + darg/carrier is first order in the phase increment darg: its
@@ -96,7 +99,7 @@ ANALYTIC_SLICE = 256
 # CPUs cut a 26-point sweep's wall time by about a quarter.
 MAX_POINTS_IN_FLIGHT = 2
 # A quench is stepped and reduced in groups of this many consecutive
-# members, merged in group order: R(t) and the fluxes depend on it, as C
+# members, added in group order: R(t) and the fluxes depend on it, as C
 # on C_WINDOW_SAMPLES.  A group steps 160-481 steps per chunk, so a noise
 # draw (which releases the GIL) fills 640-1924 normals, against 216 for
 # a 600-member block; up to 64 members are one block.
@@ -417,13 +420,14 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     physical timescale rather than the record length.
 
     Group j, members j ENSEMBLE_GROUP onwards, is stepped over the whole
-    record and reduced block by block into per-time moments of its own
-    (``EnsembleMoments``, t = 0 and every step), which are merged into
-    the total in group order as soon as the group is next.  Groups run
+    record and reduced block by block into per-time sums of its own
+    (``EnsembleMoments``, t = 0 and every step), which are added to the
+    total in group order as soon as the group is next.  Groups run
     two at a time where two CPUs are usable (``in_grid_order``), so the
     result depends only on the seeds and ENSEMBLE_GROUP.
     Ensembles below MIN_FLUX_ENSEMBLE members raise EnsembleError, and a
-    window too short for ``transient_time`` ConfigError, before any work.
+    window too short for ``transient_time`` or a record of more than
+    MAX_QUENCH_TIMES stored times ConfigError, before any work.
     """
     if n_traj < MIN_FLUX_ENSEMBLE:
         raise EnsembleError(f"transient experiment needs n_traj >= "
@@ -436,8 +440,11 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     window = duration if gap <= 0 else min(duration, 40.0 / gap)
     # transient_time needs 10 samples of R(t) in the window
     check_record_length(window, 10 * dt, "transient R(t) window")
+    if duration / dt + 1 > MAX_QUENCH_TIMES:
+        raise ConfigError(f"quench record of {duration / dt + 1:.4g} stored "
+                          f"times exceeds {MAX_QUENCH_TIMES}")
     starts = range(0, n_traj, ENSEMBLE_GROUP)
-    # Every group in flight also holds its per-time moments and numpy's
+    # Every group in flight also holds its per-time sums and numpy's
     # iterator buffers, as do the total and a finished group waiting for
     # its turn, so w > 1 groups in flight step with a (w + 1)-th of the
     # chunk budget each: then 200 members in four groups peak at
@@ -460,8 +467,7 @@ def transient_experiment(params: PhysicalParams, g_over_kappa: float,
     for part in groups:
         moments.merge(part)
         del part  # freed before the next group starts
-    n_stored = len(moments.var)
-    times = dt * np.arange(n_stored)
+    times = dt * np.arange(len(moments.cross))
     R = moments.correlation()
     sel = times <= window
     t_tr = transient_time(times[sel], R[sel])

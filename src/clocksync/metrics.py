@@ -5,11 +5,11 @@ streaming reducers that consume a stream of sample blocks piece by piece:
 ``TickStats`` turns the clock periods of each D window (``d_windows``)
 into D and N, ``PearsonStats`` merges the Pearson sums of consecutive
 pieces into C, ``EnsembleMoments`` reduces (members, times, 2) blocks
-of a group of quench members into the per-time moments behind R(t) and
-the fluxes and merges the moments of groups, and ``power_spectra`` sums
+of a group of quench members into the per-time plain sums behind R(t)
+and the fluxes and adds the sums of groups, and ``power_spectra`` sums
 the periodograms of each Welch segment.  Their memory is bounded by one
 piece, not by the record.  Ensemble sums run in member order, groups
-merge in the order they are given, and every sum has a fixed order, so
+are added in the order they are given, and every sum has a fixed order, so
 results are reproducible bit for bit and do not depend on how a record
 is split into blocks.
 """
@@ -257,29 +257,27 @@ def power_spectrum(x, dt: float):
 class EnsembleMoments:
     """Per-time ensemble second moments of a stream of member blocks.
 
-    ``update`` takes (B, m, 2) blocks that hold every member's (b1, b2)
-    at m consecutive times, removes the across-member mean at each time
-    and writes that mean, Re sum_j db1 db2*, sum_j |db1|^2 and
-    sum_j |db2|^2 into length-T arrays.  Every sum runs over a (B, k, 2)
-    array along the member axis, which numpy adds row by row, in member
-    order, whatever k: without the trailing pair axis a one-time block
-    would switch it to pairwise summation.  So the moments do not depend
-    on how the times are split into blocks.  Each block is reduced in one
-    pass, with temporaries about twice its size; fed the engine's chunks,
-    memory is O(T + B x chunk) rather than O(B x T).
-
-    ``merge`` folds in the moments of other members over the same times,
-    per time with the pairwise update of Chan, Golub & LeVeque (1983),
-    as ``PearsonStats`` merges its pieces: a quench reduces each group of
-    members on its own and merges the groups in a fixed order.
+    ``update`` takes (B, m, 2) blocks of every member's (b1, b2) at m
+    consecutive times and writes three plain sums into length-T arrays:
+    ``sums`` = sum_j b_j (complex), ``cross`` = Re sum_j b1 b2* and
+    ``squares`` = sum_j |b_i|^2.  Each runs along the member axis of a
+    (B, k, 2) array, which numpy adds row by row, in member order,
+    whatever k (a one-time block without the pair axis would be summed
+    pairwise), so no sum depends on how the times are split into blocks,
+    and memory is O(T + B x chunk) rather than O(B x T).  ``merge`` adds
+    the sums of other members over the same times, as a quench adds its
+    groups.  ``centred`` removes the mean only at the end, sum |db|^2 =
+    sum |b|^2 - |sum b|^2 / n and likewise for the cross term, and loses
+    no digits: a quench starts at zero mean and its noise has zero mean,
+    so |sum b|^2 / n is about 1/n of sum |b|^2.
     """
 
     def __init__(self, n_times: int):
         self.members = 0
         self.filled = 0
-        self.mean = np.empty((n_times, 2), dtype=complex)
+        self.sums = np.empty((n_times, 2), dtype=complex)
         self.cross = np.empty(n_times)
-        self.var = np.empty((n_times, 2))
+        self.squares = np.empty((n_times, 2))
 
     def update(self, block):
         n = block.shape[0]
@@ -287,43 +285,35 @@ class EnsembleMoments:
             raise EnsembleError("every block must hold the same members")
         self.members = n
         t = slice(self.filled, self.filled + block.shape[1])
-        self.mean[t] = np.add.reduce(block, axis=0) / n
-        d = block.copy()  # numpy de-means a contiguous copy fastest
-        d -= self.mean[t]
-        # Re of the summed (re, im) pairs of db1 db2*, a product written
+        self.sums[t] = np.add.reduce(block, axis=0)
+        # Re of the summed (re, im) pairs of b1 b2*, a product written
         # to memory of its own (see ``trajectory._banded_blocks``)
-        cross = (d[..., 0] * np.conj(d[..., 1])).view(float)
+        cross = (block[..., 0] * np.conj(block[..., 1])).view(float)
         self.cross[t] = np.add.reduce(cross.reshape(block.shape), axis=0)[:, 0]
         del cross
-        sq = np.abs(d)
-        del d
-        self.var[t] = np.add.reduce(np.square(sq, out=sq), axis=0)
+        sq = np.abs(block)
+        self.squares[t] = np.add.reduce(np.square(sq, out=sq), axis=0)
         self.filled = t.stop
 
     def merge(self, other: "EnsembleMoments") -> "EnsembleMoments":
-        """Fold in other's members, in place, and return self.  With
-        delta = other's mean - self's mean and w = n_a n_b / (n_a + n_b),
-        each time gains w |delta_i|^2 in sum |db_i|^2 and
-        w Re(delta_1 delta_2*) in Re sum db1 db2*.  EnsembleError unless
-        both have members over the same times."""
-        if (other.filled != self.filled or len(other.var) != len(self.var)
+        """Add other's members, in place, and return self.  EnsembleError
+        unless both have members over the same times."""
+        if (other.filled != self.filled or len(other.cross) != len(self.cross)
                 or not (self.members and other.members)):
             raise EnsembleError("merged moments must hold members over the "
                                 "same times")
-        na, nb = self.members, other.members
-        n = na + nb
-        delta = other.mean - self.mean
-        part = delta.view(float).reshape(-1, 2, 2)  # (time, clock, re/im)
-        w = na * nb / n
-        self.var += other.var
-        self.var += w * (part[..., 0] ** 2 + part[..., 1] ** 2)
+        self.sums += other.sums
         self.cross += other.cross
-        self.cross += w * (part[:, 0, 0] * part[:, 1, 0]
-                           + part[:, 0, 1] * part[:, 1, 1])
-        delta *= nb / n
-        self.mean += delta
-        self.members = n
+        self.squares += other.squares
+        self.members += other.members
         return self
+
+    def centred(self):
+        """(Re sum db1 db2*, sum |db_i|^2) per time, db_i = b_i - mean."""
+        re, im = self.sums.real, self.sums.imag  # (time, clock) views
+        cross = re[:, 0] * re[:, 1] + im[:, 0] * im[:, 1]
+        return (self.cross - cross / self.members,
+                self.squares - (re ** 2 + im ** 2) / self.members)
 
     def correlation(self) -> np.ndarray:
         """R(t) = Re sum db1 db2* / sqrt(sum|db1|^2 sum|db2|^2), the
@@ -331,9 +321,8 @@ class EnsembleMoments:
         nan where either variance vanishes."""
         if self.members < 2:
             raise EnsembleError("need at least 2 trajectories")
-        num = self.cross
-        v1, v2 = self.var.T
-        denom = np.sqrt(v1 * v2)
+        num, var = self.centred()
+        denom = np.sqrt(var[:, 0] * var[:, 1])
         with np.errstate(invalid="ignore", divide="ignore"):
             R = np.where(denom > 0, num / denom, np.nan)
         return np.clip(R, -1.0, 1.0)
@@ -345,10 +334,9 @@ class EnsembleMoments:
             raise EnsembleError(
                 f"need at least {MIN_FLUX_ENSEMBLE} trajectories, "
                 f"got {self.members}")
-        n = self.members
-        v1, v2 = self.var.T
-        ncr = self.cross * (1 / n)  # the bits numpy gives Re(complex sum / n)
-        return bath_fluxes(params, v1 / n - 0.5, v2 / n - 0.5, ncr)[1:]
+        cross, var = self.centred()
+        n_b = var / self.members - 0.5
+        return bath_fluxes(params, *n_b.T, cross / self.members)[1:]
 
 
 def moving_median(x, w: int) -> np.ndarray:

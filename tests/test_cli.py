@@ -304,6 +304,17 @@ class TestConfig:
         assert "Traceback" not in err
         assert not list(out.glob("*.csv"))
 
+    def test_unholdable_quench_exits_2(self, tmp_path, capsys):
+        # a quench whose per-time sums would take terabytes: a config error
+        # naming the count, before any member is stepped
+        out = tmp_path / "o"
+        assert run(["transient", "--dt", "1e-12", "--n-traj", "50",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "stored times" in err
+        assert "Traceback" not in err
+        assert not (out / "transient.csv").exists()
+
     def test_physics_error_exits_3(self, tmp_path, capsys):
         cases = [
             # blue detuning anti-damps the long-lived mode: no NESS exists
@@ -510,8 +521,9 @@ class TestCommands:
     @pytest.mark.parametrize("duration", ["0.3", "7"])
     def test_trajectory_d_and_n_equal_the_sweep_row(self, tmp_path, capsys,
                                                     duration):
-        # D and N of sweep point 0's tick record at the same coupling and
-        # seed, over min(duration, 6 s), whatever --dt
+        # C, D and N of sweep point 0 at the same coupling, seed, duration
+        # and dt: C of its record, D and N of its tick record over
+        # min(duration, 6 s)
         g, seed = 0.03, 5
         out = tmp_path / "o"
         assert run(["trajectory", "--g-over-kappa", str(g), "--duration",
@@ -519,10 +531,11 @@ class TestCommands:
                     "--out", str(out)]) == 0
         summary = json.loads((out / "trajectory_summary.json").read_text())
         [row] = sweep_coupling(paper_preset(), grid=[g], protocol="both",
-                               master_seed=seed, duration=0.01, dt=1e-4,
+                               master_seed=seed, duration=float(duration),
+                               dt=1e-3,
                                tick_duration=min(float(duration), 6.0))
-        assert [summary[k] for k in ("D", "N1", "N2")] == [
-            row.D, row.N1, row.N2]
+        assert [summary[k] for k in ("C", "D", "N1", "N2")] == [
+            row.C, row.D, row.N1, row.N2]
 
     def test_spectrum_on_the_physical_axis(self, tmp_path, capsys):
         # below threshold each clock's envelope peaks at its own mode:

@@ -221,6 +221,17 @@ class TestTransientExperiment:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0]
 
+    def test_unholdable_record_rejected_before_any_step(self, paper,
+                                                        monkeypatch):
+        # 8e10 stored times: a ConfigError before any group is keyed
+        def never(*args, **kwargs):
+            raise AssertionError("stepped a record too long to hold")
+
+        monkeypatch.setattr(experiments, "stored_states", never)
+        with pytest.raises(ConfigError, match="stored times"):
+            transient_experiment(paper, 0.04, n_traj=MIN_FLUX_ENSEMBLE,
+                                 dt=1e-12)
+
     def test_reproducible(self, paper):
         a = transient_experiment(paper, 0.03, n_traj=60, master_seed=6)
         b = transient_experiment(paper, 0.03, n_traj=60, master_seed=6)
