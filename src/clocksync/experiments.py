@@ -5,21 +5,22 @@ The sweep computes every quantity twice where possible: an analytic path
 fast, and a Monte Carlo path (each grid point propagated on its own)
 that exercises the full simulation pipeline.  Threshold detection runs
 on the analytic C; the Monte Carlo estimates validate it.  C of a sweep
-point and of a single trajectory comes from ``sync_degree``, and D, N1
-and N2 from ``tick_stats``, over every sample of records that start in
-the NESS: the exact map keeps them stationary, so none needs a burn-in.
+point and of a single trajectory comes from ``sync_degree``, in the
+envelope form of the analytic C and of a quench's R(t), and D, N1 and
+N2 from ``tick_stats``, over every sample of records that start in the
+NESS: the exact map keeps them stationary, so none needs a burn-in.
 D and N come from a tick record of their own (``tick_metrics``), stepped
 once per nominal carrier period, whatever the ``dt`` of the command.
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
-sweep point's C per C window, its D and N per D window, and a quench
-group of ENSEMBLE_GROUP members per block into per-time plain sums,
-which are added in group order.  No record of a whole run is kept, so
-memory stays bounded by one engine chunk (about
-``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a window or a
-group's sums per record in flight: whatever the number of points or
-trajectories, and except for the sums (up to MAX_QUENCH_TIMES times)
-whatever the record length.  Sweep points and quench groups run through
+sweep point's C per C window and a quench group of ENSEMBLE_GROUP
+members per block into the plain sums of ``EnsembleMoments``, added in
+window or group order, and a sweep point's D and N per D window.  No
+record of a whole run is kept, so memory stays bounded by one engine
+chunk (about ``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a
+window or a group's sums per record in flight: whatever the number of
+points or trajectories, and except for the sums (up to MAX_QUENCH_TIMES
+times) whatever the record length.  Sweep points and quench groups run through
 ``in_grid_order``: at most MAX_POINTS_IN_FLIGHT at once, each on its own
 thread, their results taken in index order.
 
@@ -45,16 +46,15 @@ from .errors import (ConfigError, EnsembleError, ThresholdError,
                      TickExtractionError, TurningPointError)
 from .metrics import (D_WINDOW_SECONDS, MAGNITUDE_FLOOR_FRACTION,
                       MIN_FLUX_ENSEMBLE, MIN_TICK_SECONDS, EnsembleMoments,
-                      PearsonStats, SyncMetrics, TickStats, TransientResult,
-                      d_windows, transient_time, windows)
+                      SyncMetrics, TickStats, TransientResult, d_windows,
+                      transient_time, windows)
 from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
                     PhysicalParams, coupling_pair, effective_coupling,
                     normal_modes_closed_form, reduced_matrices)
 from .steadystate import (CovarianceState, analytic_sync_degree,
                           entropy_rates, reduced_occupations, solve_lyapunov)
-from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, Trajectory,
-                         derived_seed, displacements, recentered,
-                         stored_states)
+from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, derived_seed,
+                         recentered, stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -85,8 +85,9 @@ MAX_ENVELOPE_TURN = np.pi / 4
 # a time, so its temporaries stay far below the window's 3.2 MB of states
 # on the paper's carrier.  No result depends on it.
 TICK_SLICE = 2 ** 12
-# The Monte Carlo C merges Pearson sums over windows of this many samples
-# of global step index, so it does not depend on how the engine chunks.
+# The Monte Carlo C adds its envelope sums over windows of this many
+# samples of global step index, so it does not depend on how the engine
+# chunks.
 C_WINDOW_SAMPLES = 2 ** 12
 # The analytic path builds and solves this many couplings per array pass
 # and stacked Lyapunov call.  It bounds the arrays held at once: a
@@ -205,17 +206,18 @@ def tick_metrics(dyn, seed: int, duration: float, t0: float) -> SyncMetrics:
     return tick_stats((p[0] for p in parts), carrier)
 
 
-def sync_degree(parts, carrier: float, dt: float) -> float:
-    """Pearson C of one member's stream of (m, 2) sample blocks, every
-    sample counted.  The sums are taken per C window (C_WINDOW_SAMPLES
-    of global sample index) and merged by ``PearsonStats``."""
-    stats, k = PearsonStats(), 0
+def sync_degree(parts) -> float:
+    """C = Re sum db1 db2* / sqrt(sum |db1|^2 sum |db2|^2) of one member's
+    stream of (m, 2) sample blocks, every sample counted: the envelope
+    form of ``analytic_C`` and R(t).  Each C window (C_WINDOW_SAMPLES of
+    global sample index) is one time of an ``EnsembleMoments`` whose
+    members are its samples, and the windows' sums are added in order."""
+    total = None
     for window in windows(parts, C_WINDOW_SAMPLES):
-        times = dt * np.arange(k, k + len(window))
-        stats.update(*displacements(Trajectory(times, window[:, 0],
-                                               window[:, 1], dt, carrier)))
-        k += len(window)
-    return stats.result()
+        moments = EnsembleMoments(1)
+        moments.update(window[:, None])
+        total = moments if total is None else total.merge(moments)
+    return float(total.correlation()[0])
 
 
 def check_record_length(duration: float, minimum: float, what: str):
@@ -234,8 +236,8 @@ def _model_arrays(params: PhysicalParams, grid):
     """(G1, G2, drifts, diffusions, normal modes) of a list of |G|/kappa,
     as arrays with one entry per g: the reduced model of
     params.with_coupling(g) (no NESS, so unstable couplings are served
-    too).  ConfigError names the first g whose drift, diffusion or normal
-    modes overflow a float."""
+    too).  ConfigError names the first g whose drift, diffusion (or its
+    norm) or normal modes overflow a float."""
     with np.errstate(all="ignore"):  # what numpy warns of fails below
         G1, G2 = coupling_pair(params, np.asarray(grid, dtype=float))
         try:  # a huge |chi_a| ** 2: OverflowError, for every g alike
@@ -244,7 +246,11 @@ def _model_arrays(params: PhysicalParams, grid):
             modes = normal_modes_closed_form(params.delta_omega, params.gamma1,
                                              params.gamma2, c)
             lam = np.stack([modes.lambda_plus, modes.lambda_minus], axis=-1)
-            ok = np.isfinite(np.hstack([A, D, lam[:, None]])).all(axis=(1, 2))
+            # ||D|| too: past about 1e154 it overflows, which voids
+            # solve_lyapunov's residual bound, and V11 V22 overflows with
+            # it, so analytic C = V12 / sqrt(inf) would read 0
+            ok = (np.isfinite(np.hstack([A, D, lam[:, None]])).all(axis=(1, 2))
+                  & np.isfinite(np.linalg.norm(D, axis=(1, 2))))
         except OverflowError:
             ok = np.zeros(len(grid), dtype=bool)
     if not ok.all():
@@ -298,7 +304,7 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     The analytic columns come from ``analytic_points``.  On the Monte Carlo
     path each grid point is then propagated on its own, twice, each record
     starting in the NESS: a correlation record (point i keyed with derived
-    seed i) whose Pearson C is streamed over every sample, and a tick
+    seed i) whose C (``sync_degree``) counts every sample, and a tick
     record (derived seed 2^32 + i, ``tick_metrics``) for D and N.  Every
     point's tick record is checked by ``tick_period`` before any point is
     stepped.  Neither record is stored, and a point's row depends only on
@@ -321,10 +327,9 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     periods = [tick_period(dyn, tick_duration) for dyn in dyns]
 
     def point(i):
-        carrier, _, parts = stored_states(
-            dyns[i], [derived_seed(master_seed, i)], duration, dt,
-            quench=False)
-        C = sync_degree((p[0] for p in parts), carrier, dt)
+        _, _, parts = stored_states(dyns[i], [derived_seed(master_seed, i)],
+                                    duration, dt, quench=False)
+        C = sync_degree(p[0] for p in parts)
         key = derived_seed(master_seed, TICK_SEED_BASE + i)
         ticks = tick_metrics(dyns[i], key, tick_duration, periods[i])
         return replace(rows[i], C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2)

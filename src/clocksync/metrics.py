@@ -3,15 +3,15 @@
 All metrics are pure functions over immutable series, except the
 streaming reducers that consume a stream of sample blocks piece by piece:
 ``TickStats`` turns the clock periods of each D window (``d_windows``)
-into D and N, ``PearsonStats`` merges the Pearson sums of consecutive
-pieces into C, ``EnsembleMoments`` reduces (members, times, 2) blocks
-of a group of quench members into the per-time plain sums behind R(t)
-and the fluxes and adds the sums of groups, and ``power_spectra`` sums
-the periodograms of each Welch segment.  Their memory is bounded by one
-piece, not by the record.  Ensemble sums run in member order, groups
-are added in the order they are given, and every sum has a fixed order, so
-results are reproducible bit for bit and do not depend on how a record
-is split into blocks.
+into D and N, ``EnsembleMoments`` reduces (members, times, 2) blocks
+into the per-time plain sums behind C, R(t) and the fluxes and adds the
+sums of other members (a quench's groups, or a record's C windows), and
+``power_spectra`` sums the periodograms of each Welch segment.  Their
+memory is bounded by one piece, not by the record.  Ensemble sums run in
+member order, groups are added in the order they are given, and every
+sum has a fixed order, so results are reproducible bit for bit and do
+not depend on how a record is split into blocks.  ``PearsonStats`` is
+the plain two-pass Pearson correlation of two whole series.
 """
 
 from __future__ import annotations
@@ -71,42 +71,22 @@ class TransientResult:
 
 
 class PearsonStats:
-    """Streaming Pearson correlation of two series fed in consecutive pieces.
+    """Pearson correlation of two whole series by the two-pass formula.
 
-    ``update`` takes a piece's means and centred sums of squares and
-    products, summed in numpy's fixed pairwise order (a BLAS dot product
-    sums in an order that follows its thread count), and merges them into
-    the running totals (Chan, Golub & LeVeque, Am. Stat. 37, 242, 1983).
-    One update over a whole series is the plain two-pass formula.  The
-    deviations of each series are scaled by a power of two fixed by the
-    first piece: exact in floating point, and it keeps the squares of
-    tiny deviations from underflowing (C is scale free).
+    ``update`` sums the centred squares and products of two series in
+    numpy's fixed pairwise order (a BLAS dot product sums in an order
+    that follows its thread count).  The deviations of each series
+    are scaled by a power of two: exact in floating point, and it keeps
+    the squares of tiny deviations from underflowing (C is scale free).
     """
-
-    def __init__(self):
-        self.n = 0
-        self.mean = np.zeros(2)
-        self.m = np.zeros(3)  # centred sums of d1 d1, d2 d2, d1 d2
 
     def update(self, x1, x2):
         x = np.array([x1, x2], dtype=float)
-        nb = x.shape[1]
-        mean = np.array([x[0].mean(), x[1].mean()])
-        d = x - mean[:, None]
-        if not self.n:
-            # capped so that subnormal deviations get a finite scale
-            e = np.frexp(np.max(np.abs(d), axis=1))[1]
-            self.scale = np.ldexp(1.0, np.minimum(-e, 1023))
-        d *= self.scale[:, None]
-        n = self.n + nb
-        # the between-piece term vanishes on the first piece
-        delta = mean - self.mean
-        ds = delta * self.scale * math.sqrt(self.n * nb / n)
-        self.m += [_dot(d[0], d[0]) + ds[0] * ds[0],
-                   _dot(d[1], d[1]) + ds[1] * ds[1],
-                   _dot(d[0], d[1]) + ds[0] * ds[1]]
-        self.mean += delta * (nb / n)
-        self.n = n
+        d = x - np.array([x[0].mean(), x[1].mean()])[:, None]
+        # capped so that subnormal deviations get a finite scale
+        e = np.frexp(np.max(np.abs(d), axis=1))[1]
+        d *= np.ldexp(1.0, np.minimum(-e, 1023))[:, None]
+        self.m = _dot(d[0], d[0]), _dot(d[1], d[1]), _dot(d[0], d[1])
         return self
 
     def result(self) -> float:
@@ -269,7 +249,9 @@ class EnsembleMoments:
     groups.  ``centred`` removes the mean only at the end, sum |db|^2 =
     sum |b|^2 - |sum b|^2 / n and likewise for the cross term, and loses
     no digits: a quench starts at zero mean and its noise has zero mean,
-    so |sum b|^2 / n is about 1/n of sum |b|^2.
+    as does a NESS envelope, so |sum b|^2 / n is about 1/n of sum |b|^2.
+    The samples of one member's record, taken as the members of one
+    time, give its C (``experiments.sync_degree``).
     """
 
     def __init__(self, n_times: int):

@@ -265,6 +265,9 @@ class TestConfig:
         ({"kappa_hz": 1e300}, ["ness"]),
         ({"nth1": 1e308}, ["ness"]),
         ({"nth1": 1e308}, ["sweep", "--points", "3"]),
+        ({"nth1": 1e200}, ["ness"]),
+        ({"nth1": 1e300}, ["ness"]),
+        ({"nth1": 1e200}, ["transient", "--n-traj", "50"]),
         ({"gamma1_hz": 1e306}, ["ness"]),
         ({"gamma1_hz": 1e306}, ["sweep", "--points", "3"]),
         ({"gamma1_hz": 1e306}, ["trajectory", "--duration", "0.2"]),
@@ -272,12 +275,14 @@ class TestConfig:
         ({"omega1_hz": 1e306}, ["modes"]),
     ], ids=["ness-g", "trajectory-g", "transient-g", "modes-g-max",
             "sweep-g-max", "ness-g-infinite-coupling", "ness-kappa",
-            "ness-nth1", "sweep-nth1", "ness-gamma1", "sweep-gamma1",
+            "ness-nth1", "sweep-nth1", "ness-nth1-1e200", "ness-nth1-1e300",
+            "transient-nth1-1e200", "ness-gamma1", "sweep-gamma1",
             "trajectory-gamma1", "ness-omega1", "modes-omega1"])
     @pytest.mark.filterwarnings("error")
     def test_overflowing_model_exits_2(self, tmp_path, capsys, params, argv):
-        # finite inputs whose drift, diffusion or normal modes overflow a
-        # float: a typed error naming the coupling, before any table
+        # finite inputs whose drift, diffusion (or its norm) or normal
+        # modes overflow a float: a typed error naming the coupling, before
+        # any table
         if params is not None:
             cfg = tmp_path / "c.json"
             cfg.write_text(json.dumps({"params": params}))
@@ -482,8 +487,7 @@ class TestCommands:
         dyn, _ = operating_point(paper_preset(), 0.02)
         [traj] = run_ensemble(dyn, 1, 0.4, master_seed=13, quench=False)
         record = np.stack([traj.b1, traj.b2], axis=-1)
-        carrier = traj.reference_frequency
-        assert summary["C"] == sync_degree([record], carrier, traj.dt)
+        assert summary["C"] == sync_degree([record])
         _, rows = read_csv(out / "trajectory.csv")
         assert len(rows) == len(record)
         assert rows[0] == [0.0, *record[0].view(float)]

@@ -81,16 +81,6 @@ class TestPearson:
         ref = dot(d1, d2) / math.sqrt(dot(d1, d1) * dot(d2, d2))
         assert pearson(x1, x2) == ref
 
-    def test_pieces_merge_to_the_whole_series(self):
-        rng = np.random.default_rng(5)
-        x1 = 3.0 + rng.standard_normal(5000)
-        x2 = 0.4 * x1 + rng.standard_normal(5000)
-        stats = PearsonStats()
-        for i in range(0, 5000, 777):
-            stats.update(x1[i:i + 777], x2[i:i + 777])
-        assert stats.result() == pytest.approx(pearson(x1, x2),
-                                               rel=1e-12)
-
     def test_independent_of_blas_threads(self):
         # a threaded BLAS dot product sums 1e6 terms in an order that
         # follows its thread count
