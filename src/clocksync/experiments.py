@@ -207,7 +207,7 @@ def tick_metrics(dyn, seed: int, duration: float, t0: float) -> SyncMetrics:
 
 
 def sync_degree(parts) -> float:
-    """C = Re sum db1 db2* / sqrt(sum |db1|^2 sum |db2|^2) of one member's
+    """C = Re sum b1 b2* / sqrt(sum |b1|^2 sum |b2|^2) of one member's
     stream of (m, 2) sample blocks, every sample counted: the envelope
     form of ``analytic_C`` and R(t).  Each C window (C_WINDOW_SAMPLES of
     global sample index) is one time of an ``EnsembleMoments`` whose
@@ -281,6 +281,11 @@ def analytic_points(params: PhysicalParams, grid):
         gs = [float(g) for g in grid[start:start + ANALYTIC_SLICE]]
         G1, G2, A, D, modes = _model_arrays(params, gs)
         cov = reduced_occupations(solve_lyapunov(A, D), params, G1, G2)
+        with np.errstate(over="ignore"):  # analytic C's V11 V22 below
+            ok = np.isfinite((cov.n_b1_eff + 0.5) * (cov.n_b2_eff + 0.5))
+        if not ok.all():
+            raise ConfigError(
+                f"|G|/kappa = {gs[np.argmin(ok)]!r} overflows the model")
         rates = entropy_rates(cov, params)
         columns = (modes.gamma_plus, modes.gamma_minus, modes.ratio,
                    rates.mu_b1, rates.mu_b2, rates.mu_a, rates.Pi_s,

@@ -4,14 +4,15 @@ All metrics are pure functions over immutable series, except the
 streaming reducers that consume a stream of sample blocks piece by piece:
 ``TickStats`` turns the clock periods of each D window (``d_windows``)
 into D and N, ``EnsembleMoments`` reduces (members, times, 2) blocks
-into the per-time plain sums behind C, R(t) and the fluxes and adds the
-sums of other members (a quench's groups, or a record's C windows), and
-``power_spectra`` sums the periodograms of each Welch segment.  Their
-memory is bounded by one piece, not by the record.  Ensemble sums run in
-member order, groups are added in the order they are given, and every
-sum has a fixed order, so results are reproducible bit for bit and do
-not depend on how a record is split into blocks.  ``PearsonStats`` is
-the plain two-pass Pearson correlation of two whole series.
+into the per-time plain sums about zero behind C, R(t) and the fluxes
+and adds the sums of other members (a quench's groups, or a record's C
+windows), and ``power_spectra`` sums the periodograms of each Welch
+segment.  Their memory is bounded by one piece, not by the record.
+Ensemble sums run in member order, groups are added in the order they
+are given, and every sum has a fixed order, so results are reproducible
+bit for bit and do not depend on how a record is split into blocks.
+``PearsonStats`` is the plain two-pass Pearson correlation of two whole
+series.
 """
 
 from __future__ import annotations
@@ -235,29 +236,27 @@ def power_spectrum(x, dt: float):
 
 
 class EnsembleMoments:
-    """Per-time ensemble second moments of a stream of member blocks.
+    """Per-time second moments about zero of a stream of member blocks.
 
     ``update`` takes (B, m, 2) blocks of every member's (b1, b2) at m
-    consecutive times and writes three plain sums into length-T arrays:
-    ``sums`` = sum_j b_j (complex), ``cross`` = Re sum_j b1 b2* and
-    ``squares`` = sum_j |b_i|^2.  Each runs along the member axis of a
-    (B, k, 2) array, which numpy adds row by row, in member order,
-    whatever k (a one-time block without the pair axis would be summed
-    pairwise), so no sum depends on how the times are split into blocks,
-    and memory is O(T + B x chunk) rather than O(B x T).  ``merge`` adds
-    the sums of other members over the same times, as a quench adds its
-    groups.  ``centred`` removes the mean only at the end, sum |db|^2 =
-    sum |b|^2 - |sum b|^2 / n and likewise for the cross term, and loses
-    no digits: a quench starts at zero mean and its noise has zero mean,
-    as does a NESS envelope, so |sum b|^2 / n is about 1/n of sum |b|^2.
-    The samples of one member's record, taken as the members of one
-    time, give its C (``experiments.sync_degree``).
+    consecutive times and writes two plain sums into length-T arrays:
+    ``cross`` = Re sum_j b1 b2* and ``squares`` = sum_j |b_i|^2.  Each
+    runs along the member axis of a (B, k, 2) array, which numpy adds row
+    by row, in member order, whatever k (a one-time block without the
+    pair axis would be summed pairwise), so no sum depends on how the
+    times are split into blocks, and memory is O(T + B x chunk) rather
+    than O(B x T).  ``merge`` adds the sums of other members over the
+    same times, as a quench adds its groups.  The moments are about zero:
+    every envelope has an exact zero mean (it starts at L zeta, its noise
+    is S zeta and its one-step map has no constant term), so they are
+    plug-in estimates of the covariance of ``analytic_C`` and the
+    occupations of ``bath_fluxes``.  The samples of one member's record,
+    taken as the members of one time, give its C (``sync_degree``).
     """
 
     def __init__(self, n_times: int):
         self.members = 0
         self.filled = 0
-        self.sums = np.empty((n_times, 2), dtype=complex)
         self.cross = np.empty(n_times)
         self.squares = np.empty((n_times, 2))
 
@@ -267,7 +266,6 @@ class EnsembleMoments:
             raise EnsembleError("every block must hold the same members")
         self.members = n
         t = slice(self.filled, self.filled + block.shape[1])
-        self.sums[t] = np.add.reduce(block, axis=0)
         # Re of the summed (re, im) pairs of b1 b2*, a product written
         # to memory of its own (see ``trajectory._banded_blocks``)
         cross = (block[..., 0] * np.conj(block[..., 1])).view(float)
@@ -284,41 +282,32 @@ class EnsembleMoments:
                 or not (self.members and other.members)):
             raise EnsembleError("merged moments must hold members over the "
                                 "same times")
-        self.sums += other.sums
         self.cross += other.cross
         self.squares += other.squares
         self.members += other.members
         return self
 
-    def centred(self):
-        """(Re sum db1 db2*, sum |db_i|^2) per time, db_i = b_i - mean."""
-        re, im = self.sums.real, self.sums.imag  # (time, clock) views
-        cross = re[:, 0] * re[:, 1] + im[:, 0] * im[:, 1]
-        return (self.cross - cross / self.members,
-                self.squares - (re ** 2 + im ** 2) / self.members)
-
     def correlation(self) -> np.ndarray:
-        """R(t) = Re sum db1 db2* / sqrt(sum|db1|^2 sum|db2|^2), the
-        carrier-cycle average of sum dx1 dx2 / sqrt(sum dx1^2 sum dx2^2);
-        nan where either variance vanishes."""
+        """R(t) = Re sum b1 b2* / (sqrt(sum|b1|^2) sqrt(sum|b2|^2)), the
+        carrier-cycle average of sum x1 x2 / sqrt(sum x1^2 sum x2^2);
+        nan where either sum vanishes.  Each root is taken on its own, so
+        the product of two huge sums cannot overflow."""
         if self.members < 2:
             raise EnsembleError("need at least 2 trajectories")
-        num, var = self.centred()
-        denom = np.sqrt(var[:, 0] * var[:, 1])
+        denom = np.sqrt(self.squares[:, 0]) * np.sqrt(self.squares[:, 1])
         with np.errstate(invalid="ignore", divide="ignore"):
-            R = np.where(denom > 0, num / denom, np.nan)
+            R = np.where(denom > 0, self.cross / denom, np.nan)
         return np.clip(R, -1.0, 1.0)
 
     def fluxes(self, params: PhysicalParams):
         """(mu_b1, mu_b2, mu_a) per time from the effective occupations
-        n_bi + 1/2 = <|db_i|^2> and n_cross = Re<db1 db2*>."""
+        n_bi + 1/2 = <|b_i|^2> and n_cross = Re<b1 b2*>."""
         if self.members < MIN_FLUX_ENSEMBLE:
             raise EnsembleError(
                 f"need at least {MIN_FLUX_ENSEMBLE} trajectories, "
                 f"got {self.members}")
-        cross, var = self.centred()
-        n_b = var / self.members - 0.5
-        return bath_fluxes(params, *n_b.T, cross / self.members)[1:]
+        n_b = self.squares / self.members - 0.5
+        return bath_fluxes(params, *n_b.T, self.cross / self.members)[1:]
 
 
 def moving_median(x, w: int) -> np.ndarray:

@@ -228,15 +228,15 @@ def unstacked(x):
     return x if np.ndim(x) else np.asarray(x).item()
 
 
-def _csquare(z):
-    """z ** 2 of a complex scalar or array, rounded as CPython squares one
-    complex number: each part of z z is one sum of two rounded products.
-    numpy's array product may fuse a product into the sum and round
-    otherwise.  (CPython then multiplies by 1 + 0j, which changes no part
-    but the sign of a zero.)"""
-    out = np.empty(np.shape(z), dtype=complex)
-    out.real = z.real * z.real - z.imag * z.imag
-    out.imag = z.real * z.imag + z.imag * z.real
+def _cmul(a, b):
+    """a b of scalars or arrays, a real or complex, rounded as one complex
+    number times another in scalar arithmetic: each part is one sum of
+    two rounded products.  numpy's array product may fuse a product into
+    the sum and round otherwise, which shows in underflowed zeros."""
+    a = np.asarray(a, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
@@ -264,7 +264,7 @@ def effective_coupling(params: PhysicalParams, G1=None,
     chi_p = cavity_susceptibility(params.omega_mid, params)
     chi_m = cavity_susceptibility(-params.omega_mid, params)
     chi_c = -1j * (chi_p - np.conj(chi_m))
-    Lam = unstacked(G1 * G2 * chi_c)
+    Lam = unstacked(_cmul(G1 * G2, chi_c))
     return EffectiveCoupling(chi_c=complex(chi_c), Lambda=Lam,
                              delta=Lam.real, Gamma=Lam.imag)
 
@@ -299,9 +299,10 @@ def normal_modes_closed_form(delta_omega: float, gamma1: float, gamma2: float,
     Gs = unstacked(np.where(
         np.real(coupling.Lambda * np.conj(coupling.chi_c)) > 0, -G, G))
     centre = 0.5 * delta_omega - 0.25j * (gamma1 + gamma2 + 4.0 * Gs)
-    # + 0j makes each zero part +0.0, whatever the sign _csquare gave it
+    # z ** 2 as CPython takes it, z z; + 0j makes each zero part +0.0
+    z = d + 1j * G
     root = np.sqrt(0.25 * (delta_omega - 0.5j * (gamma1 - gamma2)) ** 2
-                   + _csquare(d + 1j * G) + 0j)
+                   + _cmul(z, z) + 0j)
     return NormalModes.from_pair(centre + root, centre - root)
 
 

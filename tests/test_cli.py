@@ -268,6 +268,8 @@ class TestConfig:
         ({"nth1": 1e200}, ["ness"]),
         ({"nth1": 1e300}, ["ness"]),
         ({"nth1": 1e200}, ["transient", "--n-traj", "50"]),
+        ({"nth1": 1e155, "nth2": 1e155, "gamma1_hz": 0.01, "gamma2_hz": 0.01},
+         ["ness", "--g-over-kappa", "0.0001"]),
         ({"gamma1_hz": 1e306}, ["ness"]),
         ({"gamma1_hz": 1e306}, ["sweep", "--points", "3"]),
         ({"gamma1_hz": 1e306}, ["trajectory", "--duration", "0.2"]),
@@ -276,13 +278,14 @@ class TestConfig:
     ], ids=["ness-g", "trajectory-g", "transient-g", "modes-g-max",
             "sweep-g-max", "ness-g-infinite-coupling", "ness-kappa",
             "ness-nth1", "sweep-nth1", "ness-nth1-1e200", "ness-nth1-1e300",
-            "transient-nth1-1e200", "ness-gamma1", "sweep-gamma1",
-            "trajectory-gamma1", "ness-omega1", "modes-omega1"])
+            "transient-nth1-1e200", "ness-slow-baths-1e155", "ness-gamma1",
+            "sweep-gamma1", "trajectory-gamma1", "ness-omega1",
+            "modes-omega1"])
     @pytest.mark.filterwarnings("error")
     def test_overflowing_model_exits_2(self, tmp_path, capsys, params, argv):
-        # finite inputs whose drift, diffusion (or its norm) or normal
-        # modes overflow a float: a typed error naming the coupling, before
-        # any table
+        # finite inputs whose drift, diffusion (or its norm), normal modes
+        # or NESS V11 V22 overflow a float: a typed error naming the
+        # coupling, before any table
         if params is not None:
             cfg = tmp_path / "c.json"
             cfg.write_text(json.dumps({"params": params}))

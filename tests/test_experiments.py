@@ -396,10 +396,10 @@ class TestSweepMonteCarlo:
                                     dt, quench=False)
         record = np.concatenate(list(parts), axis=1)[0]
         assert rows[1].C == sync_degree([record])
-        # the two-pass envelope form over the whole record
-        db = record - record.mean(axis=0)
-        v1, v2 = np.sum(np.abs(db) ** 2, axis=0)
-        C = np.sum(db[:, 0] * np.conj(db[:, 1])).real / math.sqrt(v1 * v2)
+        # the envelope form about the exact zero mean over the whole record
+        v1, v2 = np.sum(np.abs(record) ** 2, axis=0)
+        C = (np.sum(record[:, 0] * np.conj(record[:, 1])).real
+             / math.sqrt(v1 * v2))
         assert abs(rows[1].C - C) <= 1e-13
 
     def test_pooled_rows_equal_serial_rows(self, paper, monkeypatch):

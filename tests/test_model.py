@@ -8,7 +8,7 @@ from clocksync import (BranchSelectionError, EffectiveCoupling,
                        full_drift_and_diffusion, normal_modes_closed_form,
                        normal_modes_numeric, paper_preset,
                        reduced_drift_matrix, solve_lyapunov)
-from clocksync.model import TWO_PI, PhysicalParams
+from clocksync.model import TWO_PI, PhysicalParams, reduced_matrices
 
 
 def random_params(rng, opposite_sign=True):
@@ -83,6 +83,20 @@ class TestEffectiveCoupling:
         p = paper.with_coupling(0.02)
         flipped = dataclasses.replace(p, G1=-p.G1, G2=-p.G2)
         assert effective_coupling(p) == effective_coupling(flipped)
+
+    def test_arrays_round_as_scalars(self):
+        # couplings whose product underflows: each entry of the array
+        # drift keeps the signed zeros of the scalar products, which a
+        # fused multiply-add in numpy's array product would flip
+        p = PhysicalParams(omega1=TWO_PI * 1e4, omega2=TWO_PI * 3e5,
+                           gamma1=TWO_PI, gamma2=TWO_PI, kappa=TWO_PI * 1e5,
+                           detuning=-TWO_PI * 1e5, G1=1.0, G2=-1.0,
+                           nth1=0.0, nth2=0.0)
+        G = np.array([1e-160, 3e-161])
+        drift, _ = reduced_matrices(p, effective_coupling(p, G, -G), G, -G)
+        for g, A in zip(G.tolist(), drift):
+            one = reduced_drift_matrix(dataclasses.replace(p, G1=g, G2=-g))
+            assert A.tobytes() == one.drift.tobytes()
 
 
 class TestClosedForm:
