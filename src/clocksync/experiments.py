@@ -4,23 +4,22 @@ The sweep computes every quantity twice where possible: an analytic path
 (normal modes, Lyapunov NESS, entropy rates) that is noise free and
 fast, and a Monte Carlo path (each grid point propagated on its own)
 that exercises the full simulation pipeline.  Threshold detection runs
-on the analytic C; the Monte Carlo estimates validate it.  C of a sweep
-point and of a single trajectory comes from ``sync_degree``, in the
-envelope form of the analytic C and of a quench's R(t), and D, N1 and
-N2 from ``tick_stats``, over every sample of records that start in the
-NESS: the exact map keeps them stationary, so none needs a burn-in.
-D and N come from a tick record of their own (``tick_metrics``), stepped
-once per nominal carrier period, whatever the ``dt`` of the command.
+on the analytic C; the Monte Carlo estimates validate it.  A sweep
+point's (and a single trajectory's) C, D, N1 and N2 all come from one
+tick record (``tick_metrics``), stepped once per nominal carrier period
+from the NESS, which the exact map keeps, so it needs no burn-in:
+``tick_stats`` reduces each D window to D and N, and its states
+C_SAMPLE_SECONDS apart to C, the envelope form of the analytic C and R(t).
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
-sweep point's C per C window and a quench group of ENSEMBLE_GROUP
-members per block into the plain sums of ``EnsembleMoments``, added in
-window or group order, and a sweep point's D and N per D window.  No
-record of a whole run is kept, so memory stays bounded by one engine
-chunk (about ``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a
-window or a group's sums per record in flight: whatever the number of
-points or trajectories, and except for the sums (up to MAX_QUENCH_TIMES
-times) whatever the record length.  Sweep points and quench groups run through
+sweep point's tick record per D window, and a quench group of
+ENSEMBLE_GROUP members per block into the plain sums of
+``EnsembleMoments``, added in window or group order.  No record of a
+whole run is kept, so memory stays bounded by one engine chunk (about
+``trajectory._CHUNK_MEMBER_STEPS`` member-steps) and a D window or a
+group's sums per record in flight: whatever the number of points or
+trajectories, and except for the sums (up to MAX_QUENCH_TIMES times)
+whatever the record length.  Sweep points and quench groups run through
 ``in_grid_order``: at most MAX_POINTS_IN_FLIGHT at once, each on its own
 thread, their results taken in index order.
 
@@ -47,14 +46,13 @@ from .errors import (ConfigError, EnsembleError, ThresholdError,
 from .metrics import (D_WINDOW_SECONDS, MAGNITUDE_FLOOR_FRACTION,
                       MIN_FLUX_ENSEMBLE, MIN_TICK_SECONDS, EnsembleMoments,
                       SyncMetrics, TickStats, TransientResult, d_windows,
-                      transient_time, windows)
+                      transient_time)
 from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
                     PhysicalParams, coupling_pair, effective_coupling,
                     normal_modes_closed_form, reduced_matrices)
 from .steadystate import (CovarianceState, analytic_sync_degree,
                           entropy_rates, reduced_occupations, solve_lyapunov)
-from .trajectory import (DEFAULT_DT, DEFAULT_DURATION, derived_seed,
-                         recentered, stored_states)
+from .trajectory import DEFAULT_DT, derived_seed, recentered, stored_states
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -85,10 +83,11 @@ MAX_ENVELOPE_TURN = np.pi / 4
 # a time, so its temporaries stay far below the window's 3.2 MB of states
 # on the paper's carrier.  No result depends on it.
 TICK_SLICE = 2 ** 12
-# The Monte Carlo C adds its envelope sums over windows of this many
-# samples of global step index, so it does not depend on how the engine
-# chunks.
-C_WINDOW_SAMPLES = 2 ** 12
+# The Monte Carlo C takes every k-th tick record state, k = round(this / T0):
+# 26 on the paper's carrier.  C moved by at most 4.3e-4 (seed 2026) with
+# k = 1, 6 or 64: states this far apart are still far inside the envelope's
+# millisecond decay.
+C_SAMPLE_SECONDS = 64e-6
 # The analytic path builds and solves this many couplings per array pass
 # and stacked Lyapunov call.  It bounds the arrays held at once: a
 # 10001-point sweep peaked at 42.4 MB RSS with 256, 43.2 MB with 1024 and
@@ -100,10 +99,10 @@ ANALYTIC_SLICE = 256
 # CPUs cut a 26-point sweep's wall time by about a quarter.
 MAX_POINTS_IN_FLIGHT = 2
 # A quench is stepped and reduced in groups of this many consecutive
-# members, added in group order: R(t) and the fluxes depend on it, as C
-# on C_WINDOW_SAMPLES.  A group steps 160-481 steps per chunk, so a noise
-# draw (which releases the GIL) fills 640-1924 normals, against 216 for
-# a 600-member block; up to 64 members are one block.
+# members, added in group order: R(t) and the fluxes depend on it by
+# rounding, as C on the D window.  A group steps 160-481 steps per chunk,
+# so a noise draw (which releases the GIL) fills 640-1924 normals, against
+# 216 for a 600-member block; up to 64 members are one block.
 ENSEMBLE_GROUP = 64
 
 
@@ -136,7 +135,7 @@ def burn_in_time(modes: NormalModes) -> float:
 
 
 def tick_stats(blocks, carrier: float) -> SyncMetrics:
-    """D, N1, N2 of one member's stream of (m, 2) states stepped at the
+    """C, D, N1, N2 of one member's stream of (m, 2) states stepped at the
     nominal carrier period T0 = 2 pi / carrier, the start state first.
 
     Clock i's phase carrier t - arg b_i advances by 2 pi - darg_i over a
@@ -146,6 +145,13 @@ def tick_stats(blocks, carrier: float) -> SyncMetrics:
     D window: all of them for D, and for N those whose two end states
     reach MAGNITUDE_FLOOR_FRACTION of the window's rms |b_i|.
 
+    C = Re sum b1 b2* / sqrt(sum |b1|^2 sum |b2|^2), the envelope form of
+    ``analytic_C`` and R(t), sums the D windows' states whose global step
+    index is a multiple of round(C_SAMPLE_SECONDS / T0), at least 1, an
+    end state two windows share once: each window's are the members of
+    one ``EnsembleMoments`` time, its sums added in window order, so no
+    engine chunk shows.
+
     darg is atan2 of the product's parts in real arithmetic, every
     operation rounded on its own, over TICK_SLICE periods at a time: a
     complex product rounds differently when numpy computes it in place
@@ -153,8 +159,15 @@ def tick_stats(blocks, carrier: float) -> SyncMetrics:
     periods' bits would depend on the window's size.
     """
     t0 = TWO_PI / carrier
-    stats = TickStats(t0)
+    stride = max(1, round(C_SAMPLE_SECONDS / t0))
+    stats, moments, first = TickStats(t0), None, 0
     for b in d_windows(blocks, t0):
+        window = EnsembleMoments(1)
+        window.update(b[first::stride, None])
+        moments = window if moments is None else moments.merge(window)
+        # the next sampled state, indexed in the next window, which starts
+        # at this one's end state
+        first = (first - len(b)) % stride + 1
         mag = np.abs(b)
         above = mag >= MAGNITUDE_FLOOR_FRACTION * np.sqrt(
             np.mean(mag ** 2, axis=0))
@@ -168,7 +181,7 @@ def tick_stats(blocks, carrier: float) -> SyncMetrics:
         p /= carrier
         p += t0
         stats.update(p[:, 0], p[:, 1], keep[:, 0], keep[:, 1])
-    return stats.result()
+    return replace(stats.result(), C=float(moments.correlation()[0]))
 
 
 def tick_period(dyn, duration: float) -> float:
@@ -201,23 +214,9 @@ def tick_period(dyn, duration: float) -> float:
 def tick_metrics(dyn, seed: int, duration: float, t0: float) -> SyncMetrics:
     """``tick_stats`` of the tick record keyed seed: one member of dyn's
     NESS, duration long, stepped at its carrier period t0 (from
-    ``tick_period``), every state counted."""
+    ``tick_period``)."""
     carrier, _, parts = stored_states(dyn, [seed], duration, t0, quench=False)
     return tick_stats((p[0] for p in parts), carrier)
-
-
-def sync_degree(parts) -> float:
-    """C = Re sum b1 b2* / sqrt(sum |b1|^2 sum |b2|^2) of one member's
-    stream of (m, 2) sample blocks, every sample counted: the envelope
-    form of ``analytic_C`` and R(t).  Each C window (C_WINDOW_SAMPLES of
-    global sample index) is one time of an ``EnsembleMoments`` whose
-    members are its samples, and the windows' sums are added in order."""
-    total = None
-    for window in windows(parts, C_WINDOW_SAMPLES):
-        moments = EnsembleMoments(1)
-        moments.update(window[:, None])
-        total = moments if total is None else total.merge(moments)
-    return float(total.correlation()[0])
 
 
 def check_record_length(duration: float, minimum: float, what: str):
@@ -227,8 +226,8 @@ def check_record_length(duration: float, minimum: float, what: str):
                           f"least {minimum:g} s")
 
 
-# Seed layout inside a sweep: point i draws its correlation record with
-# derived seed i and its tick record with derived seed 2^32 + i.
+# Seed layout inside a sweep: point i draws its one record, its tick
+# record, with derived seed 2^32 + i; derived seed i is left unused.
 TICK_SEED_BASE = 2 ** 32
 
 
@@ -301,22 +300,20 @@ def analytic_point(params: PhysicalParams, g: float):
 
 
 def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
-                   master_seed: int = 0, duration: float = DEFAULT_DURATION,
-                   dt: float = DEFAULT_DT,
-                   tick_duration: float = TICK_RECORD_DURATION) -> list[SweepRow]:
+                   master_seed: int = 0,
+                   duration: float = TICK_RECORD_DURATION) -> list[SweepRow]:
     """Sweep |G|/kappa and collect analytic and Monte Carlo observables.
 
     The analytic columns come from ``analytic_points``.  On the Monte Carlo
-    path each grid point is then propagated on its own, twice, each record
-    starting in the NESS: a correlation record (point i keyed with derived
-    seed i) whose C (``sync_degree``) counts every sample, and a tick
-    record (derived seed 2^32 + i, ``tick_metrics``) for D and N.  Every
-    point's tick record is checked by ``tick_period`` before any point is
-    stepped.  Neither record is stored, and a point's row depends only on
-    its own coupling and index, so memory does not grow with the grid and
-    the output is reproducible.  The points run concurrently, two at a
-    time where two CPUs are usable (``in_grid_order``): the rows come back
-    in grid order, the same bits as one point after another.
+    path each grid point then steps one NESS record, duration long, at its
+    carrier period: its tick record (derived seed 2^32 + i for point i),
+    whose C, D and N come from ``tick_metrics``, once ``tick_period`` has
+    checked every point's record.  No record is stored, and a point's row
+    depends only on its own coupling and index, so memory does not grow
+    with the grid and the output is reproducible.  The points run
+    concurrently, two at a time where two CPUs are usable
+    (``in_grid_order``): the rows come back in grid order, the same bits
+    as one point after another.
     """
     if protocol not in ("analytic", "both"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -327,17 +324,13 @@ def sweep_coupling(params: PhysicalParams, grid=None, protocol: str = "both",
     rows = [row for part, _ in analytic_points(params, grid) for row in part]
     if protocol == "analytic":
         return rows
-    check_record_length(duration, 2 * dt, "correlation record")
     dyns = [operating_point(params, g)[0] for g in grid.tolist()]
-    periods = [tick_period(dyn, tick_duration) for dyn in dyns]
+    periods = [tick_period(dyn, duration) for dyn in dyns]
 
     def point(i):
-        _, _, parts = stored_states(dyns[i], [derived_seed(master_seed, i)],
-                                    duration, dt, quench=False)
-        C = sync_degree(p[0] for p in parts)
         key = derived_seed(master_seed, TICK_SEED_BASE + i)
-        ticks = tick_metrics(dyns[i], key, tick_duration, periods[i])
-        return replace(rows[i], C=C, D=ticks.D, N1=ticks.N1, N2=ticks.N2)
+        m = tick_metrics(dyns[i], key, duration, periods[i])
+        return replace(rows[i], C=m.C, D=m.D, N1=m.N1, N2=m.N2)
 
     return list(in_grid_order(point, len(rows)))
 

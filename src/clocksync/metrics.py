@@ -5,9 +5,9 @@ streaming reducers that consume a stream of sample blocks piece by piece:
 ``TickStats`` turns the clock periods of each D window (``d_windows``)
 into D and N, ``EnsembleMoments`` reduces (members, times, 2) blocks
 into the per-time plain sums about zero behind C, R(t) and the fluxes
-and adds the sums of other members (a quench's groups, or a record's C
-windows), and ``power_spectra`` sums the periodograms of each Welch
-segment.  Their memory is bounded by one piece, not by the record.
+and adds the sums of other members (a quench's groups, or a tick
+record's D windows), and ``power_spectra`` sums the periodograms of each
+Welch segment.  Their memory is bounded by one piece, not by the record.
 Ensemble sums run in member order, groups are added in the order they
 are given, and every sum has a fixed order, so results are reproducible
 bit for bit and do not depend on how a record is split into blocks.
@@ -51,11 +51,14 @@ MEDIAN_SLICE_ELEMENTS = 2 ** 18
 
 @dataclass(frozen=True)
 class SyncMetrics:
-    """Deviation D and single-clock accuracies N1, N2 of a clock pair."""
+    """Deviation D, single-clock accuracies N1, N2 and synchronization
+    degree C of a clock pair; C is nan where only periods were seen
+    (``TickStats``)."""
 
     D: float
     N1: float
     N2: float
+    C: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -250,8 +253,9 @@ class EnsembleMoments:
     every envelope has an exact zero mean (it starts at L zeta, its noise
     is S zeta and its one-step map has no constant term), so they are
     plug-in estimates of the covariance of ``analytic_C`` and the
-    occupations of ``bath_fluxes``.  The samples of one member's record,
-    taken as the members of one time, give its C (``sync_degree``).
+    occupations of ``bath_fluxes``.  The sampled states of each D window
+    of one tick record, taken as the members of one time, give its C
+    (``experiments.tick_stats``).
     """
 
     def __init__(self, n_times: int):

@@ -10,7 +10,7 @@ from conftest import read_csv, run_python
 from clocksync import (normal_modes_numeric, paper_preset, power_spectrum,
                        run_ensemble, sweep_coupling)
 from clocksync.cli import run
-from clocksync.experiments import operating_point, sync_degree
+from clocksync.experiments import operating_point
 from clocksync.model import TWO_PI
 from clocksync.output import write_csv, write_svg
 
@@ -97,7 +97,7 @@ def test_cli_import_leaves_scipy_signal_out():
         "p = paper_preset()\n"
         "transient_experiment(p, 0.05, n_traj=50, master_seed=1, dt=5e-5)\n"
         "sweep_coupling(p, grid=[0.0, 0.03], protocol='both', "
-        "duration=0.2, dt=1e-4, tick_duration=0.01)\n"
+        "duration=0.01)\n"
         "power_spectrum(np.arange(64.0), 1.0)\n"
         "power_spectrum(np.arange(64.0) * 1j, 1.0)\n"
         "print([m for m in slow if m in sys.modules])\n")
@@ -205,6 +205,9 @@ class TestConfig:
         ["trajectory", "--g-over-kappa=-0.04"],
         ["transient", "--g-over-kappa=-0.04"],
         ["sweep", "--protocol", "monte-carlo"],
+        ["sweep", "--dt", "1e-5"],
+        ["sweep", "--protocol", "analytic", "--points", "1048577"],
+        ["modes", "--points", "1048577"],
         ["ness", "--g-over-kappa", "inf"],
         ["sweep", "--g-max", "nan"],
         ["trajectory", "--duration", "inf"],
@@ -213,7 +216,8 @@ class TestConfig:
             "trajectory-dt", "trajectory-duration", "transient-dt",
             "trajectory-store-every-removed", "transient-n-traj",
             "ness-g-over-kappa", "trajectory-g-over-kappa",
-            "transient-g-over-kappa", "sweep-protocol", "ness-inf",
+            "transient-g-over-kappa", "sweep-protocol", "sweep-dt-removed",
+            "sweep-points-bound", "modes-points-bound", "ness-inf",
             "sweep-g-max-nan", "trajectory-duration-inf",
             "transient-dt-nan"])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv):
@@ -241,13 +245,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("argv", [
         ["trajectory", "--g-over-kappa", "0.04", "--duration", "0.005"],
-        ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "1e-5",
-         "--dt", "1e-5", "--tick-duration", "0.05"],
-        ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.2",
-         "--tick-duration", "0.005"],
+        ["sweep", "--points", "2", "--g-max", "0.01", "--duration", "0.005"],
         ["transient", "--n-traj", "50", "--dt", "0.05"],
         ["transient", "--n-traj", "50", "--duration", "1e-5"],
-    ], ids=["trajectory", "sweep-correlation-record", "sweep-tick-record",
+    ], ids=["trajectory", "sweep-tick-record",
             "transient-dt", "transient-duration"])
     def test_record_too_short_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -299,9 +300,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("argv", [
         ["trajectory", "--duration", "1e301", "--dt", "1e300"],
-        ["sweep", "--points", "2", "--duration", "1e301", "--dt", "1e300",
-         "--tick-duration", "0.05"],
-    ], ids=["trajectory", "sweep"])
+    ], ids=["trajectory"])
     def test_non_finite_map_exits_2(self, tmp_path, capsys, argv):
         # a step so long that e^(A dt) overflows: a config error naming
         # the step, before any noise is drawn
@@ -459,8 +458,7 @@ class TestCommands:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["d_window_s"] == 0.25
         assert set(resolved["options"]) == {
-            "g_max", "points", "protocol", "duration", "dt", "tick_duration",
-            "seed"}
+            "g_max", "points", "protocol", "duration", "seed"}
 
     def test_trajectory_csv(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -480,23 +478,26 @@ class TestCommands:
 
     def test_trajectory_summary_uses_the_sweep_reducers(self, tmp_path,
                                                         capsys):
-        # C of the whole record, which starts in the NESS and is member 0
-        # of the seed's ensemble, through the function a sweep point's
-        # stream goes through
+        # C, D and N of sweep point 0 at the same coupling and seed, from
+        # its tick record of min(duration, 6 s); the CSV holds the record
+        # that starts in the NESS as member 0 of the seed's ensemble
         out = tmp_path / "o"
         assert run(["trajectory", "--duration", "0.4", "--seed", "13",
                     "--out", str(out)]) == 0
         summary = json.loads((out / "trajectory_summary.json").read_text())
+        [row] = sweep_coupling(paper_preset(), [0.02], master_seed=13,
+                               duration=min(0.4, 6.0))
+        assert [summary[k] for k in ("C", "D", "N1", "N2")] == [
+            row.C, row.D, row.N1, row.N2]
         dyn, _ = operating_point(paper_preset(), 0.02)
         [traj] = run_ensemble(dyn, 1, 0.4, master_seed=13, quench=False)
         record = np.stack([traj.b1, traj.b2], axis=-1)
-        assert summary["C"] == sync_degree([record])
         _, rows = read_csv(out / "trajectory.csv")
         assert len(rows) == len(record)
         assert rows[0] == [0.0, *record[0].view(float)]
 
     def test_trajectory_streams_its_record(self, tmp_path, capsys):
-        # the record is stepped twice and never held: 10x the samples (at
+        # the record is stepped once and never held: 10x the samples (at
         # a 10x finer --dt, the same tick record) leave the peak of traced
         # memory where it was, and the CSV and the spectra are those of
         # the stored record
@@ -528,9 +529,8 @@ class TestCommands:
     @pytest.mark.parametrize("duration", ["0.3", "7"])
     def test_trajectory_d_and_n_equal_the_sweep_row(self, tmp_path, capsys,
                                                     duration):
-        # C, D and N of sweep point 0 at the same coupling, seed, duration
-        # and dt: C of its record, D and N of its tick record over
-        # min(duration, 6 s)
+        # C, D and N of sweep point 0 at the same coupling and seed, all
+        # of its tick record over min(duration, 6 s), whatever --dt is
         g, seed = 0.03, 5
         out = tmp_path / "o"
         assert run(["trajectory", "--g-over-kappa", str(g), "--duration",
@@ -538,9 +538,8 @@ class TestCommands:
                     "--out", str(out)]) == 0
         summary = json.loads((out / "trajectory_summary.json").read_text())
         [row] = sweep_coupling(paper_preset(), grid=[g], protocol="both",
-                               master_seed=seed, duration=float(duration),
-                               dt=1e-3,
-                               tick_duration=min(float(duration), 6.0))
+                               master_seed=seed,
+                               duration=min(float(duration), 6.0))
         assert [summary[k] for k in ("C", "D", "N1", "N2")] == [
             row.C, row.D, row.N1, row.N2]
 

@@ -12,12 +12,12 @@ from clocksync import (ConfigError, EnsembleError, SweepRow, ThresholdError,
                        TickExtractionError, TurningPointError, find_threshold,
                        find_turning_point, sweep_coupling,
                        transient_experiment)
-from clocksync import experiments, trajectory
-from clocksync.experiments import (ENSEMBLE_GROUP, MAX_TICK_STEPS,
-                                   SWEEP_CSV_HEADER, TICK_SEED_BASE,
-                                   _model_arrays, analytic_point,
-                                   in_grid_order, operating_point,
-                                   sync_degree, tick_metrics, tick_period)
+from clocksync import experiments, metrics, trajectory
+from clocksync.experiments import (C_SAMPLE_SECONDS, ENSEMBLE_GROUP,
+                                   MAX_TICK_STEPS, SWEEP_CSV_HEADER,
+                                   TICK_SEED_BASE, _model_arrays,
+                                   analytic_point, in_grid_order,
+                                   operating_point, tick_metrics, tick_period)
 from clocksync.metrics import MIN_FLUX_ENSEMBLE
 from clocksync.trajectory import derived_seed, stored_states
 
@@ -126,7 +126,7 @@ class TestAnalyticSlices:
 
     def test_both_protocol_rows(self, paper, monkeypatch):
         kw = dict(grid=[0.0, 0.02, 0.04], protocol="both", master_seed=1,
-                  duration=0.2, tick_duration=0.02)
+                  duration=0.02)
         ref = sweep_coupling(paper, **kw)
         analytic = sweep_coupling(paper, grid=kw["grid"], protocol="analytic")
         assert row_bits([dataclasses.replace(r, C=math.nan, D=math.nan,
@@ -376,27 +376,32 @@ class TestSweepMonteCarlo:
     @pytest.mark.parametrize("steps_per_block", [1, 2, 7, 33])
     def test_c_does_not_depend_on_blocks(self, paper, monkeypatch,
                                          steps_per_block):
-        # short C windows, so the record spans many of them
-        monkeypatch.setattr(experiments, "C_WINDOW_SAMPLES", 50)
+        # D windows of 1600 periods, so the record spans five of them
+        monkeypatch.setattr(metrics, "D_WINDOW_SECONDS", 0.004)
         kw = dict(grid=[0.0, 0.03], protocol="both", master_seed=2,
-                  duration=0.2, dt=1e-4, tick_duration=0.01)
-        ref = [r.C for r in sweep_coupling(paper, **kw)]
+                  duration=0.02)
+        ref = [(r.C, r.D, r.N1, r.N2) for r in sweep_coupling(paper, **kw)]
         chunk_steps(monkeypatch, steps_per_block, 1)  # one point at a time
-        assert [r.C for r in sweep_coupling(paper, **kw)] == ref
+        assert [(r.C, r.D, r.N1, r.N2)
+                for r in sweep_coupling(paper, **kw)] == ref
 
     def test_c_is_the_whole_stationary_stream(self, paper):
-        # point i's correlation record starts in the NESS, keyed derived
-        # seed i, and every sample of it counts
-        seed, duration, dt = 9, 0.2, 1e-4
+        # point i's tick record starts in the NESS, keyed derived seed
+        # 2^32 + i, and C counts every k-th state of it: a 0.3 s record
+        # is one full D window and a counted tail, so every state is in
+        # a D window
+        seed, duration = 9, 0.3
         rows = sweep_coupling(paper, grid=[0.0, 0.03], protocol="both",
-                              master_seed=seed, duration=duration, dt=dt,
-                              tick_duration=0.01)
+                              master_seed=seed, duration=duration)
         dyn, _ = operating_point(paper, 0.03)
-        _, _, parts = stored_states(dyn, [derived_seed(seed, 1)], duration,
-                                    dt, quench=False)
-        record = np.concatenate(list(parts), axis=1)[0]
-        assert rows[1].C == sync_degree([record])
-        # the envelope form about the exact zero mean over the whole record
+        t0 = tick_period(dyn, duration)
+        k = round(C_SAMPLE_SECONDS / t0)
+        assert k > 1
+        _, _, parts = stored_states(
+            dyn, [derived_seed(seed, TICK_SEED_BASE + 1)], duration, t0,
+            quench=False)
+        record = np.concatenate(list(parts), axis=1)[0][::k]
+        # the envelope form about the exact zero mean, in two passes
         v1, v2 = np.sum(np.abs(record) ** 2, axis=0)
         C = (np.sum(record[:, 0] * np.conj(record[:, 1])).real
              / math.sqrt(v1 * v2))
@@ -406,7 +411,7 @@ class TestSweepMonteCarlo:
         # points in flight on two threads, or one after another, give the
         # same rows bit for bit, in grid order
         kw = dict(grid=[0.0, 0.01, 0.02, 0.03, 0.04], protocol="both",
-                  master_seed=5, duration=0.05, dt=1e-4, tick_duration=0.05)
+                  master_seed=5, duration=0.05)
         rows = {}
         for cpus in (1, 2):
             monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
@@ -441,13 +446,12 @@ class TestSweepMonteCarlo:
         grid = np.linspace(0.0, 0.05, 30)
         with pytest.raises(TickExtractionError) as exc:
             sweep_coupling(paper, grid=grid, protocol="both", master_seed=8,
-                           duration=0.01, dt=1e-4, tick_duration=0.01)
+                           duration=0.01)
         assert exc.value is errors[1]
         assert len(started) < len(grid)
 
     def test_row_depends_only_on_its_coupling_and_index(self, paper):
-        kw = dict(protocol="both", master_seed=3, duration=0.2, dt=1e-4,
-                  tick_duration=0.01)
+        kw = dict(protocol="both", master_seed=3, duration=0.02)
         [alone] = sweep_coupling(paper, grid=[0.03], **kw)
         assert sweep_coupling(paper, grid=[0.03, 0.01], **kw)[0] == alone
 
@@ -455,8 +459,7 @@ class TestSweepMonteCarlo:
         # every point is propagated and reduced on its own, so the peak is
         # that of the points in flight: their tick records of one full D
         # window dominate it
-        kw = dict(protocol="both", master_seed=1, duration=0.2,
-                  dt=1e-4, tick_duration=0.25)
+        kw = dict(protocol="both", master_seed=1, duration=0.25)
         peaks = []
         for n in (2, 6):
             tracemalloc.start()
@@ -469,8 +472,7 @@ class TestSweepMonteCarlo:
 
     def test_reproducible_and_consistent(self, paper):
         grid = [0.0, 0.02]
-        kw = dict(grid=grid, protocol="both", master_seed=17, duration=0.4,
-                  tick_duration=0.4)
+        kw = dict(grid=grid, protocol="both", master_seed=17, duration=0.4)
         rows_a = sweep_coupling(paper, **kw)
         rows_b = sweep_coupling(paper, **kw)
         assert rows_a == rows_b
@@ -485,22 +487,36 @@ class TestSweepMonteCarlo:
         # a 0.3 s tick record: a full D window, a counted tail and chunk
         # boundaries inside both
         kw = dict(grid=[0.0, 0.03], protocol="both", master_seed=4,
-                  duration=0.01, dt=1e-4, tick_duration=0.3)
+                  duration=0.3)
         ref = [(r.D, r.N1, r.N2) for r in sweep_coupling(paper, **kw)]
         chunk_steps(monkeypatch, steps_per_chunk, 1)
         assert [(r.D, r.N1, r.N2) for r in sweep_coupling(paper, **kw)] == ref
 
-    def test_tick_record_is_keyed_and_stepped_at_the_carrier(self, paper):
-        # point i's tick record: key 2^32 + i, stepped at its own T0
-        rows = sweep_coupling(paper, grid=[0.0, 0.03], protocol="both",
-                              master_seed=9, duration=0.01, dt=1e-4,
-                              tick_duration=0.05)
-        dyn, _ = operating_point(paper, 0.03)
-        t0 = tick_period(dyn, 0.05)
-        _, carrier = trajectory.recentered(dyn)
-        assert t0 == 2 * np.pi / carrier
-        m = tick_metrics(dyn, derived_seed(9, TICK_SEED_BASE + 1), 0.05, t0)
-        assert (m.D, m.N1, m.N2) == (rows[1].D, rows[1].N1, rows[1].N2)
+    def test_tick_record_is_keyed_and_stepped_at_the_carrier(
+            self, paper, monkeypatch):
+        # point i steps one record, once: its tick record, keyed 2^32 + i
+        # and stepped at its own T0 (two points in flight may start in
+        # either order), and its C, D and N are that record's
+        calls = []
+        real = experiments.stored_states
+
+        def counted(dyn, seeds, duration, dt, **kwargs):
+            calls.append((seeds, dt))
+            return real(dyn, seeds, duration, dt, **kwargs)
+
+        monkeypatch.setattr(experiments, "stored_states", counted)
+        grid = [0.0, 0.03]
+        rows = sweep_coupling(paper, grid=grid, protocol="both",
+                              master_seed=9, duration=0.05)
+        dyns = [operating_point(paper, g)[0] for g in grid]
+        keys = [derived_seed(9, TICK_SEED_BASE + i) for i in range(len(grid))]
+        periods = [tick_period(dyn, 0.05) for dyn in dyns]
+        assert sorted(calls) == [([key], t0) for key, t0 in zip(keys, periods)]
+        _, carrier = trajectory.recentered(dyns[1])
+        assert periods[1] == 2 * np.pi / carrier
+        for row, dyn, key, t0 in zip(rows, dyns, keys, periods):
+            m = tick_metrics(dyn, key, 0.05, t0)
+            assert (m.C, m.D, m.N1, m.N2) == (row.C, row.D, row.N1, row.N2)
 
 
 def no_stepping(*args, **kwargs):

@@ -139,6 +139,21 @@ class TestTicks:
         want = np.mean(c ** 2 * K * (K + 1) / 12) / mean ** 2
         assert m.D == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_c_takes_every_kth_state_once(self, monkeypatch, stride):
+        # four full D windows and a counted tail: C sums the states whose
+        # index is a multiple of the stride, each shared end state once
+        monkeypatch.setattr(experiments, "C_SAMPLE_SECONDS",
+                            stride * TWO_PI / self.carrier)
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((1101, 2)) + 1j * rng.standard_normal(
+            (1101, 2))
+        b[:, 1] += 0.5 * b[:, 0]
+        s = b[::stride]
+        v1, v2 = np.sum(np.abs(s) ** 2, axis=0)
+        C = np.sum(s[:, 0] * np.conj(s[:, 1])).real / math.sqrt(v1 * v2)
+        assert abs(tick_stats([b], self.carrier).C - C) <= 1e-14
+
     def test_too_short(self):
         # 9 periods: fewer than a counted window needs
         with pytest.raises(EnsembleError):
