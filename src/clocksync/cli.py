@@ -129,7 +129,9 @@ def _echo_config(out: str, params: PhysicalParams, **resolved):
 
 def _write_table(out: str, name: str, header, table, svg: bool = False):
     """Write out/name.csv, and out/name.svg too when svg is set; returns
-    the CSV path."""
+    the CSV path.  out is made here, after the computation, so a run
+    rejected before its first table leaves no directory."""
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name + ".csv")
     write_csv(path, header, table)
     if svg:
@@ -170,7 +172,6 @@ def cli():
 def modes(preset, config_path, out, svg, g_max, points):
     """Normal-mode table over a coupling grid."""
     params = _params_from_config(preset, config_path)
-    os.makedirs(out, exist_ok=True)
     header = ["g_over_kappa", "omega_plus", "omega_minus", "gamma_plus",
               "gamma_minus", "ratio"]
     grid = np.linspace(0.0, g_max, points).tolist()
@@ -188,7 +189,6 @@ def modes(preset, config_path, out, svg, g_max, points):
 def ness(preset, config_path, out, svg, g_over_kappa):
     """Single-point NESS report: occupations and entropy rates."""
     params = _params_from_config(preset, config_path)
-    os.makedirs(out, exist_ok=True)
     pt, cov = analytic_point(params, g_over_kappa)
     header = ["g_over_kappa", "n_b1_eff", "n_b2_eff", "n_a_eff",
               "n_cross_eff", "mu_b1", "mu_b2", "mu_a", "pi_s", "analytic_C",
@@ -216,7 +216,6 @@ def sweep(preset, config_path, out, seed, svg, g_max, points, protocol,
           duration):
     """Coupling sweep: sync metrics, normal modes, entropy rates."""
     params = _params_from_config(preset, config_path)
-    os.makedirs(out, exist_ok=True)
     grid = np.linspace(0.0, g_max, points)
     rows = sweep_coupling(params, grid, protocol=protocol, master_seed=seed,
                           duration=duration)
@@ -300,7 +299,6 @@ def transient(preset, config_path, out, seed, svg, g_over_kappa, n_traj,
               duration, dt):
     """Quench ensemble: transient correlation and entropy fluxes."""
     params = _params_from_config(preset, config_path)
-    os.makedirs(out, exist_ok=True)
     res = transient_experiment(params, g_over_kappa, n_traj=n_traj,
                                master_seed=seed, duration=duration, dt=dt)
     header = ["t", "R", "mu_b1", "mu_b2", "mu_a"]

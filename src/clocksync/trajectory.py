@@ -17,9 +17,11 @@ interleaved as (z1_0, z2_0, z1_1, z2_1, ...) solve a unit
 lower-triangular banded system of bandwidth 3, whose subdiagonals hold
 the entries of -F and whose right-hand side is the noise S zeta written
 after the carry state (z1_0, z2_0), the previous chunk's last state.
-One LAPACK banded triangular solve (``ztbtrs``) steps every member of
-the chunk, each a right-hand side, so chunk boundaries go through the
-same arithmetic as every other step.  A chunk of B members runs
+One LAPACK banded triangular solve (``ztbtrs``, from scipy's compiled
+wrapper loaded alone by ``_lapack`` on the first chunk, without the
+``scipy.linalg`` package) steps every member of the chunk, each a
+right-hand side, so chunk boundaries go through the same arithmetic as
+every other step.  A chunk of B members runs
 ``_CHUNK_MEMBER_STEPS // (B + 4)`` steps, and always at least one, or a
 ``share``-th of that when calls stepping at once divide the budget.
 
@@ -144,7 +146,7 @@ def _banded_blocks(F, R, z, n_steps, rngs, share):
     allocated once, the states afresh per chunk, since the yielded block
     is a view of them.
     """
-    from scipy.linalg.lapack import ztbtrs  # slow to import; deferred
+    from ._lapack import ztbtrs  # loads scipy's LAPACK wrapper once
     B = len(rngs)
     chunk = max(1, min(n_steps, _CHUNK_MEMBER_STEPS // share // (B + 4)))
     # band row r, column j: the coefficient of state j in row j + r.

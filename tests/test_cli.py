@@ -105,9 +105,10 @@ def test_cli_import_leaves_scipy_signal_out():
 
 
 def test_commands_that_step_nothing_leave_scipy_out(tmp_path):
-    # scipy.linalg takes about a third of a second to import, and only a
-    # command that steps a record uses it (for the banded solve of its
-    # first chunk), so the analytic commands never load any of SciPy
+    # only a command that steps a record uses SciPy, for the banded solve
+    # of its first chunk, so the analytic commands never load any of it;
+    # that chunk loads scipy's LAPACK wrapper alone, without the 0.2 s
+    # scipy.linalg package init and the array API layer it imports
     code = (
         "import contextlib, io, sys\n"
         "from clocksync.cli import run\n"
@@ -127,10 +128,12 @@ def test_commands_that_step_nothing_leave_scipy_out(tmp_path):
         "parts = stored_states(operating_point(paper_preset(), 0.02)[0], [1],\n"
         "                      1e-3, 1e-4)[2]\n"
         "next(parts)\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "print('scipy.linalg._flapack' in sys.modules)\n"
         "next(parts)\n"
-        "print('scipy.linalg' in sys.modules)\n")
-    assert run_python(code) == "[]\n[]\nFalse\nTrue\n"
+        "print('scipy.linalg._flapack' in sys.modules,\n"
+        "      'scipy.linalg' in sys.modules,\n"
+        "      'scipy._lib._array_api' in sys.modules)\n")
+    assert run_python(code) == "[]\n[]\nFalse\nTrue False False\n"
 
 
 class TestConfig:
@@ -321,6 +324,18 @@ class TestConfig:
         assert "config error" in err and "stored times" in err
         assert "Traceback" not in err
         assert not (out / "transient.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--duration", "0.005"],
+        ["transient", "--duration", "1e-5"],
+    ], ids=["sweep", "transient"])
+    def test_rejected_record_leaves_no_out(self, tmp_path, capsys, argv):
+        # the record guards run before --out is made, so a rejected run
+        # leaves no empty directory behind
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "too short" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_physics_error_exits_3(self, tmp_path, capsys):
         cases = [

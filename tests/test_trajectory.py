@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from conftest import block_standard_error, chunk_steps
+from conftest import block_standard_error, chunk_steps, run_python
 
 from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
                        reduced_drift_matrix, run_ensemble, solve_lyapunov,
@@ -157,6 +158,54 @@ class TestEngine:
             with pytest.raises(StabilityError, match=radius):
                 stored_states(self.DYN, seeds, 0.01, 1e-3)
             assert next(seeds) == 1
+
+
+class TestBandedSolve:
+    # the engine's ztbtrs comes from scipy's LAPACK wrapper, loaded
+    # without the scipy.linalg package
+
+    @pytest.mark.parametrize("chunk", [1, 160, 6553])
+    @pytest.mark.parametrize("members", [1, 64])
+    def test_is_scipys_own(self, chunk, members):
+        from scipy.linalg.lapack import ztbtrs as scipys
+        from clocksync._lapack import ztbtrs
+        rng = np.random.default_rng(members * chunk)
+        n = 2 * chunk + 2
+        # a unit lower band of bandwidth 3 whose substitution stays bounded
+        band = np.zeros((4, n), dtype=complex, order="F")
+        band[1:] = 0.3 * (rng.random((3, n)) - 0.5
+                          + 1j * (rng.random((3, n)) - 0.5))
+        rhs = (rng.standard_normal((members, n))
+               + 1j * rng.standard_normal((members, n)))
+        solved = []
+        for solve in (ztbtrs, scipys):
+            x, info = solve(band, rhs.T.copy(order="F"), uplo="L", diag="U")
+            assert info == 0 and np.all(np.isfinite(x))
+            solved.append(x)
+        assert not np.array_equal(solved[0], rhs.T)
+        assert np.array_equal(solved[0], solved[1])
+
+    def test_missing_wrapper_names_its_path(self, monkeypatch, tmp_path):
+        # no fallback to another import: a renamed wrapper fails loudly
+        import scipy
+        from clocksync import _lapack
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError,
+                           match=re.escape(str(tmp_path / "linalg"))):
+            _lapack._flapack()
+
+    def test_first_chunks_on_two_threads_load_it_once(self):
+        # in a fresh interpreter, with two CPUs usable, the two sweep
+        # points start their first chunk on two threads at once; both
+        # step as a warm call does
+        code = (
+            "import sys\n"
+            "from clocksync import paper_preset, sweep_coupling\n"
+            "p = paper_preset()\n"
+            "cold = sweep_coupling(p, grid=[0.0, 0.03], duration=0.01)\n"
+            "warm = sweep_coupling(p, grid=[0.0, 0.03], duration=0.01)\n"
+            "print(repr(cold) == repr(warm), 'scipy.linalg' in sys.modules)\n")
+        assert run_python(code) == "True False\n"
 
 
 class TestClosedFormMap:
