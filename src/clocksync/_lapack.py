@@ -15,15 +15,15 @@ import scipy  # runs a packaged build's distributor init (BLAS set-up)
 
 
 def _flapack():
-    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if os.path.isfile(stem + suffix):
-            spec = importlib.util.spec_from_file_location(
-                "scipy.linalg._flapack", stem + suffix)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"scipy's LAPACK wrapper {stem}* is missing")
+    path = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
+                                                    [path])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK wrapper {path}/_flapack* is "
+                          "missing")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 ztbtrs = _flapack().ztbtrs

@@ -254,14 +254,16 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     params = _params_from_config(preset, config_path)
     # the Welch spectrum needs two segments of at least 2 samples
     check_record_length(duration, 4 * dt, "trajectory")
-    # C, D and N before any file, so a record they reject writes none;
-    # the record of the CSV and the spectra is stepped once, not held
-    [row] = sweep_coupling(params, [g_over_kappa], master_seed=seed,
-                           duration=min(duration, TICK_RECORD_DURATION))
     dyn, _ = operating_point(params, g_over_kappa)
-    os.makedirs(out, exist_ok=True)
+    # both records are checked before --out is made, so a rejected run
+    # leaves none: first the --dt record's map (the record is stepped
+    # once, as the CSV and the spectra read it, and not held), then the
+    # tick record of C, D and N, which is stepped here
     carrier, n_stored, parts = stored_states(dyn, [derived_seed(seed, 0)],
                                              duration, dt, quench=False)
+    [row] = sweep_coupling(params, [g_over_kappa], master_seed=seed,
+                           duration=min(duration, TICK_RECORD_DURATION))
+    os.makedirs(out, exist_ok=True)
 
     path = os.path.join(out, "trajectory.csv")
     with csv_table(path, ["t", "re_b1", "im_b1", "re_b2", "im_b2"]) as append:

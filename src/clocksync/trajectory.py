@@ -9,8 +9,10 @@ One engine, ``stored_states``, steps a batch of members side by side
 with the exact OU discretization (Gillespie, Phys. Rev. E 54, 2084,
 1996): z <- F z + S zeta with F = e^(A dt) and
 S S^H = V_inf - F V_inf F^H, statistically exact for any dt, F in
-closed form (``_expm2``).  A map that is not finite is a ConfigError,
-one of spectral radius >= 1 a StabilityError, before any noise is drawn.
+closed form (``_expm2``).  A map that is not finite, or whose noise
+covariance rounding has made indefinite (a step too short for float64),
+is a ConfigError, one of spectral radius >= 1 a StabilityError, before
+any noise is drawn.
 The members share one dynamics, each with its own Philox key.  No Python
 loop runs per time step: over a chunk of m steps, one member's states
 interleaved as (z1_0, z2_0, z1_1, z2_1, ...) solve a unit
@@ -198,7 +200,8 @@ def _expm2(M: np.ndarray) -> np.ndarray:
 
 def _build_exact_map(dyn: LinearDynamics, dt: float):
     """One-step map (F, S), carrier and stationary covariance V_inf;
-    ConfigError if F is not finite, StabilityError if its spectral
+    ConfigError if F is not finite or the noise covariance
+    V_inf - F V_inf F^H is not PSD, StabilityError if F's spectral
     radius is >= 1."""
     drift_r, carrier = recentered(dyn)
     # V_inf is invariant under the recentering (i c I drops from A V + V A^H)
@@ -211,8 +214,11 @@ def _build_exact_map(dyn: LinearDynamics, dt: float):
     if not radius < 1.0:
         raise StabilityError(f"one-step map is expansive: spectral radius "
                              f"{radius:.17g} >= 1")
-    Q = Vinf - F @ Vinf @ F.conj().T
-    S = _psd_sqrt(Q)
+    try:  # below about dt = 1e-17 s, Q is lost to cancellation
+        S = _psd_sqrt(Vinf - F @ Vinf @ F.conj().T)
+    except ValueError as exc:
+        raise ConfigError(f"step of dt = {dt:g} s is too short for "
+                          f"float64: its noise {exc}") from exc
     return F, S, carrier, Vinf
 
 

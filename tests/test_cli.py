@@ -1,6 +1,8 @@
 import json
-import os
+import pathlib
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from conftest import read_csv, run_python
 
 from clocksync import (normal_modes_numeric, paper_preset, power_spectrum,
                        run_ensemble, sweep_coupling)
+from clocksync import experiments
 from clocksync.cli import run
 from clocksync.experiments import operating_point
 from clocksync.model import TWO_PI
@@ -73,6 +76,14 @@ class TestOutputs:
         assert ((tmp_path / "a").read_bytes()
                 == (tmp_path / "l").read_bytes())
 
+    def test_svg_of_constant_and_non_finite_columns(self, tmp_path):
+        # one row spans an x and a y range of 1; no finite y, no plot
+        write_svg(tmp_path / "c.svg", ["x", "y"], [[1.0, 2.0]])
+        assert 'points="60.00,440.00"' in (tmp_path / "c.svg").read_text()
+        with pytest.raises(ValueError):
+            write_svg(tmp_path / "n", ["x", "y"], [[0, np.nan], [1, np.inf]])
+        assert not (tmp_path / "n").exists()
+
     def test_svg_polyline_per_column(self, tmp_path):
         path = tmp_path / "p.svg"
         x = np.linspace(0, 1, 20)
@@ -136,30 +147,44 @@ def test_commands_that_step_nothing_leave_scipy_out(tmp_path):
     assert run_python(code) == "[]\n[]\nFalse\nTrue False False\n"
 
 
+@pytest.fixture
+def rejects(tmp_path, capsys):
+    """rejects(code, argv, *needles): argv, run with a fresh --out and
+    every warning an error, exits with code, prints each needle and no
+    traceback to stderr, and leaves no --out behind."""
+    def check(code, argv, *needles):
+        out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert all(needle in err for needle in needles), err
+        assert "Traceback" not in err
+        assert not out.exists()
+    return check
+
+
 class TestConfig:
-    def test_unknown_flag_exits_2(self, capsys):
-        assert run(["sweep", "--bogus-flag"]) == 2
+    def test_unknown_flag_exits_2(self, rejects):
+        rejects(2, ["sweep", "--bogus-flag"], "--bogus-flag")
 
-    def test_unknown_subcommand_exits_2(self, capsys):
-        assert run(["frobnicate"]) == 2
+    def test_unknown_subcommand_exits_2(self, rejects):
+        rejects(2, ["frobnicate"], "frobnicate")
 
-    def test_bad_json_exits_2(self, tmp_path, capsys):
+    def test_bad_json_exits_2(self, tmp_path, rejects):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")
-        assert run(["modes", "--config", str(cfg),
-                    "--out", str(tmp_path / "o")]) == 2
+        rejects(2, ["modes", "--config", str(cfg)], "config error")
 
-    def test_unknown_param_key_exits_2(self, tmp_path, capsys):
+    def test_unknown_param_key_exits_2(self, tmp_path, rejects):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"params": {"flux_capacitance": 1.0}}))
-        assert run(["modes", "--config", str(cfg),
-                    "--out", str(tmp_path / "o")]) == 2
+        rejects(2, ["modes", "--config", str(cfg)], "flux_capacitance")
 
-    def test_invalid_physics_exits_2(self, tmp_path, capsys):
+    def test_invalid_physics_exits_2(self, tmp_path, rejects):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"params": {"nth1": -5.0}}))
-        assert run(["modes", "--config", str(cfg),
-                    "--out", str(tmp_path / "o")]) == 2
+        rejects(2, ["modes", "--config", str(cfg)], "config error")
 
     @pytest.mark.parametrize("doc", [
         b'{"params": [1, 2]}',
@@ -171,15 +196,12 @@ class TestConfig:
         b'\xff\xfe{"params": {}}',
     ], ids=["params-list", "string", "null", "preset-list", "nan",
             "overflow", "not-utf8"])
-    def test_malformed_config_exits_2(self, tmp_path, capsys, doc):
+    def test_malformed_config_exits_2(self, tmp_path, rejects, doc):
         # JSON the parser accepts, with values no parameter can take, and
         # bytes that are not UTF-8 text
         cfg = tmp_path / "c.json"
         cfg.write_bytes(doc)
-        out = tmp_path / "o"
-        assert run(["ness", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
+        rejects(2, ["ness", "--config", str(cfg)], "config error")
 
     def test_hz_and_rad_override(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -223,23 +245,18 @@ class TestConfig:
             "sweep-points-bound", "modes-points-bound", "ness-inf",
             "sweep-g-max-nan", "trajectory-duration-inf",
             "transient-dt-nan"])
-    def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv):
-        out = tmp_path / "o"
-        assert run(argv + ["--out", str(out)]) == 2
-        assert not out.exists()
+    def test_out_of_range_option_exits_2(self, rejects, argv):
+        rejects(2, argv)
 
     @pytest.mark.parametrize("argv", [
         ["trajectory", "--seed", "-1"],
         ["transient", "--seed", str(2 ** 64)],
         ["sweep", "--protocol", "both", "--seed", "-1"],
     ], ids=["trajectory", "transient", "sweep-monte-carlo"])
-    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, argv):
+    def test_seed_out_of_range_exits_2(self, rejects, argv):
         # a Philox key holds a 64-bit master seed; parsing rejects the
         # rest before any work or output
-        out = tmp_path / "o"
-        assert run(argv + ["--out", str(out)]) == 2
-        assert "--seed" in capsys.readouterr().err
-        assert not out.exists()
+        rejects(2, argv, "--seed")
 
     def test_largest_seed_accepted(self, tmp_path, capsys):
         assert run(["trajectory", "--g-over-kappa", "0.04", "--duration",
@@ -253,11 +270,8 @@ class TestConfig:
         ["transient", "--n-traj", "50", "--duration", "1e-5"],
     ], ids=["trajectory", "sweep-tick-record",
             "transient-dt", "transient-duration"])
-    def test_record_too_short_exits_2(self, tmp_path, capsys, argv):
-        out = tmp_path / "o"
-        assert run(argv + ["--out", str(out)]) == 2
-        assert "at least" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+    def test_record_too_short_exits_2(self, rejects, argv):
+        rejects(2, argv, "at least")
 
     @pytest.mark.parametrize("params, argv", [
         (None, ["ness", "--g-over-kappa", "1e200"]),
@@ -285,8 +299,7 @@ class TestConfig:
             "transient-nth1-1e200", "ness-slow-baths-1e155", "ness-gamma1",
             "sweep-gamma1", "trajectory-gamma1", "ness-omega1",
             "modes-omega1"])
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_model_exits_2(self, tmp_path, capsys, params, argv):
+    def test_overflowing_model_exits_2(self, tmp_path, rejects, params, argv):
         # finite inputs whose drift, diffusion (or its norm), normal modes
         # or NESS V11 V22 overflow a float: a typed error naming the
         # coupling, before any table
@@ -294,79 +307,61 @@ class TestConfig:
             cfg = tmp_path / "c.json"
             cfg.write_text(json.dumps({"params": params}))
             argv = argv + ["--config", str(cfg)]
-        out = tmp_path / "o"
-        assert run(argv + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "|G|/kappa = " in err
-        assert "Traceback" not in err
-        assert not list(out.glob("*.csv"))
+        rejects(2, argv, "config error", "|G|/kappa = ")
 
-    @pytest.mark.parametrize("argv", [
-        ["trajectory", "--duration", "1e301", "--dt", "1e300"],
-    ], ids=["trajectory"])
-    def test_non_finite_map_exits_2(self, tmp_path, capsys, argv):
-        # a step so long that e^(A dt) overflows: a config error naming
-        # the step, before any noise is drawn
-        out = tmp_path / "o"
-        assert run(argv + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "dt = 1e+300" in err
-        assert "Traceback" not in err
-        assert not list(out.glob("*.csv"))
+    @pytest.mark.parametrize("dt, argv", [
+        ("1e300", ["trajectory", "--duration", "1e301"]),
+        ("1e-18", ["trajectory", "--duration", "0.01"]),
+        ("1e-18", ["transient", "--duration", "1e-16", "--n-traj", "50"]),
+    ], ids=["trajectory", "trajectory-float64", "transient-float64"])
+    def test_non_finite_map_exits_2(self, monkeypatch, rejects, dt, argv):
+        # a step so long that e^(A dt) overflows, or so short (below about
+        # 1e-17 s) that V_inf - F V_inf F^H cancels to an indefinite noise
+        # covariance: a config error naming the step, before any noise is
+        # drawn; no tick record is stepped
+        def stepped(*args):
+            pytest.fail("a tick record was stepped")
 
-    def test_unholdable_quench_exits_2(self, tmp_path, capsys):
+        monkeypatch.setattr(experiments, "tick_metrics", stepped)
+        rejects(2, [*argv, "--dt", dt], "config error", f"dt = {float(dt):g}")
+
+    def test_unholdable_quench_exits_2(self, rejects):
         # a quench whose per-time sums would take terabytes: a config error
         # naming the count, before any member is stepped
-        out = tmp_path / "o"
-        assert run(["transient", "--dt", "1e-12", "--n-traj", "50",
-                    "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "stored times" in err
-        assert "Traceback" not in err
-        assert not (out / "transient.csv").exists()
+        rejects(2, ["transient", "--dt", "1e-12", "--n-traj", "50"],
+                "config error", "stored times")
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--duration", "0.005"],
         ["transient", "--duration", "1e-5"],
     ], ids=["sweep", "transient"])
-    def test_rejected_record_leaves_no_out(self, tmp_path, capsys, argv):
+    def test_rejected_record_leaves_no_out(self, rejects, argv):
         # the record guards run before --out is made, so a rejected run
         # leaves no empty directory behind
-        out = tmp_path / "o"
-        assert run(argv + ["--out", str(out)]) == 2
-        assert "too short" in capsys.readouterr().err
-        assert not out.exists()
+        rejects(2, argv, "too short")
 
-    def test_physics_error_exits_3(self, tmp_path, capsys):
-        cases = [
-            # blue detuning anti-damps the long-lived mode: no NESS exists
-            ({"detuning_rad": 5.0e6}, "StabilityError",
-             ["ness", "--g-over-kappa", "0.05"]),
-            # envelopes relax faster than the 100 Hz carrier turns: the
-            # oscillator phase does not advance, so no tick is defined
-            ({"omega1_hz": 110, "omega2_hz": 100, "gamma1_hz": 1e5,
-              "gamma2_hz": 1e5}, "TickExtractionError",
-             ["trajectory", "--g-over-kappa", "0", "--duration", "0.05",
-              "--dt", "1e-6"]),
-        ]
-        for i, (params, error, argv) in enumerate(cases):
-            cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"o{i}"
-            cfg.write_text(json.dumps({"params": params}))
-            assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 3
-            assert error in capsys.readouterr().err
-            assert not list(out.glob("*.csv"))
+    def test_physics_error_exits_3(self, tmp_path, rejects):
+        cfg = tmp_path / "c.json"
+        # blue detuning anti-damps the long-lived mode: no NESS exists
+        cfg.write_text(json.dumps({"params": {"detuning_rad": 5.0e6}}))
+        rejects(3, ["ness", "--g-over-kappa", "0.05", "--config", str(cfg)],
+                "StabilityError")
+        # envelopes relax faster than the 100 Hz carrier turns: the
+        # oscillator phase does not advance, so no tick is defined
+        cfg.write_text(json.dumps({"params": {
+            "omega1_hz": 110, "omega2_hz": 100, "gamma1_hz": 1e5,
+            "gamma2_hz": 1e5}}))
+        rejects(3, ["trajectory", "--g-over-kappa", "0", "--duration",
+                    "0.05", "--dt", "1e-6", "--config", str(cfg)],
+                "TickExtractionError")
 
-    @pytest.mark.filterwarnings("error")
-    def test_unallocatable_tick_record_exits_2(self, tmp_path, capsys):
+    def test_unallocatable_tick_record_exits_2(self, tmp_path, rejects):
         # a finite model whose tick record would need about 1e100 steps of
         # its carrier period: a typed error before any step or table
-        cfg, out = tmp_path / "c.json", tmp_path / "o"
+        cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"params": {"omega1_hz": 1e100}}))
-        assert run(["trajectory", "--config", str(cfg),
-                    "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "steps" in err
-        assert not list(out.glob("*.csv"))
+        rejects(2, ["trajectory", "--config", str(cfg)],
+                "config error", "steps")
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         target = tmp_path / "blocked"
@@ -386,12 +381,9 @@ class TestCommands:
         assert set(resolved["options"]) == {"g_max", "points"}
 
     @pytest.mark.parametrize("command", ["modes", "ness"])
-    def test_analytic_commands_take_no_seed(self, tmp_path, capsys, command):
+    def test_analytic_commands_take_no_seed(self, rejects, command):
         # they draw no noise, so a seed would be an option nothing reads
-        out = tmp_path / "o"
-        assert run([command, "--seed", "1", "--out", str(out)]) == 2
-        assert "--seed" in capsys.readouterr().err
-        assert not out.exists()
+        rejects(2, [command, "--seed", "1"], "--seed")
 
     def test_modes_columns_are_the_sweep_columns(self, tmp_path, capsys):
         # the same normal modes, written through the same floats
@@ -432,7 +424,7 @@ class TestCommands:
         summary = json.loads((out / "transient_summary.json").read_text())
         assert 0 < summary["transient_time_s"] < 1e-3
 
-    def test_modes_at_unstable_coupling(self, tmp_path, capsys):
+    def test_modes_at_unstable_coupling(self, tmp_path, capsys, rejects):
         # blue detuning anti-damps the long-lived mode: the table still
         # reports it, although the drift has no NESS there
         cfg = tmp_path / "blue.json"
@@ -442,8 +434,8 @@ class TestCommands:
                     "--out", str(out)]) == 0
         _, rows = read_csv(out / "modes.csv")
         assert rows[-1][3] < 0
-        assert run(["ness", "--config", str(cfg), "--g-over-kappa", "0.05",
-                    "--out", str(tmp_path / "n")]) == 3
+        rejects(3, ["ness", "--config", str(cfg), "--g-over-kappa", "0.05"],
+                "StabilityError")
 
     def test_ness_csv(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -271,6 +271,14 @@ class TestClockStats:
         with pytest.raises(EnsembleError):
             window_stats(periods, periods, 1e-3)
 
+    def test_accuracy_needs_ten_kept_periods(self):
+        # D reads every period, N only the kept ones: 9 kept give no N
+        rng = np.random.default_rng(2)
+        periods = 1e-3 + 1e-6 * rng.standard_normal(100)
+        keep = np.arange(100) < 9
+        m = window_stats(periods, periods, 1e-3, keep)
+        assert math.isnan(m.N1) and math.isfinite(m.N2) and m.D == 0.0
+
     def test_offset_ramp_dominates_unsynchronized(self):
         rng = np.random.default_rng(1)
         jitter = 1e-9
@@ -552,6 +560,15 @@ class TestTransientTime:
         t = np.linspace(0, 1, 4001)
         R = 1.0 - np.exp(-t / tau)
         assert transient_time(t, R) == pytest.approx(3 * tau, rel=0.05)
+
+    @pytest.mark.parametrize("n, m", [(9, 9), (10, 11)])
+    def test_needs_ten_matching_samples(self, n, m):
+        with pytest.raises(ValueError):
+            transient_time(np.linspace(0, 1, n), np.ones(m))
+
+    def test_smoothed_r_at_its_level_from_the_start(self):
+        t = np.linspace(0.5, 1, 100)
+        assert transient_time(t, np.ones(100)) == 0.5
 
     def test_no_plateau_raises(self):
         t = np.linspace(0, 1, 500)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from clocksync import (BranchSelectionError, EffectiveCoupling,
-                       cavity_susceptibility, effective_coupling,
-                       full_drift_and_diffusion, normal_modes_closed_form,
-                       normal_modes_numeric, paper_preset,
-                       reduced_drift_matrix, solve_lyapunov)
+                       FrameMismatchError, cavity_susceptibility,
+                       effective_coupling, full_drift_and_diffusion,
+                       normal_modes_closed_form, normal_modes_numeric,
+                       paper_preset, reduced_drift_matrix, solve_lyapunov)
 from clocksync.model import TWO_PI, PhysicalParams, reduced_matrices
 
 
@@ -232,6 +232,18 @@ class TestDynamics:
                                 detuning=-paper.omega_mid)
         with pytest.raises(BranchSelectionError):
             normal_modes_numeric(full_drift_and_diffusion(p))
+
+    def test_numeric_modes_need_a_known_frame(self, paper):
+        dyn = dataclasses.replace(reduced_drift_matrix(paper), frame="lab")
+        with pytest.raises(FrameMismatchError):
+            normal_modes_numeric(dyn)
+
+    def test_full_drift_needs_three_oscillatory_pairs(self, paper):
+        # an overdamped 6x6 drift: real eigenvalues, no pairs to select
+        dyn = dataclasses.replace(full_drift_and_diffusion(paper),
+                                  drift=-np.eye(6))
+        with pytest.raises(BranchSelectionError, match="found 0"):
+            normal_modes_numeric(dyn)
 
     def test_spectrum_invariant_under_global_sign_flip(self, paper):
         p = paper.with_coupling(0.02)

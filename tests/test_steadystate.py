@@ -150,6 +150,10 @@ class TestOccupations:
         dyn = reduced_drift_matrix(paper)
         with pytest.raises(FrameMismatchError):
             occupations(np.eye(6), dyn)
+        with pytest.raises(FrameMismatchError):
+            occupations(np.eye(2), full_drift_and_diffusion(paper))
+        with pytest.raises(FrameMismatchError, match="unknown frame"):
+            occupations(np.eye(2), dataclasses.replace(dyn, frame="lab"))
 
 
 class TestEntropyRates:
