@@ -21,8 +21,8 @@ from .steadystate import (CovarianceState, EntropyRates, analytic_sync_degree,
                           steady_state)
 from .trajectory import (Trajectory, displacements, propagate_exact,
                          run_ensemble)
-from .metrics import (SyncMetrics, TickStats, TransientResult,
-                      power_spectrum, transient_time)
+from .metrics import (SyncMetrics, TransientResult, power_spectrum,
+                      transient_time)
 from .experiments import (SweepRow, find_threshold, find_turning_point,
                           sweep_coupling, transient_experiment)
 
@@ -32,7 +32,7 @@ __all__ = [
     "EnsembleError", "EntropyRates", "FrameMismatchError", "LinearDynamics",
     "LyapunovSolveError", "NormalModes", "PhysicalParams", "PlateauError",
     "StabilityError", "SweepRow", "SyncMetrics", "ThresholdError",
-    "TickExtractionError", "TickStats", "Trajectory",
+    "TickExtractionError", "Trajectory",
     "TransientResult", "TurningPointError", "analytic_sync_degree",
     "cavity_susceptibility", "displacements", "effective_coupling",
     "entropy_rates", "find_threshold", "find_turning_point",

@@ -89,9 +89,12 @@ def _params_from_config(preset: str, config_path: str | None) -> PhysicalParams:
     if not isinstance(doc.get("params", {}), dict):
         raise ConfigError("config params must be a JSON object")
 
-    try:  # float() of null, a list or a non-numeric string raises
+    try:  # OverflowError: an int past a float's range
         overrides = {}
         for key, value in doc.get("params", {}).items():
+            # a JSON number: float() would also take true or "1e3"
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{key} = {json.dumps(value)}, not a number")
             if key in _PLAIN_FIELDS:
                 overrides[key] = float(value)
             elif key.endswith("_rad") and key[:-4] in _FREQ_FIELDS:
@@ -104,7 +107,7 @@ def _params_from_config(preset: str, config_path: str | None) -> PhysicalParams:
                     f"_rad or _hz suffix: {_FREQ_FIELDS}, "
                     f"plain: {_PLAIN_FIELDS}")
         return dataclasses.replace(params, **overrides)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"invalid physical parameters: {exc}") from exc
 
 

@@ -8,7 +8,7 @@ on the analytic C; the Monte Carlo estimates validate it.  A sweep
 point's (and a single trajectory's) C, D, N1 and N2 all come from one
 tick record (``tick_metrics``), stepped once per nominal carrier period
 from the NESS, which the exact map keeps, so it needs no burn-in:
-``tick_stats`` reduces each D window to D and N, and its states
+``metrics.tick_stats`` reduces each D window to D and N, and its states
 C_SAMPLE_SECONDS apart to C, the envelope form of the analytic C and R(t).
 
 Sweeps and quenches reduce the engine's block stream as it comes: a
@@ -43,10 +43,9 @@ import numpy as np
 
 from .errors import (ConfigError, EnsembleError, ThresholdError,
                      TickExtractionError, TurningPointError)
-from .metrics import (D_WINDOW_SECONDS, MAGNITUDE_FLOOR_FRACTION,
-                      MIN_FLUX_ENSEMBLE, MIN_TICK_SECONDS, EnsembleMoments,
-                      SyncMetrics, TickStats, TransientResult, d_windows,
-                      transient_time)
+from .metrics import (D_WINDOW_SECONDS, MIN_FLUX_ENSEMBLE, MIN_TICK_SECONDS,
+                      EnsembleMoments, SyncMetrics, TransientResult,
+                      tick_stats, transient_time)
 from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
                     PhysicalParams, coupling_pair, effective_coupling,
                     normal_modes_closed_form, reduced_matrices)
@@ -79,15 +78,6 @@ MAX_QUENCH_TIMES = 2 ** 24
 # deviation from T0 is off by a relative darg/2pi (below 1/8 here, 1% on
 # the paper's grid), and a turn near pi would alias darg across +-pi.
 MAX_ENVELOPE_TURN = np.pi / 4
-# tick_stats takes the phase increments of a D window this many periods at
-# a time, so its temporaries stay far below the window's 3.2 MB of states
-# on the paper's carrier.  No result depends on it.
-TICK_SLICE = 2 ** 12
-# The Monte Carlo C takes every k-th tick record state, k = round(this / T0):
-# 26 on the paper's carrier.  C moved by at most 4.3e-4 (seed 2026) with
-# k = 1, 6 or 64: states this far apart are still far inside the envelope's
-# millisecond decay.
-C_SAMPLE_SECONDS = 64e-6
 # The analytic path builds and solves this many couplings per array pass
 # and stacked Lyapunov call.  It bounds the arrays held at once: a
 # 10001-point sweep peaked at 42.4 MB RSS with 256, 43.2 MB with 1024 and
@@ -132,56 +122,6 @@ def burn_in_time(modes: NormalModes) -> float:
     """Equilibration margin of a record with a thermal start (such as
     ``propagate_exact``'s): 5 decay times of the long-lived mode."""
     return BURN_IN_DECAY_TIMES / modes.gamma_plus if modes.gamma_plus > 0 else 0.0
-
-
-def tick_stats(blocks, carrier: float) -> SyncMetrics:
-    """C, D, N1, N2 of one member's stream of (m, 2) states stepped at the
-    nominal carrier period T0 = 2 pi / carrier, the start state first.
-
-    Clock i's phase carrier t - arg b_i advances by 2 pi - darg_i over a
-    step, so its period is p = T0 + darg_i / carrier to first order in
-    darg_i = angle(b_i[k + 1] conj b_i[k]).  That lies in (-pi, pi], so
-    p > T0 / 2 and no unwrapping is needed.  The periods are reduced per
-    D window: all of them for D, and for N those whose two end states
-    reach MAGNITUDE_FLOOR_FRACTION of the window's rms |b_i|.
-
-    C = Re sum b1 b2* / sqrt(sum |b1|^2 sum |b2|^2), the envelope form of
-    ``analytic_C`` and R(t), sums the D windows' states whose global step
-    index is a multiple of round(C_SAMPLE_SECONDS / T0), at least 1, an
-    end state two windows share once: each window's are the members of
-    one ``EnsembleMoments`` time, its sums added in window order, so no
-    engine chunk shows.
-
-    darg is atan2 of the product's parts in real arithmetic, every
-    operation rounded on its own, over TICK_SLICE periods at a time: a
-    complex product rounds differently when numpy computes it in place
-    of a temporary, which it does only for large operands, so the
-    periods' bits would depend on the window's size.
-    """
-    t0 = TWO_PI / carrier
-    stride = max(1, round(C_SAMPLE_SECONDS / t0))
-    stats, moments, first = TickStats(t0), None, 0
-    for b in d_windows(blocks, t0):
-        window = EnsembleMoments(1)
-        window.update(b[first::stride, None])
-        moments = window if moments is None else moments.merge(window)
-        # the next sampled state, indexed in the next window, which starts
-        # at this one's end state
-        first = (first - len(b)) % stride + 1
-        mag = np.abs(b)
-        above = mag >= MAGNITUDE_FLOOR_FRACTION * np.sqrt(
-            np.mean(mag ** 2, axis=0))
-        keep = above[1:] & above[:-1]
-        p = mag[1:]  # the magnitudes are spent; their memory takes p
-        for s in range(0, len(p), TICK_SLICE):
-            x, y = b[s:s + TICK_SLICE + 1].real, b[s:s + TICK_SLICE + 1].imag
-            np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1],
-                       x[1:] * x[:-1] + y[1:] * y[:-1],
-                       out=p[s:s + TICK_SLICE])
-        p /= carrier
-        p += t0
-        stats.update(p[:, 0], p[:, 1], keep[:, 0], keep[:, 1])
-    return replace(stats.result(), C=float(moments.correlation()[0]))
 
 
 def tick_period(dyn, duration: float) -> float:

@@ -2,8 +2,8 @@
 
 All metrics are pure functions over immutable series, except the
 streaming reducers that consume a stream of sample blocks piece by piece:
-``TickStats`` turns the clock periods of each D window (``d_windows``)
-into D and N, ``EnsembleMoments`` reduces (members, times, 2) blocks
+``tick_stats`` turns a tick record, one D window at a time, into C, D,
+N1 and N2, ``EnsembleMoments`` reduces (members, times, 2) blocks
 into the per-time plain sums about zero behind C, R(t) and the fluxes
 and adds the sums of other members (a quench's groups, or a tick
 record's D windows), and ``power_spectra`` sums the periodograms of each
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantSeriesError, EnsembleError, PlateauError
-from .model import PhysicalParams
+from .model import TWO_PI, PhysicalParams
 from .steadystate import bath_fluxes
 
 # Periods are only trusted while the envelope has healthy amplitude: below
@@ -38,6 +38,15 @@ D_WINDOW_SECONDS = 0.25
 # The shortest tick record, and the shortest trailing D window that
 # counts: 4000 periods of the paper's 2.5 us carrier.
 MIN_TICK_SECONDS = 0.01
+# tick_stats takes the phase increments of a D window this many periods at
+# a time, so its temporaries stay far below the window's 3.2 MB of states
+# on the paper's carrier.  No result depends on it.
+TICK_SLICE = 2 ** 12
+# The Monte Carlo C takes every k-th tick record state, k = round(this / T0):
+# 26 on the paper's carrier.  C moved by at most 4.3e-4 (seed 2026) with
+# k = 1, 6 or 64: states this far apart are still far inside the envelope's
+# millisecond decay.
+C_SAMPLE_SECONDS = 64e-6
 # transient_time: R is smoothed by a moving median over SMOOTH_FRAC of the
 # record; the last PLATEAU_FRAC must stay within PLATEAU_TOL of R's range,
 # and the transient ends where the smoothed R reaches LEVEL of its maximum.
@@ -52,13 +61,12 @@ MEDIAN_SLICE_ELEMENTS = 2 ** 18
 @dataclass(frozen=True)
 class SyncMetrics:
     """Deviation D, single-clock accuracies N1, N2 and synchronization
-    degree C of a clock pair; C is nan where only periods were seen
-    (``TickStats``)."""
+    degree C of a clock pair."""
 
     D: float
     N1: float
     N2: float
-    C: float = math.nan
+    C: float
 
 
 @dataclass(frozen=True)
@@ -141,60 +149,92 @@ def _periods_in(seconds: float, period: float) -> int:
     return max(int(round(seconds / period)), 2)
 
 
-def d_windows(states, period: float):
-    """The D windows of a stream of (m, 2) states one nominal period
-    apart: the end states of D_WINDOW_SECONDS of periods each, so
-    consecutive windows share a state, and a trailing partial window only
-    if it spans MIN_TICK_SECONDS."""
-    return windows(states, _periods_in(D_WINDOW_SECONDS, period) + 1,
-                   _periods_in(MIN_TICK_SECONDS, period), overlap=1)
+def _window_periods(b, carrier: float):
+    """(p, keep) of one D window's (m, 2) states b, stepped at the nominal
+    period T0 = 2 pi / carrier: each clock's m - 1 periods, and a mask of
+    those whose two end states reach MAGNITUDE_FLOOR_FRACTION of the
+    window's rms |b_i|.
 
-
-class TickStats:
-    """Streaming deviation D and accuracies N of one clock pair.
-
-    ``update`` takes the two clocks' periods of one D window, paired by
-    index, and for each clock a mask of the periods that count for N.
-    tau_k, the accumulated period difference, is the offset of the clock
-    readings after k ticks; its frequency-mismatch ramp dominates
-    unsynchronized clocks.  D is the mean over windows of var(tau) over
-    the squared mean period.  N_i = mean(t_i)^2 / var(t_i) uses the
-    moments of the masked periods over all windows, centred on the
-    nominal period; zero variance gives +inf.
+    Clock i's phase carrier t - arg b_i advances by 2 pi - darg_i over a
+    step, so its period is p = T0 + darg_i / carrier to first order in
+    darg_i = angle(b_i[k + 1] conj b_i[k]).  That lies in (-pi, pi], so
+    p > T0 / 2 and no unwrapping is needed.  darg is atan2 of the
+    product's parts in real arithmetic, every operation rounded on its
+    own, over TICK_SLICE periods at a time: a complex product rounds
+    differently when numpy computes it in place of a temporary, which it
+    does only for large operands, so the periods' bits would depend on
+    the window's size.
     """
+    mag = np.abs(b)
+    above = mag >= MAGNITUDE_FLOOR_FRACTION * np.sqrt(
+        np.mean(mag ** 2, axis=0))
+    p = mag[1:]  # the magnitudes are spent; their memory takes p
+    for s in range(0, len(p), TICK_SLICE):
+        x, y = b[s:s + TICK_SLICE + 1].real, b[s:s + TICK_SLICE + 1].imag
+        np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1],
+                   x[1:] * x[:-1] + y[1:] * y[:-1],
+                   out=p[s:s + TICK_SLICE])
+    p /= carrier
+    p += TWO_PI / carrier
+    return p, above[1:] & above[:-1]
 
-    def __init__(self, nominal_period: float):
-        self.t0 = nominal_period
-        self.n, self.s1, self.s2 = np.zeros((3, 2))  # per clock
-        self.d_vars = []
-        self.period_sum = 0.0
-        self.period_count = 0
 
-    def update(self, p1, p2, keep1, keep2):
-        for i, (p, keep) in enumerate(((p1, keep1), (p2, keep2))):
-            p = p[keep] - self.t0
-            self.n[i] += len(p)
-            self.s1[i] += p.sum()
-            self.s2[i] += (p * p).sum()
-        tau = np.cumsum(p2 - p1)
-        self.d_vars.append(float(np.var(tau, ddof=1)))
-        self.period_sum += float(np.sum(0.5 * (p1 + p2)))
-        self.period_count += len(p1)
+def tick_stats(blocks, carrier: float) -> SyncMetrics:
+    """C, D, N1, N2 of one member's stream of (m, 2) states stepped at the
+    nominal carrier period T0 = 2 pi / carrier, the start state first.
 
-    def result(self) -> SyncMetrics:
-        if self.period_count < 10:
-            raise EnsembleError("need at least 10 periods per clock")
-        mean_period = self.period_sum / self.period_count
-        D = float(np.mean(self.d_vars)) / mean_period ** 2
-        N = []
-        for n, s1, s2 in zip(self.n, self.s1, self.s2):
-            if n < 10:
-                N.append(math.nan)
-                continue
-            var = (s2 - s1 ** 2 / n) / (n - 1)
-            N.append(math.inf if var <= 0.0 else
-                     float((self.t0 + s1 / n) ** 2 / var))
-        return SyncMetrics(D=D, N1=N[0], N2=N[1])
+    The stream is cut into D windows of D_WINDOW_SECONDS of periods that
+    share their end states; a trailing partial window counts if it spans
+    MIN_TICK_SECONDS.  tau_k, the accumulated period difference, is the
+    offset of the clock readings after k ticks; its frequency-mismatch
+    ramp dominates unsynchronized clocks.  D, from every period, is the
+    mean over windows of var(tau) over the squared mean period.
+    N_i = mean(t_i)^2 / var(t_i) pools clock i's kept periods
+    (``_window_periods``) over all windows, centred on T0: +inf at zero
+    variance, nan below 10 kept periods.  Fewer than 10 periods in all
+    raise EnsembleError.
+
+    C = Re sum b1 b2* / sqrt(sum |b1|^2 sum |b2|^2), the envelope form of
+    ``analytic_C`` and R(t), sums the D windows' states whose global step
+    index is a multiple of round(C_SAMPLE_SECONDS / T0), at least 1, an
+    end state two windows share once: each window's are the members of
+    one ``EnsembleMoments`` time, its sums added in window order, so no
+    engine chunk shows.
+    """
+    t0 = TWO_PI / carrier
+    stride = max(1, round(C_SAMPLE_SECONDS / t0))
+    n, s1, s2 = np.zeros((3, 2))  # per clock, of the kept periods - t0
+    d_vars, period_sum, periods = [], 0.0, 0
+    moments, first = None, 0
+    for b in windows(blocks, _periods_in(D_WINDOW_SECONDS, t0) + 1,
+                     _periods_in(MIN_TICK_SECONDS, t0), overlap=1):
+        window = EnsembleMoments(1)
+        window.update(b[first::stride, None])
+        moments = window if moments is None else moments.merge(window)
+        # the next sampled state, indexed in the next window, which starts
+        # at this one's end state
+        first = (first - len(b)) % stride + 1
+        p, keep = _window_periods(b, carrier)
+        for i in (0, 1):
+            q = p[keep[:, i], i] - t0
+            n[i] += len(q)
+            s1[i] += q.sum()
+            s2[i] += (q * q).sum()
+        del q  # not held while the next window is stepped
+        d_vars.append(float(np.var(np.cumsum(p[:, 1] - p[:, 0]), ddof=1)))
+        period_sum += float(np.sum(0.5 * (p[:, 0] + p[:, 1])))
+        periods += len(p)
+    if periods < 10:
+        raise EnsembleError("need at least 10 periods per clock")
+    N = []
+    for k, a, a2 in zip(n, s1, s2):
+        if k < 10:
+            N.append(math.nan)
+            continue
+        var = (a2 - a ** 2 / k) / (k - 1)
+        N.append(math.inf if var <= 0.0 else float((t0 + a / k) ** 2 / var))
+    return SyncMetrics(D=float(np.mean(d_vars)) / (period_sum / periods) ** 2,
+                       N1=N[0], N2=N[1], C=float(moments.correlation()[0]))
 
 
 def power_spectra(blocks, n: int, dt: float):
@@ -252,10 +292,8 @@ class EnsembleMoments:
     same times, as a quench adds its groups.  The moments are about zero:
     every envelope has an exact zero mean (it starts at L zeta, its noise
     is S zeta and its one-step map has no constant term), so they are
-    plug-in estimates of the covariance of ``analytic_C`` and the
-    occupations of ``bath_fluxes``.  The sampled states of each D window
-    of one tick record, taken as the members of one time, give its C
-    (``experiments.tick_stats``).
+    plug-in estimates of the covariance of ``analytic_C``, of the
+    occupations of ``bath_fluxes`` and of ``tick_stats``' C.
     """
 
     def __init__(self, n_times: int):

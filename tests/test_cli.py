@@ -194,10 +194,14 @@ class TestConfig:
         b'{"params": {"nth1": NaN}}',
         b'{"params": {"nth1": 1e400}}',
         b'\xff\xfe{"params": {}}',
+        b'{"params": {"nth1": true}}',
+        b'{"params": {"nth1": "1e3"}}',
+        b'{"params": {"nth1": 1' + b"0" * 400 + b'}}',
     ], ids=["params-list", "string", "null", "preset-list", "nan",
-            "overflow", "not-utf8"])
+            "overflow", "not-utf8", "bool", "numeric-string", "int-overflow"])
     def test_malformed_config_exits_2(self, tmp_path, rejects, doc):
-        # JSON the parser accepts, with values no parameter can take, and
+        # JSON the parser accepts, with values no parameter can take (a
+        # value that float() would take is not a number either), and
         # bytes that are not UTF-8 text
         cfg = tmp_path / "c.json"
         cfg.write_bytes(doc)

@@ -8,17 +8,17 @@ import pytest
 
 from conftest import chunk_steps, moments_of, quench_record
 
-from clocksync import (ConfigError, EnsembleError, SweepRow, ThresholdError,
-                       TickExtractionError, TurningPointError, find_threshold,
-                       find_turning_point, sweep_coupling,
+from clocksync import (ConfigError, EnsembleError, PlateauError, SweepRow,
+                       ThresholdError, TickExtractionError, TurningPointError,
+                       find_threshold, find_turning_point, sweep_coupling,
                        transient_experiment)
 from clocksync import experiments, metrics, trajectory
-from clocksync.experiments import (C_SAMPLE_SECONDS, ENSEMBLE_GROUP,
-                                   MAX_TICK_STEPS, SWEEP_CSV_HEADER,
-                                   TICK_SEED_BASE, _model_arrays,
-                                   analytic_point, in_grid_order,
-                                   operating_point, tick_metrics, tick_period)
-from clocksync.metrics import MIN_FLUX_ENSEMBLE
+from clocksync.experiments import (ENSEMBLE_GROUP, MAX_TICK_STEPS,
+                                   SWEEP_CSV_HEADER, TICK_SEED_BASE,
+                                   _model_arrays, analytic_point,
+                                   in_grid_order, operating_point,
+                                   tick_metrics, tick_period)
+from clocksync.metrics import C_SAMPLE_SECONDS, MIN_FLUX_ENSEMBLE
 from clocksync.trajectory import derived_seed, stored_states
 
 
@@ -243,6 +243,13 @@ class TestTransientExperiment:
         assert res.times.shape == res.R.shape == res.mu_a_t.shape
         ok = np.isfinite(res.R)
         assert np.all(np.abs(res.R[ok]) <= 1.0)
+        assert 0 < res.transient_time < res.times[-1]
+
+    @pytest.mark.xfail(strict=True, raises=PlateauError, reason=(
+        "ROADMAP item 1: below threshold R peaks near 0.25, and the "
+        "ensemble noise of 50 members exceeds the plateau tolerance"))
+    def test_below_threshold_has_a_transient_time(self, paper):
+        res = transient_experiment(paper, 0.005, n_traj=50, master_seed=0)
         assert 0 < res.transient_time < res.times[-1]
 
     def test_energy_time_tradeoff(self, paper):

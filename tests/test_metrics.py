@@ -11,15 +11,16 @@ from hypothesis.extra.numpy import arrays
 from conftest import moments_of, quench_record, run_python
 
 from clocksync import (ConstantSeriesError, EnsembleError, PlateauError,
-                       TickStats, power_spectrum, reduced_drift_matrix,
-                       transient_time)
-from clocksync import experiments, metrics
+                       power_spectrum, reduced_drift_matrix, transient_time)
+from clocksync import metrics
 from clocksync.experiments import (TICK_SEED_BASE, operating_point,
-                                   tick_metrics, tick_period, tick_stats)
-from clocksync.metrics import (MAGNITUDE_FLOOR_FRACTION, EnsembleMoments,
-                               PearsonStats, moving_median, power_spectra)
+                                   tick_metrics, tick_period)
+from clocksync.metrics import (C_SAMPLE_SECONDS, D_WINDOW_SECONDS,
+                               MAGNITUDE_FLOOR_FRACTION, MIN_TICK_SECONDS,
+                               EnsembleMoments, PearsonStats, moving_median,
+                               power_spectra, tick_stats)
 from clocksync.model import TWO_PI
-from clocksync.trajectory import derived_seed
+from clocksync.trajectory import derived_seed, stored_states
 
 
 def pearson(x1, x2):
@@ -29,17 +30,55 @@ def pearson(x1, x2):
 
 @pytest.fixture
 def window_periods(monkeypatch):
-    """The (p1, p2, keep1, keep2) that ``tick_stats`` passes to
-    ``TickStats.update``, one tuple per D window."""
+    """The (p1, p2, keep1, keep2) that ``tick_stats`` takes from
+    ``metrics._window_periods``, one tuple per D window."""
     seen = []
+    periods_of = metrics._window_periods
 
-    class Recording(TickStats):
-        def update(self, *args):
-            seen.append(args)
-            super().update(*args)
+    def recording(b, carrier):
+        p, keep = periods_of(b, carrier)
+        seen.append((p[:, 0], p[:, 1], keep[:, 0], keep[:, 1]))
+        return p, keep
 
-    monkeypatch.setattr(experiments, "TickStats", Recording)
+    monkeypatch.setattr(metrics, "_window_periods", recording)
     return seen
+
+
+def envelope(darg):
+    """Unit envelopes, from zero phase, that turn by darg[k] over period k
+    of the nominal carrier: their periods are T0 + darg / carrier."""
+    return np.exp(1j * np.cumsum(np.vstack([np.zeros((1, 2)), darg]), axis=0))
+
+
+def plain_tick_stats(b, carrier):
+    """(C, D, N1, N2) of a whole tick record b by the plain formulas: the
+    periods from numpy's complex angle, D windows sliced from the record
+    sharing their end states, each window's rms floor, and textbook
+    means and variances.  Also the number of windows and of periods
+    below the floor."""
+    t0 = TWO_PI / carrier
+    p = t0 + np.angle(b[1:] * np.conj(b[:-1])) / carrier
+    size, tail = round(D_WINDOW_SECONDS / t0), round(MIN_TICK_SECONDS / t0)
+    # a trailing partial window counts from ``tail`` periods on
+    starts = [s for s in range(0, len(p), size) if len(p) - s >= tail]
+    d_vars, kept = [], [[], []]
+    for s in starts:
+        mag = np.abs(b[s:s + size + 1])
+        above = mag >= MAGNITUDE_FLOOR_FRACTION * np.sqrt(
+            np.mean(mag ** 2, axis=0))
+        keep = above[1:] & above[:-1]
+        w = p[s:s + size]
+        d_vars.append(np.var(np.cumsum(w[:, 1] - w[:, 0]), ddof=1))
+        for i in (0, 1):
+            kept[i].append(w[keep[:, i], i])
+    used = p[:min(len(p), starts[-1] + size)]
+    kept = [np.concatenate(k) for k in kept]
+    N = [np.mean(k) ** 2 / np.var(k, ddof=1) for k in kept]
+    sampled = b[:len(used) + 1:max(1, round(C_SAMPLE_SECONDS / t0))]
+    v1, v2 = np.sum(np.abs(sampled) ** 2, axis=0)
+    C = np.sum(sampled[:, 0] * np.conj(sampled[:, 1])).real / np.sqrt(v1 * v2)
+    masked = 2 * len(used) - len(kept[0]) - len(kept[1])
+    return (C, np.mean(d_vars) / np.mean(used) ** 2, *N), len(starts), masked
 
 
 class TestPearson:
@@ -112,6 +151,7 @@ class TestTicks:
     carrier = TWO_PI * 1e3
 
     def test_constant_envelope(self, window_periods):
+        # identical clocks give D = 0, noiseless ones N = +inf
         b = np.ones((1001, 2), dtype=complex)
         m = tick_stats([b], self.carrier)
         assert len(window_periods) == 4
@@ -143,7 +183,7 @@ class TestTicks:
     def test_c_takes_every_kth_state_once(self, monkeypatch, stride):
         # four full D windows and a counted tail: C sums the states whose
         # index is a multiple of the stride, each shared end state once
-        monkeypatch.setattr(experiments, "C_SAMPLE_SECONDS",
+        monkeypatch.setattr(metrics, "C_SAMPLE_SECONDS",
                             stride * TWO_PI / self.carrier)
         rng = np.random.default_rng(6)
         b = rng.standard_normal((1101, 2)) + 1j * rng.standard_normal(
@@ -158,17 +198,22 @@ class TestTicks:
         # 9 periods: fewer than a counted window needs
         with pytest.raises(EnsembleError):
             tick_stats([np.ones((10, 2), dtype=complex)], self.carrier)
+        # a 400 Hz carrier: a 4-period window counts, yet 4 periods are
+        # fewer than D and N need
+        with pytest.raises(EnsembleError):
+            tick_stats([np.ones((5, 2), dtype=complex)], TWO_PI * 400.0)
 
     def test_magnitude_dip_flagged(self, window_periods, monkeypatch):
         # a dip to 1e-4 with a scrambled phase: the periods that touch it
-        # count for D but not for N, so N stays noiseless
+        # count for D but not for N, so N stays noiseless although the
+        # only jitter sits inside the dip
         b = np.ones((1001, 2), dtype=complex)
         b[400:403, 0] = 1e-4 * np.exp(1j * np.array([2.0, -1.0, 3.0]))
         m = tick_stats([b], self.carrier)
         keep = np.concatenate([w[2] for w in window_periods])
         assert np.array_equal(np.flatnonzero(~keep), np.arange(399, 403))
         assert m.N1 == math.inf and m.D > 0.0
-        monkeypatch.setattr(experiments, "MAGNITUDE_FLOOR_FRACTION", 0.0)
+        monkeypatch.setattr(metrics, "MAGNITUDE_FLOOR_FRACTION", 0.0)
         assert math.isfinite(tick_stats([b], self.carrier).N1)
 
     @pytest.mark.parametrize("slice_periods", [1, 7, 33])
@@ -182,7 +227,7 @@ class TestTicks:
         tick_stats([b], self.carrier)
         ref = [w[:2] for w in window_periods]
         window_periods.clear()
-        monkeypatch.setattr(experiments, "TICK_SLICE", slice_periods)
+        monkeypatch.setattr(metrics, "TICK_SLICE", slice_periods)
         tick_stats([b], self.carrier)
         assert len(window_periods) == len(ref) == 5
         for (p1, p2, *_), want in zip(window_periods, ref):
@@ -220,6 +265,22 @@ class TestTicks:
         # naive standard error overestimates; 3 se is a safe band
         assert abs(periods.mean() - TWO_PI / f_lab) < 3 * se
 
+    @pytest.mark.parametrize("g", [0.0, 0.03])
+    def test_ness_record_matches_plain_formulas(self, paper, g):
+        # a seeded NESS tick record of a full D window and a counted tail,
+        # with periods below the floor: C, D, N1 and N2 are the plain
+        # formulas over the whole record, to rounding
+        dyn, _ = operating_point(paper, g)
+        t0 = tick_period(dyn, 0.3)
+        carrier, _, parts = stored_states(
+            dyn, [derived_seed(7, TICK_SEED_BASE)], 0.3, t0, quench=False)
+        b = np.concatenate([part[0] for part in parts])
+        want, windows, masked = plain_tick_stats(b, carrier)
+        assert windows == 2 and masked > 0
+        m = tick_stats([b], carrier)
+        np.testing.assert_allclose([m.C, m.D, m.N1, m.N2], want, rtol=1e-10,
+                                   atol=0)
+
     def test_zero_coupling_matches_closed_form(self, paper):
         # uncoupled clocks.  Clock i's phase increment over T0 has variance
         # D_ii T0 / (2 |b_i|^2); N counts a period when |b_i|^2 reaches
@@ -244,59 +305,30 @@ class TestTicks:
         assert np.all(np.abs(mean - [D, *N]) < 3 * se)
 
 
-def window_stats(p1, p2, nominal_period, keep1=None, keep2=None):
-    """One-window D and N of a pair of period trains, every period kept
-    unless masks are given."""
-    every = np.ones(len(p1), dtype=bool)
-    stats = TickStats(nominal_period)
-    stats.update(p1, p2, every if keep1 is None else keep1,
-                 every if keep2 is None else keep2)
-    return stats.result()
-
-
 class TestClockStats:
-    def test_identical_trains(self):
-        periods = np.full(200, 1e-3)
-        m = window_stats(periods, periods, 1e-3)
-        assert m.D == 0.0
-
-    def test_noiseless_accuracy_sentinel(self):
-        # exactly representable period so the variance is exactly zero
-        periods = np.full(99, 2.0 ** -10)
-        m = window_stats(periods, periods, 2.0 ** -10)
-        assert m.N1 == math.inf and m.N2 == math.inf
-
-    def test_minimum_periods(self):
-        periods = np.full(4, 1e-3)
-        with pytest.raises(EnsembleError):
-            window_stats(periods, periods, 1e-3)
+    carrier = TestTicks.carrier
 
     def test_accuracy_needs_ten_kept_periods(self):
-        # D reads every period, N only the kept ones: 9 kept give no N
+        # D reads every period, N only the kept ones: clock 1 reaches the
+        # floor at its first 10 states only, so 9 kept give no N.  The
+        # clocks share their phases, and a power-of-two magnitude leaves
+        # every period's bits, so D = 0
         rng = np.random.default_rng(2)
-        periods = 1e-3 + 1e-6 * rng.standard_normal(100)
-        keep = np.arange(100) < 9
-        m = window_stats(periods, periods, 1e-3, keep)
+        b = envelope(np.repeat(0.01 * rng.standard_normal((100, 1)), 2, 1))
+        b[10:, 0] *= 2.0 ** -12
+        m = tick_stats([b], self.carrier)
         assert math.isnan(m.N1) and math.isfinite(m.N2) and m.D == 0.0
 
     def test_offset_ramp_dominates_unsynchronized(self):
+        # a mismatch of 2.5e-3 rad per period under a jitter of the same
+        # size, against a common jitter plus 1% of it per clock
         rng = np.random.default_rng(1)
-        jitter = 1e-9
-        p1 = 2.5e-6 + jitter * rng.standard_normal(2000)
-        p2 = 2.501e-6 + jitter * rng.standard_normal(2000)
-        unsync = window_stats(p1, p2, 2.5e-6).D
-        common = 2.5e-6 + jitter * rng.standard_normal(2000)
-        sync = window_stats(common, common + 1e-11 * rng.standard_normal(
-            2000), 2.5e-6).D
-        assert unsync > 100 * sync
-
-    def test_gap_periods_excluded_from_accuracy(self):
-        base = 2.0 ** -10
-        periods = np.full(100, base)
-        periods[50] = 4 * base  # corrupted period inside a flagged gap
-        keep = periods == base
-        clean = window_stats(periods, periods, base, keep, keep)
-        assert clean.N1 == math.inf  # the only jitter sat inside the gap
+        jitter = 2.5e-3 * rng.standard_normal((2000, 2))
+        unsync = tick_stats([envelope(jitter + [0.0, 2.5e-3])], self.carrier)
+        common = 2.5e-3 * rng.standard_normal((2000, 1))
+        sync = tick_stats([envelope(common + 2.5e-5 * rng.standard_normal(
+            (2000, 2)))], self.carrier)
+        assert unsync.D > 100 * sync.D
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 23500), max_size=8))
