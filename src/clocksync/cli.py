@@ -259,7 +259,7 @@ def trajectory(preset, config_path, out, seed, svg, g_over_kappa, duration,
     check_record_length(duration, 4 * dt, "trajectory")
     dyn, _ = operating_point(params, g_over_kappa)
     # both records are checked before --out is made, so a rejected run
-    # leaves none: first the --dt record's map (the record is stepped
+    # leaves none: first the --dt record's map and length (it is stepped
     # once, as the CSV and the spectra read it, and not held), then the
     # tick record of C, D and N, which is stepped here
     carrier, n_stored, parts = stored_states(dyn, [derived_seed(seed, 0)],

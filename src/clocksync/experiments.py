@@ -51,7 +51,8 @@ from .model import (FRAME_REDUCED, TWO_PI, LinearDynamics, NormalModes,
                     normal_modes_closed_form, reduced_matrices)
 from .steadystate import (CovarianceState, analytic_sync_degree,
                           entropy_rates, reduced_occupations, solve_lyapunov)
-from .trajectory import DEFAULT_DT, derived_seed, recentered, stored_states
+from .trajectory import (DEFAULT_DT, MAX_RECORD_STEPS, derived_seed,
+                         recentered, stored_states)
 
 DEFAULT_GRID = np.linspace(0.0, 0.05, 26)
 BURN_IN_DECAY_TIMES = 5.0
@@ -62,13 +63,6 @@ THRESHOLD_LEVEL = 0.5
 # times are required for a stable estimate.  Each record is reduced one
 # D window at a time as the engine steps it.
 TICK_RECORD_DURATION = 6.0
-# A tick record steps once per nominal carrier period.  One D window of
-# it is held in memory, 32 bytes a step with temporaries several times
-# that, so a window of 2^25 steps (a 134 MHz carrier) takes a few GB; a
-# record of 2^25 steps (6 s of a 5.6 MHz carrier) steps for about 10 s.
-# Past this bound a record is a ConfigError, not a MemoryError or a run
-# of hours (omega1_hz = 1e100 would ask for 1e100 steps).
-MAX_TICK_STEPS = 2 ** 25
 # A quench's per-time sums and results took about 153 bytes of peak RSS
 # per stored time (128 members), 2.6 GB at this bound; past it, ConfigError.
 MAX_QUENCH_TIMES = 2 ** 24
@@ -129,7 +123,7 @@ def tick_period(dyn, duration: float) -> float:
     the record is known to be sound, before any step.
 
     ConfigError if the record is shorter than MIN_TICK_SECONDS, or if it
-    or one D window needs more than MAX_TICK_STEPS steps of T0;
+    or one D window needs more than MAX_RECORD_STEPS steps of T0;
     TickExtractionError if the carrier is not positive or the envelope
     turns MAX_ENVELOPE_TURN or more per period (it evolves too fast for
     the carrier to define ticks).
@@ -137,9 +131,9 @@ def tick_period(dyn, duration: float) -> float:
     check_record_length(duration, MIN_TICK_SECONDS, "tick record")
     drift, carrier = recentered(dyn)
     t0 = TWO_PI / abs(carrier)
-    if max(duration, D_WINDOW_SECONDS) > MAX_TICK_STEPS * t0:
+    if max(duration, D_WINDOW_SECONDS) > MAX_RECORD_STEPS * t0:
         raise ConfigError(
-            f"tick record needs more than {MAX_TICK_STEPS} steps of the "
+            f"tick record needs more than {MAX_RECORD_STEPS} steps of the "
             f"{t0:g} s carrier period")
     turn = float(np.max(np.abs(np.linalg.eigvals(drift)))) * t0
     if not (carrier > 0 and turn < MAX_ENVELOPE_TURN):

@@ -116,7 +116,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-def windows(blocks, size: int, min_tail: int = 1, overlap: int = 0):
+def windows(blocks, size: int, min_tail: int, overlap: int):
     """Cut a stream of (m, k) sample blocks into (size, k) windows, each
     starting with the last ``overlap`` samples of the one before.
 

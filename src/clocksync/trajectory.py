@@ -11,8 +11,8 @@ with the exact OU discretization (Gillespie, Phys. Rev. E 54, 2084,
 S S^H = V_inf - F V_inf F^H, statistically exact for any dt, F in
 closed form (``_expm2``).  A map that is not finite, or whose noise
 covariance rounding has made indefinite (a step too short for float64),
-is a ConfigError, one of spectral radius >= 1 a StabilityError, before
-any noise is drawn.
+and a record of more than MAX_RECORD_STEPS steps are a ConfigError, a
+map of spectral radius >= 1 a StabilityError, before any noise is drawn.
 The members share one dynamics, each with its own Philox key.  No Python
 loop runs per time step: over a chunk of m steps, one member's states
 interleaved as (z1_0, z2_0, z1_1, z2_1, ...) solve a unit
@@ -28,14 +28,14 @@ every other step.  A chunk of B members runs
 ``share``-th of that when calls stepping at once divide the budget.
 
 ``stored_states`` hands the stream of states to a consumer block by
-block.  ``record_states`` collects it into one (members, times, 2)
-array, a row per seed, and ``propagate_exact`` and ``run_ensemble`` into
-``Trajectory`` views of that array.  A consumer that reduces each block
-as it comes (a sweep point's C, D and N, the R(t) and fluxes of each
-member group of a quench, the ``trajectory`` command's CSV and spectra)
-needs memory for about one chunk, not for the record.  Stepping the
-same dynamics and keys again gives the same states, so a consumer that
-needs two passes steps twice.
+block; ``propagate_exact`` and ``run_ensemble`` fill it into one
+(members, times, 2) array, a row per seed, and return ``Trajectory``
+views of it.  A consumer that reduces each block as it comes (a sweep
+point's C, D and N, the R(t) and fluxes of each member group of a
+quench, the ``trajectory`` command's CSV and spectra) needs memory for
+about one chunk, not for the record.  Stepping the same dynamics and
+keys again gives the same states, so a consumer that needs two passes
+steps twice.
 
 Before stepping, the common rotation of the drift (frequency mismatch
 midpoint plus optical-spring shift) is moved into the carrier, so the
@@ -72,6 +72,12 @@ DEFAULT_DURATION = 10.0
 # states.  One member steps 6553 steps per chunk and 64 members 481, or
 # 160 with a third of the budget each (a quench's two groups in flight).
 _CHUNK_MEMBER_STEPS = 2 ** 15
+# Every record has at most this many steps: past it (inf and nan too),
+# ``stored_states`` raises ConfigError before any noise is drawn, not a
+# MemoryError or hours of stepping (one member steps 2^25 steps in about
+# 10 s).  At the bound a tick record's D window takes a few GB, as does a
+# kept one-member record, and ``trajectory``'s Welch segment 2^22 samples.
+MAX_RECORD_STEPS = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -237,8 +243,12 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     the states in time order, the initial state first, then the state
     after each step.  Blocks from step chunks are views, so a consumer
     that reduces them as they come holds one chunk at a time.
+    ConfigError past MAX_RECORD_STEPS steps, before any noise is drawn.
     """
     F, S, carrier, Vinf = _build_exact_map(dyn, dt)
+    if not duration / dt <= MAX_RECORD_STEPS:
+        raise ConfigError(f"record of {duration / dt:.4g} steps of dt = "
+                          f"{dt:g} s exceeds {MAX_RECORD_STEPS}")
     rngs = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
     p = dyn.params
     L = (np.diag(np.sqrt([p.nth1 + 0.5, p.nth2 + 0.5])) if quench
@@ -250,10 +260,11 @@ def stored_states(dyn: LinearDynamics, seeds, duration: float,
     return carrier, n_steps + 1, itertools.chain([z0[:, None]], blocks)
 
 
-def record_states(states) -> tuple[float, np.ndarray]:
-    """(carrier, record): a ``stored_states`` stream filled into one
-    (members, n_stored, 2) array, one row per seed; the member count is
-    that of the stream's first block."""
+def _record(states, dt: float) -> list[Trajectory]:
+    """One ``Trajectory`` per member of a ``stored_states`` stream of step
+    dt, the stream filled into one (members, n_stored, 2) record, one row
+    per seed (the member count is that of its first block): one shared
+    times array, b1 and b2 views into the record."""
     carrier, n_stored, parts = states
     filled = 0
     for part in parts:
@@ -261,14 +272,7 @@ def record_states(states) -> tuple[float, np.ndarray]:
             out = np.empty((len(part), n_stored, 2), dtype=complex)
         out[:, filled:filled + part.shape[1]] = part
         filled += part.shape[1]
-    return carrier, out
-
-
-def _record(states, dt: float) -> list[Trajectory]:
-    """One ``Trajectory`` per member of a ``stored_states`` stream of step
-    dt: one shared times array, b1 and b2 views into one record."""
-    carrier, out = record_states(states)
-    times = dt * np.arange(out.shape[1])
+    times = dt * np.arange(n_stored)
     return [Trajectory(times=times, b1=b[:, 0], b2=b[:, 1], dt=dt,
                        reference_frequency=carrier) for b in out]
 

@@ -43,12 +43,12 @@ def chunk_steps(monkeypatch, steps, members):
 
 def quench_record(dyn, n, duration, dt, master_seed, first=0):
     """(n, n_stored, 2) states of members first .. first + n - 1 of a
-    seeded quench ensemble, keyed as in ``run_ensemble``, stored by
-    ``record_states``."""
-    from clocksync.trajectory import (derived_seed, record_states,
-                                      stored_states)
+    seeded quench ensemble, keyed as in ``run_ensemble``: the blocks of
+    ``stored_states``, concatenated."""
+    from clocksync.trajectory import derived_seed, stored_states
     seeds = [derived_seed(master_seed, i) for i in range(first, first + n)]
-    return record_states(stored_states(dyn, seeds, duration, dt))[1]
+    _, _, parts = stored_states(dyn, seeds, duration, dt)
+    return np.concatenate(list(parts), axis=1)
 
 
 def moments_of(block):

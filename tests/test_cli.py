@@ -335,6 +335,12 @@ class TestConfig:
         rejects(2, ["transient", "--dt", "1e-12", "--n-traj", "50"],
                 "config error", "stored times")
 
+    def test_unholdable_trajectory_exits_2(self, rejects):
+        # a record of 1e14 steps, whose Welch segment alone would take
+        # 64 TiB: a config error naming the count, before --out is made
+        rejects(2, ["trajectory", "--duration", "0.01", "--dt", "1e-16"],
+                "config error", "steps")
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--duration", "0.005"],
         ["transient", "--duration", "1e-5"],

@@ -13,13 +13,13 @@ from clocksync import (ConfigError, EnsembleError, PlateauError, SweepRow,
                        find_threshold, find_turning_point, sweep_coupling,
                        transient_experiment)
 from clocksync import experiments, metrics, trajectory
-from clocksync.experiments import (ENSEMBLE_GROUP, MAX_TICK_STEPS,
-                                   SWEEP_CSV_HEADER, TICK_SEED_BASE,
-                                   _model_arrays, analytic_point,
-                                   in_grid_order, operating_point,
-                                   tick_metrics, tick_period)
+from clocksync.experiments import (ENSEMBLE_GROUP, SWEEP_CSV_HEADER,
+                                   TICK_SEED_BASE, _model_arrays,
+                                   analytic_point, in_grid_order,
+                                   operating_point, tick_metrics, tick_period)
 from clocksync.metrics import C_SAMPLE_SECONDS, MIN_FLUX_ENSEMBLE
-from clocksync.trajectory import derived_seed, stored_states
+from clocksync.trajectory import (MAX_RECORD_STEPS, derived_seed,
+                                  stored_states)
 
 
 def synthetic_rows(g, c, pi=None):
@@ -553,7 +553,7 @@ class TestTickGuards:
         fast = dataclasses.replace(paper, omega1=2 * np.pi * 1e9,
                                    omega2=2 * np.pi * 1e9)
         dyn, _ = operating_point(fast, 0.02)
-        assert 0.01 * 1e9 < MAX_TICK_STEPS < 0.25 * 1e9
+        assert 0.01 * 1e9 < MAX_RECORD_STEPS < 0.25 * 1e9
         with pytest.raises(ConfigError, match="steps"):
             tick_period(dyn, 0.01)
 

@@ -455,12 +455,12 @@ class TestPowerSpectrum:
         # overlap (Welch 1967).  dt = 2e-5 keeps the 2.9 kHz wide fast
         # mode at g = 0.04 from aliasing into the band.
         from scipy.stats import chi2
-        from clocksync.trajectory import (record_states, recentered,
-                                          stored_states)
+        from clocksync.trajectory import recentered, stored_states
         dt = 2e-5
         dyn, _ = operating_point(paper, g)
-        _, (record,) = record_states(stored_states(
-            dyn, [derived_seed(3, 0)], 8.0, dt, quench=False))
+        _, _, parts = stored_states(dyn, [derived_seed(3, 0)], 8.0, dt,
+                                    quench=False)
+        (record,) = np.concatenate(list(parts), axis=1)
         A, _ = recentered(dyn)
         n = len(record)
         nperseg = 2 ** int(np.log2(n // 8))

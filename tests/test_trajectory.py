@@ -6,14 +6,14 @@ import pytest
 
 from conftest import block_standard_error, chunk_steps, run_python
 
-from clocksync import (FrameMismatchError, StabilityError, propagate_exact,
-                       reduced_drift_matrix, run_ensemble, solve_lyapunov,
-                       trajectory)
+from clocksync import (ConfigError, FrameMismatchError, StabilityError,
+                       propagate_exact, reduced_drift_matrix, run_ensemble,
+                       solve_lyapunov, trajectory)
 from clocksync.model import PhysicalParams
 from clocksync.experiments import operating_point, tick_period
 from clocksync.trajectory import (_build_exact_map, _expm2, _psd_sqrt,
                                   derived_seed, displacements, recentered,
-                                  record_states, stored_states)
+                                  stored_states)
 
 
 def toy_params(nth=5.0, gamma=1.0):
@@ -131,16 +131,19 @@ class TestEngine:
                 zeta = rng.standard_normal(4).view(complex)
                 expect[j, n + 1] = F @ expect[j, n] + S @ zeta / 2 ** 0.5
         chunk_steps(monkeypatch, 7, members)
-        _, got = record_states(stored_states(dyn, seeds, n_steps * dt, dt,
-                                             quench=quench))
+        _, _, parts = stored_states(dyn, seeds, n_steps * dt, dt,
+                                    quench=quench)
+        got = np.concatenate(list(parts), axis=1)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_record_has_one_row_per_seed(self, monkeypatch):
-        # the member count is the stream's, over several chunks too
+        # the kept record's member count is the stream's, over several
+        # chunks too
         chunk_steps(monkeypatch, 7, 3)
         for seeds in (self.SEEDS[:3], self.SEEDS[:1]):
-            _, record = record_states(stored_states(self.DYN, seeds, 0.2,
-                                                    1e-3))
+            kept = trajectory._record(stored_states(self.DYN, seeds, 0.2,
+                                                    1e-3), 1e-3)
+            record = np.stack([np.stack([t.b1, t.b2], axis=-1) for t in kept])
             assert record.shape == (len(seeds), 201, 2)
             assert np.array_equal(record, states(self.DYN, seeds))
             rows = {r.tobytes() for r in record}
@@ -337,6 +340,33 @@ class TestValidation:
         bad = dataclasses.replace(dyn, drift=-dyn.drift.conj())
         with pytest.raises(StabilityError):
             propagate_exact(bad, 1.0, dt=1e-4, seed=0)
+
+    def test_unholdable_record_rejected(self, paper):
+        # 1e12 steps would be a 29 TiB record: a config error, not a
+        # MemoryError, and so is a record of inf or nan steps
+        dyn = reduced_drift_matrix(paper.with_coupling(0.04))
+        with pytest.raises(ConfigError, match="exceeds"):
+            run_ensemble(dyn, 1, 1.0, dt=1e-12)
+        for duration in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="exceeds"):
+                stored_states(dyn, [1], duration, 1e-5)
+
+    def test_record_steps_bounded(self, monkeypatch):
+        # a record of exactly MAX_RECORD_STEPS steps is stepped; one step
+        # more is a config error from every entry, before the call keys a
+        # generator from the seeds
+        monkeypatch.setattr(trajectory, "MAX_RECORD_STEPS", 64)
+        dyn, dt = toy_dyn(), 2.0 ** -10
+        _, n_stored, parts = stored_states(dyn, [1], 64 * dt, dt)
+        assert n_stored == 65 == sum(p.shape[1] for p in parts)
+        seeds = iter([1])
+        with pytest.raises(ConfigError, match="record of 65 steps"):
+            stored_states(dyn, seeds, 65 * dt, dt)
+        assert next(seeds) == 1
+        with pytest.raises(ConfigError, match="exceeds 64"):
+            run_ensemble(dyn, 1, 65 * dt, dt=dt)
+        with pytest.raises(ConfigError, match="exceeds 64"):
+            propagate_exact(dyn, 65 * dt, dt=dt)
 
     def test_n_traj_positive(self):
         with pytest.raises(ValueError):
